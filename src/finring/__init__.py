@@ -21,7 +21,6 @@ from .rings import (
     QuotientRing,
     Ring,
     TableRingStructure,
-    TriangularRing,
     ZnRing,
     additive_invariant_factors,
     least_irreducible,
@@ -102,7 +101,7 @@ __all__ = [
     "BudgetError", "ConstructionError", "ParseError", "RingMismatchError",
     "DEFAULT_ORDER_CAP", "TABLE_CAP", "Elem", "FieldSpec", "GFRing",
     "MatrixRing", "ProductRing", "QuotientRing", "Ring", "TableRingStructure",
-    "TriangularRing", "ZnRing", "additive_invariant_factors",
+    "ZnRing", "additive_invariant_factors",
     "least_irreducible", "make_boolean", "make_gf", "make_matrix_ring",
     "make_product", "make_table_ring", "make_triangular_ring", "make_zn",
     "quotient_ring", "verify_ring_axioms", "verify_tables",

@@ -28,10 +28,9 @@ from .rings import (
     GFRing,
     MatrixRing,
     ProductRing,
-    QuotientRing,
     Ring,
-    TriangularRing,
     ZnRing,
+    is_commutative,  # re-exported; it also vets matrix-ring bases there
     is_prime,
     matrix_adjugate,
     matrix_determinant,
@@ -81,7 +80,7 @@ def _as_index(r: Ring, x) -> int:
 
 
 # ---------------------------------------------------------------------------
-# characteristic / commutativity / booleanness
+# characteristic / generators / booleanness
 
 
 def characteristic(r: Ring) -> int:
@@ -112,14 +111,12 @@ def ring_generators(r: Ring) -> list[int]:
                 comps[t] = g
                 gens.append(r.from_components(comps))
         return gens
-    if isinstance(r, (MatrixRing, TriangularRing)):
+    if isinstance(r, MatrixRing):
         base_gens = set(ring_generators(r.base))
         base_gens.add(r.base.one)
         n = r.n
-        positions = r.free if isinstance(r, TriangularRing) else [
-            (i, j) for i in range(n) for j in range(n)]
         gens = []
-        for (i, j) in positions:
+        for (i, j) in r.stored:
             for g in base_gens:
                 es = [0] * (n * n)
                 es[i * n + j] = g
@@ -128,28 +125,6 @@ def ring_generators(r: Ring) -> list[int]:
     if r.order > TABLE_CAP:
         raise BudgetError(f"{r.name}: no generating set known below order {TABLE_CAP}")
     return list(range(r.order))
-
-
-def is_commutative(r: Ring) -> bool:
-    """True iff xy = yx for all pairs.
-
-    Exhaustive (vectorized) for table-backed rings; for matrix and
-    triangular rings the check runs over a generating set, which decides
-    the whole ring because commuting generators span a commutative subring.
-    """
-    if isinstance(r, (ZnRing, GFRing)):
-        return True
-    if isinstance(r, ProductRing):
-        return all(is_commutative(f) for f in r.factors)
-    if isinstance(r, (MatrixRing, TriangularRing)):
-        gens = ring_generators(r)
-        return all(r.mul(a, b) == r.mul(b, a) for a in gens for b in gens)
-    if isinstance(r, QuotientRing) and is_commutative(r.parent):
-        return True
-    if r.order > TABLE_CAP:
-        raise BudgetError(f"{r.name}: commutativity scan needs order <= {TABLE_CAP}")
-    _, mul = r.tables()
-    return bool((mul == mul.T).all())
 
 
 def is_boolean(r: Ring) -> bool:
@@ -200,7 +175,7 @@ def matrix_inverse_row_reduce(r, a: int) -> int | None:
     An independent second route to invertibility: it never consults the
     determinant, so agreement with the adjugate route is a real check.
     """
-    if not isinstance(r, (MatrixRing, TriangularRing)):
+    if not isinstance(r, MatrixRing):
         raise ConstructionError("row reduction applies to matrix and triangular rings")
     base = r.base
     if not _field_like(base):
@@ -235,15 +210,7 @@ def inverse_index(r: Ring, a: int) -> int | None:
             return 0
         return pow(a, -1, r.n) if math.gcd(a, r.n) == 1 else None
     if isinstance(r, GFRing):
-        if a == 0:
-            return None
-        acc, base_, k = r.one, a, r.q - 2
-        while k:
-            if k & 1:
-                acc = r.mul(acc, base_)
-            base_ = r.mul(base_, base_)
-            k >>= 1
-        return acc
+        return None if a == 0 else (r.element(a) ** (r.q - 2)).index
     if isinstance(r, ProductRing):
         invs = []
         for f, c in zip(r.factors, r.components(a)):
@@ -252,7 +219,7 @@ def inverse_index(r: Ring, a: int) -> int | None:
                 return None
             invs.append(v)
         return r.from_components(invs)
-    if isinstance(r, (MatrixRing, TriangularRing)):
+    if isinstance(r, MatrixRing):
         return _matrix_inverse_adjugate(r, a)
     return inverse_by_scan(r, a)
 
@@ -266,7 +233,7 @@ def is_unit(r: Ring, x) -> Elem | None:
 
 def _unit_indices(r: Ring) -> list[int]:
     """All unit indices of a ring of order <= UNIT_SCAN_CAP."""
-    if isinstance(r, (MatrixRing, TriangularRing)):
+    if isinstance(r, MatrixRing):
         return [a for a in range(r.order) if _matrix_inverse_adjugate(r, a) is not None]
     add, mul = r.tables()
     one = r.one
@@ -308,17 +275,20 @@ def unit_group(r: Ring) -> UnitGroupSummary:
                             sum=Elem(r, s), closure_verified=True)
 
 
-def _iter_matrix_entries(r: MatrixRing):
-    """Row-major entry tuples of every matrix whose first column is nonzero.
+def _iter_invertible_entries(r: MatrixRing):
+    """Row-major entry lists of every invertible matrix of a full matrix ring.
 
-    Matrices with an all-zero first column cannot be invertible, so the
-    streaming unit scans skip them wholesale (first-column pruning).
+    Matrices with an all-zero first column cannot be invertible, so they
+    are skipped wholesale (first-column pruning); the rest are kept when
+    their determinant is a unit of the base.  One list is reused and
+    refilled between yields.
     """
-    n, b = r.n, r.base.order
-    cells = r.cells
+    n, base = r.n, r.base
+    b = base.order
+    field_base = _field_like(base)
     col_positions = [i * n for i in range(n)]
-    rest_positions = [k for k in range(cells) if k % n != 0]
-    template = [0] * cells
+    rest_positions = [k for k in range(r.cells) if k % n != 0]
+    template = [0] * r.cells
     for col in itertools.product(range(b), repeat=n):
         if not any(col):
             continue
@@ -327,6 +297,9 @@ def _iter_matrix_entries(r: MatrixRing):
         for rest in itertools.product(range(b), repeat=len(rest_positions)):
             for pos, v in zip(rest_positions, rest):
                 template[pos] = v
+            d = matrix_determinant(base, template, n)
+            if d == 0 if field_base else inverse_index(base, d) is None:
+                continue
             yield template
 
 
@@ -334,16 +307,10 @@ def _stream_matrix_units(r: MatrixRing) -> tuple[int, int]:
     """(count, sum index) over all invertible matrices, streamed."""
     if r.order > STREAM_CAP:
         raise BudgetError(f"{r.name}: streaming unit scan needs order <= {STREAM_CAP}")
-    base = r.base
-    field_base = _field_like(base)
-    n = r.n
-    badd = base.add
+    badd = r.base.add
     count = 0
     sums = [0] * r.cells
-    for es in _iter_matrix_entries(r):
-        d = matrix_determinant(base, es, n)
-        if (d == 0 if field_base else inverse_index(base, d) is None):
-            continue
+    for es in _iter_invertible_entries(r):
         count += 1
         for k, e in enumerate(es):
             if e:
@@ -351,13 +318,13 @@ def _stream_matrix_units(r: MatrixRing) -> tuple[int, int]:
     return count, r.from_entries(sums)
 
 
-def _stream_triangular_units(r: TriangularRing) -> tuple[int, int]:
+def _stream_triangular_units(r: MatrixRing) -> tuple[int, int]:
     """(count, sum index) for a triangular ring: unit diagonal, free uppers."""
     base = r.base
     diag_units = [u for u in range(base.order)
                   if inverse_index(base, u) is not None]
     n = r.n
-    uppers = [(i, j) for (i, j) in r.free if i != j]
+    uppers = [(i, j) for (i, j) in r.stored if i != j]
     total = len(diag_units) ** n * base.order ** len(uppers)
     if total > STREAM_CAP:
         raise BudgetError(f"{r.name}: streaming unit scan needs at most {STREAM_CAP} units")
@@ -375,16 +342,18 @@ def _stream_triangular_units(r: TriangularRing) -> tuple[int, int]:
             for k, e in enumerate(full):
                 if e:
                     sums[k] = badd(sums[k], e)
-    return count, r._pack_full(sums)
+    return count, r.from_entries(sums)
 
 
 def _unit_census(r: Ring) -> tuple[int, int]:
     if r.order <= UNIT_SCAN_CAP:
         summary = unit_group(r)
         return summary.count, summary.sum.index
-    if isinstance(r, TriangularRing):
-        return _stream_triangular_units(r)
     if isinstance(r, MatrixRing):
+        # A triangular matrix is a unit iff its diagonal is: streaming those
+        # skips a determinant per matrix (about 1M of them on UT(4,GF(4))).
+        if r.kind == "triangular":
+            return _stream_triangular_units(r)
         return _stream_matrix_units(r)
     raise BudgetError(f"{r.name}: no streaming unit scan for this ring kind")
 
@@ -413,18 +382,13 @@ def unit_first_column_classes(r: MatrixRing) -> dict[tuple[int, ...], int]:
     matrices.  The classes partition the general linear group, which is
     how the even-count argument for characteristic-2 fields proceeds.
     """
-    if not isinstance(r, MatrixRing):
+    if not isinstance(r, MatrixRing) or r.kind != "matrix":
         raise ConstructionError("first-column classes are defined for full matrix rings")
     if r.order > STREAM_CAP:
         raise BudgetError(f"{r.name}: class scan needs order <= {STREAM_CAP}")
-    base = r.base
-    field_base = _field_like(base)
     n = r.n
     counts: dict[tuple[int, ...], int] = {}
-    for es in _iter_matrix_entries(r):
-        d = matrix_determinant(base, es, n)
-        if (d == 0 if field_base else inverse_index(base, d) is None):
-            continue
+    for es in _iter_invertible_entries(r):
         key = tuple(es[i * n] for i in range(n))
         counts[key] = counts.get(key, 0) + 1
     return counts

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConstructionError, RingMismatchError
+from .errors import BudgetError, ConstructionError, RingMismatchError
 
 # Dense order x order tables are only materialized up to this order; larger
 # rings stay lazy (arithmetic on demand, elements enumerable by index).
@@ -438,72 +438,91 @@ class GFRing(Ring):
 
 
 class MatrixRing(Ring):
-    """Full n-by-n matrices over a commutative base ring.
+    """n-by-n matrices over a commutative base ring, full or upper-triangular.
 
-    Entries are flattened row-major; index sum(e_k * |B|**k) stores entry k
-    of that flattening, so the (0, 0) entry is the least-significant digit.
-    Arithmetic decodes on demand, so large matrix rings never materialize
-    an element list.
+    Only the cells in `stored` are kept: every cell for M(n,B), and the
+    cells on or above the diagonal for UT(n,B) (`upper=True`).  They are
+    listed row-major, and index sum(e_k * |B|**k) stores the entry of the
+    k-th stored cell, so the (0, 0) entry is the least-significant digit.
+    `entries` always reports the full row-major matrix, with zeros in the
+    unstored cells.  Arithmetic decodes on demand, so large matrix rings
+    never materialize an element list.
     """
 
-    kind = "matrix"
-
-    def __init__(self, n: int, base: Ring):
+    def __init__(self, n: int, base: Ring, upper: bool = False):
         self.n = n
         self.base = base
         self.cells = n * n
-        b = base.order
-        one = 0
-        for k in reversed(range(self.cells)):
-            i, j = divmod(k, n)
-            one = one * b + (base.one if i == j else 0)
-        super().__init__(b ** self.cells, one, f"M({n},{base.name})")
+        self.kind = "triangular" if upper else "matrix"
+        self.stored = [(i, j) for i in range(n) for j in range(i if upper else 0, n)]
+        self._flat = [i * n + j for (i, j) in self.stored]  # offsets in `entries`
+        pos = {cell: c for c, cell in enumerate(self.stored)}
+        # One term list per stored output cell (i, j): the stored positions
+        # (pos(i,k), pos(k,j)) over every k with both cells stored, which
+        # for UT is i <= k <= j.
+        self._terms = [[(pos[i, k], pos[k, j]) for k in range(n)
+                        if (i, k) in pos and (k, j) in pos]
+                       for (i, j) in self.stored]
+        one = self._pack([base.one if i == j else 0 for (i, j) in self.stored])
+        super().__init__(base.order ** len(self.stored), one,
+                         f"{'UT' if upper else 'M'}({n},{base.name})")
+
+    def _digits(self, index) -> list[int]:
+        """Base-ring indices of the stored cells, in `stored` order."""
+        b = self.base.order
+        out = []
+        for _ in self.stored:
+            index, e = divmod(index, b)
+            out.append(e)
+        return out
+
+    def _pack(self, digits) -> int:
+        b = self.base.order
+        index = 0
+        for e in reversed(digits):
+            index = index * b + e
+        return index
 
     def entries(self, index) -> tuple[int, ...]:
         """Row-major base-ring indices of the matrix stored at `index`."""
         b = self.base.order
-        out = []
-        for _ in range(self.cells):
-            index, e = divmod(index, b)
-            out.append(e)
-        return tuple(out)
+        full = [0] * self.cells
+        for c in self._flat:
+            index, full[c] = divmod(index, b)
+        return tuple(full)
 
     def from_entries(self, entries) -> int:
         es = list(entries)
         if len(es) != self.cells:
             raise ConstructionError(f"{self.name} expects {self.cells} row-major entries")
-        b = self.base.order
-        for e in es:
-            if not 0 <= e < b:
-                raise ConstructionError(f"{self.name}: entry {e} is outside the base ring")
-        return self._pack(es)
-
-    def _pack(self, es) -> int:
-        b = self.base.order
-        index = 0
-        for e in reversed(es):
-            index = index * b + e
-        return index
+        n, b = self.n, self.base.order
+        for i in range(n):
+            for j in range(n):
+                e = es[i * n + j]
+                if j < i and e != 0 and self.kind == "triangular":
+                    raise ConstructionError(
+                        f"{self.name}: entry at ({i},{j}) below the diagonal must be 0")
+                if not 0 <= e < b:
+                    raise ConstructionError(f"{self.name}: entry {e} is outside the base ring")
+        return self._pack([es[c] for c in self._flat])
 
     def add(self, x, y):
         ba = self.base.add
-        return self._pack([ba(u, v) for u, v in zip(self.entries(x), self.entries(y))])
+        return self._pack([ba(u, v) for u, v in zip(self._digits(x), self._digits(y))])
 
     def neg(self, x):
         bn = self.base.neg
-        return self._pack([bn(e) for e in self.entries(x)])
+        return self._pack([bn(e) for e in self._digits(x)])
 
     def mul(self, x, y):
-        n, base = self.n, self.base
-        ex, ey = self.entries(x), self.entries(y)
+        badd, bmul = self.base.add, self.base.mul
+        dx, dy = self._digits(x), self._digits(y)
         out = []
-        for i in range(n):
-            row = ex[i * n:(i + 1) * n]
-            for j in range(n):
-                acc = 0
-                for k in range(n):
-                    acc = base.add(acc, base.mul(row[k], ey[k * n + j]))
-                out.append(acc)
+        for terms in self._terms:
+            acc = 0
+            for p, q in terms:
+                acc = badd(acc, bmul(dx[p], dy[q]))
+            out.append(acc)
         return self._pack(out)
 
     def pretty(self, index):
@@ -514,125 +533,22 @@ class MatrixRing(Ring):
         return "[" + ",".join(rows) + "]"
 
     def _build_tables(self):
-        # Entrywise over the base ring's dense tables: one fancy-indexed
-        # N-by-N pass per cell (and per k-term for products) instead of a
-        # Python dispatch for each of the N*N pairs.
+        # Cellwise over the base ring's dense tables: one fancy-indexed
+        # N-by-N pass per stored cell (and per term for products) instead
+        # of a Python dispatch for each of the N*N pairs.
         badd, bmul = self.base.tables()
-        n, m, N = self.n, self.base.order, self.order
-        powers = m ** np.arange(self.cells, dtype=np.int64)
+        m, N = self.base.order, self.order
+        powers = m ** np.arange(len(self.stored), dtype=np.int64)
         digits = (np.arange(N, dtype=np.int64)[:, None] // powers[None, :]) % m
         add = np.zeros((N, N), dtype=np.int64)
-        for c in range(self.cells):
+        for c in range(len(self.stored)):
             col = digits[:, c]
             add += badd[np.ix_(col, col)].astype(np.int64) * powers[c]
         mul = np.zeros((N, N), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                acc = np.zeros((N, N), dtype=np.int32)
-                for k in range(n):
-                    acc = badd[acc, bmul[np.ix_(digits[:, i * n + k], digits[:, k * n + j])]]
-                mul += acc.astype(np.int64) * powers[i * n + j]
-        return add.astype(np.int32), mul.astype(np.int32)
-
-
-class TriangularRing(Ring):
-    """Upper-triangular n-by-n matrices over a commutative base ring.
-
-    Only the cells on or above the diagonal are stored, row-major:
-    (0,0), (0,1), ..., (0,n-1), (1,1), ... with the first free cell least
-    significant.  `entries` still reports the full row-major matrix.
-    """
-
-    kind = "triangular"
-
-    def __init__(self, n: int, base: Ring):
-        self.n = n
-        self.base = base
-        self.cells = n * n
-        self.free = [(i, j) for i in range(n) for j in range(i, n)]
-        b = base.order
-        one = 0
-        for (i, j) in reversed(self.free):
-            one = one * b + (base.one if i == j else 0)
-        super().__init__(b ** len(self.free), one, f"UT({n},{base.name})")
-
-    def entries(self, index) -> tuple[int, ...]:
-        b = self.base.order
-        full = [0] * self.cells
-        for (i, j) in self.free:
-            index, e = divmod(index, b)
-            full[i * self.n + j] = e
-        return tuple(full)
-
-    def from_entries(self, entries) -> int:
-        es = list(entries)
-        n = self.n
-        if len(es) != self.cells:
-            raise ConstructionError(f"{self.name} expects {self.cells} row-major entries")
-        b = self.base.order
-        for i in range(n):
-            for j in range(n):
-                e = es[i * n + j]
-                if j < i and e != 0:
-                    raise ConstructionError(
-                        f"{self.name}: entry at ({i},{j}) below the diagonal must be 0")
-                if not 0 <= e < b:
-                    raise ConstructionError(f"{self.name}: entry {e} is outside the base ring")
-        return self._pack_full(es)
-
-    def _pack_full(self, full) -> int:
-        b = self.base.order
-        n = self.n
-        index = 0
-        for (i, j) in reversed(self.free):
-            index = index * b + full[i * n + j]
-        return index
-
-    def add(self, x, y):
-        ba = self.base.add
-        ex, ey = self.entries(x), self.entries(y)
-        return self._pack_full([ba(u, v) for u, v in zip(ex, ey)])
-
-    def neg(self, x):
-        bn = self.base.neg
-        return self._pack_full([bn(e) for e in self.entries(x)])
-
-    def mul(self, x, y):
-        n, base = self.n, self.base
-        ex, ey = self.entries(x), self.entries(y)
-        out = [0] * self.cells
-        for (i, j) in self.free:
-            acc = 0
-            for k in range(i, j + 1):  # only i <= k <= j contributes above the diagonal
-                acc = base.add(acc, base.mul(ex[i * n + k], ey[k * n + j]))
-            out[i * n + j] = acc
-        return self._pack_full(out)
-
-    def pretty(self, index):
-        es = self.entries(index)
-        n = self.n
-        rows = ("[" + ",".join(self.base.pretty(e) for e in es[i * n:(i + 1) * n]) + "]"
-                for i in range(n))
-        return "[" + ",".join(rows) + "]"
-
-    def _build_tables(self):
-        # Same cellwise vectorization as the full matrix ring, restricted
-        # to the stored on-or-above-diagonal cells.
-        badd, bmul = self.base.tables()
-        n, m, N = self.n, self.base.order, self.order
-        nf = len(self.free)
-        pos = {cell: c for c, cell in enumerate(self.free)}
-        powers = m ** np.arange(nf, dtype=np.int64)
-        digits = (np.arange(N, dtype=np.int64)[:, None] // powers[None, :]) % m
-        add = np.zeros((N, N), dtype=np.int64)
-        for c in range(nf):
-            col = digits[:, c]
-            add += badd[np.ix_(col, col)].astype(np.int64) * powers[c]
-        mul = np.zeros((N, N), dtype=np.int64)
-        for c, (i, j) in enumerate(self.free):
+        for c, terms in enumerate(self._terms):
             acc = np.zeros((N, N), dtype=np.int32)
-            for k in range(i, j + 1):
-                acc = badd[acc, bmul[np.ix_(digits[:, pos[(i, k)]], digits[:, pos[(k, j)]])]]
+            for p, q in terms:
+                acc = badd[acc, bmul[np.ix_(digits[:, p], digits[:, q])]]
             mul += acc.astype(np.int64) * powers[c]
         return add.astype(np.int32), mul.astype(np.int32)
 
@@ -1065,23 +981,25 @@ def matrix_adjugate(base: Ring, entries, n: int) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _commutative(ring: Ring) -> bool:
-    """Structural commutativity test used to vet matrix-ring bases."""
-    if isinstance(ring, (ZnRing, GFRing)):
+def is_commutative(r: Ring) -> bool:
+    """True iff xy = yx for all pairs.
+
+    Structural for the constructed families (it also vets matrix-ring
+    bases); otherwise a vectorized symmetry check of the dense
+    multiplication table, which is built only up to TABLE_CAP.
+    """
+    if isinstance(r, (ZnRing, GFRing)):
         return True
-    if isinstance(ring, ProductRing):
-        return all(_commutative(f) for f in ring.factors)
-    if isinstance(ring, (MatrixRing, TriangularRing)):
-        if ring.base.order == 1 or ring.order == 1:
-            return True
-        if ring.n == 1:
-            return _commutative(ring.base)
-        return False  # n >= 2 over a nontrivial base: E11*E12 != E12*E11
-    if isinstance(ring, QuotientRing) and _commutative(ring.parent):
+    if isinstance(r, ProductRing):
+        return all(is_commutative(f) for f in r.factors)
+    if isinstance(r, MatrixRing):
+        # n >= 2 over a nontrivial base: E11*E12 != E12*E11
+        return r.order == 1 or (r.n == 1 and is_commutative(r.base))
+    if isinstance(r, QuotientRing) and is_commutative(r.parent):
         return True
-    if isinstance(ring, TableRingStructure):
-        return bool((ring._mul == ring._mul.T).all())
-    add, mul = ring.tables()  # small fallback: exhaustive symmetry check
+    if r.order > TABLE_CAP and r._tables is None:
+        raise BudgetError(f"{r.name}: commutativity scan needs order <= {TABLE_CAP}")
+    _, mul = r.tables()
     return bool((mul == mul.T).all())
 
 
@@ -1113,24 +1031,24 @@ def make_matrix_ring(n: int, base: Ring) -> MatrixRing:
         raise ConstructionError(f"M({n},...): the size must be a positive integer")
     if not isinstance(base, Ring):
         raise ConstructionError("matrix rings need a base ring instance")
-    if not _commutative(base):
+    if not is_commutative(base):
         raise ConstructionError(
             f"M({n},{base.name}): matrix rings are only supported over commutative bases "
             "(invertibility is decided by the determinant criterion)")
     return MatrixRing(n, base)
 
 
-def make_triangular_ring(n: int, base: Ring) -> TriangularRing:
+def make_triangular_ring(n: int, base: Ring) -> MatrixRing:
     """Upper-triangular n-by-n matrices over a commutative base ring."""
     if not isinstance(n, int) or n < 1:
         raise ConstructionError(f"UT({n},...): the size must be a positive integer")
     if not isinstance(base, Ring):
         raise ConstructionError("triangular rings need a base ring instance")
-    if not _commutative(base):
+    if not is_commutative(base):
         raise ConstructionError(
             f"UT({n},{base.name}): triangular rings are only supported over commutative bases "
             "(invertibility is decided by the diagonal-units criterion)")
-    return TriangularRing(n, base)
+    return MatrixRing(n, base, upper=True)
 
 
 def make_product(factors, name: str | None = None) -> ProductRing:

@@ -1,5 +1,7 @@
 """Ring constructions: carriers, encodings, axioms, and their error cases."""
 
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -268,6 +270,27 @@ def test_triangular_tables_match_generic():
 def test_triangular_order():
     assert make_triangular_ring(3, make_zn(2)).order == 2 ** 6
     assert make_triangular_ring(4, make_zn(2)).order == 2 ** 10
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("base", [make_zn, make_gf], ids=["Z(4)", "GF(4)"])
+def test_triangular_embeds_in_full_matrices(n, base):
+    # UT(n,B) -> M(n,B) through the full row-major entries is a unital
+    # ring embedding; it fails if either layout's term list is wrong.
+    b = base(4)
+    t, m = make_triangular_ring(n, b), make_matrix_ring(n, b)
+
+    def embed(x):
+        return m.from_entries(t.entries(x))
+
+    assert embed(t.one) == m.one
+    rng = random.Random(n)
+    for _ in range(300):
+        x, y = rng.randrange(t.order), rng.randrange(t.order)
+        assert t.from_entries(m.entries(embed(x))) == x
+        assert m.mul(m.one, embed(x)) == embed(x) == m.mul(embed(x), m.one)
+        assert embed(t.add(x, y)) == m.add(embed(x), embed(y))
+        assert embed(t.mul(x, y)) == m.mul(embed(x), embed(y))
 
 
 # ---------------------------------------------------------------------------

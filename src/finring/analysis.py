@@ -231,17 +231,26 @@ def is_unit(r: Ring, x) -> Elem | None:
     return None if inv is None else Elem(r, inv)
 
 
-def _unit_indices(r: Ring) -> list[int]:
-    """All unit indices of a ring of order <= UNIT_SCAN_CAP."""
-    if isinstance(r, MatrixRing):
-        return [a for a in range(r.order) if _matrix_inverse_adjugate(r, a) is not None]
-    add, mul = r.tables()
-    one = r.one
-    right = (mul == one).any(axis=1)
-    left = (mul == one).any(axis=0)
-    if not (right == left).all():
+def _unit_mask(r: Ring) -> np.ndarray:
+    """Membership mask of the units, read from the dense multiplication table."""
+    is_one = r.tables()[1] == r.one
+    right = is_one.any(axis=1)
+    if not (right == is_one.any(axis=0)).all():
         raise ConstructionError(f"{r.name}: one-sided and two-sided units disagree")
-    return [int(u) for u in np.nonzero(right & left)[0]]
+    return right
+
+
+def _unit_inverses(r: Ring) -> dict[int, int | None]:
+    """Every unit of a ring of order <= UNIT_SCAN_CAP, mapped to its inverse.
+
+    A matrix ring keeps the inverse each adjugate builds.  Other rings read
+    the units from the dense table and take each inverse by `inverse_index`,
+    a separate route, so a unit it rejects is caught by `unit_group`.
+    """
+    if isinstance(r, MatrixRing):
+        inverses = {a: _matrix_inverse_adjugate(r, a) for a in range(r.order)}
+        return {a: inv for a, inv in inverses.items() if inv is not None}
+    return {int(u): inverse_index(r, int(u)) for u in np.nonzero(_unit_mask(r))[0]}
 
 
 def unit_group(r: Ring) -> UnitGroupSummary:
@@ -256,12 +265,12 @@ def unit_group(r: Ring) -> UnitGroupSummary:
         raise BudgetError(
             f"{r.name}: unit group enumerable only up to order {UNIT_SCAN_CAP}; "
             "unit_sum/unit_count stream larger matrix rings")
-    units = _unit_indices(r)
+    inverses = _unit_inverses(r)
+    units = list(inverses)
     uset = set(units)
     if r.one not in uset:
         raise ConstructionError(f"{r.name}: one is missing from the unit set")
-    for u in units:
-        inv = inverse_index(r, u)
+    for u, inv in inverses.items():
         if inv is None or inv not in uset:
             raise ConstructionError(f"{r.name}: unit {u} lacks a two-sided inverse in the set")
     for u in units:
@@ -425,17 +434,16 @@ def gl_order(n: int, q: int) -> int:
 def jacobson_radical(r: Ring) -> RadicalSummary:
     """J(R) = { a : 1 - x*a*y is a unit for all x, y }.
 
-    The unit set is computed once as a membership bitmap; candidates are
-    prefiltered by the x = y = 1 instance before the full double scan.
-    The ideal property of the result is verified before returning.
+    The unit set is read once from the multiplication table as a
+    membership bitmap; candidates are prefiltered by the x = y = 1
+    instance before the full double scan.  The ideal property of the
+    result is verified before returning.
     """
     n = r.order
     if n > TABLE_CAP:
         raise BudgetError(f"{r.name}: radical computed only up to order {TABLE_CAP}")
     add, mul = r.tables()
-    units = _unit_indices(r)
-    umask = np.zeros(n, dtype=bool)
-    umask[units] = True
+    umask = _unit_mask(r)
     neg = np.argmax(add == 0, axis=1)
     one_minus = add[r.one][neg]          # one_minus[t] = 1 - t
     members = []

@@ -29,7 +29,7 @@ from .analysis import (
     jacobson_radical,
     unit_census,
 )
-from .enumeration import enumerate_unital_rings, serialize_table_ring
+from .enumeration import enumerate_unital_rings, serialize_table_ring, write_ring_file
 from .expr import parse_ring
 from .theorems import CHECK_IDS, GL_INSTANCES, run_check
 
@@ -137,31 +137,26 @@ def cmd_enumerate(args) -> int:
     stream = enumerate_unital_rings(
         args.order, up_to_iso=args.up_to_iso, jobs=args.jobs,
         budget=args.budget, resume=args.resume)
-    count = 0
-    complete = True
-    token = None
-    sink = open(args.out, "w", encoding="utf-8") if args.out else None
+    stops: list[BudgetError] = []
+
+    def until_budget():
+        """The stream, ending quietly at a budget stop that `stops` records."""
+        try:
+            yield from stream
+        except BudgetError as exc:
+            stops.append(exc)
+
     collected: list[str] = []
-    try:
-        for ring in stream:
-            text = serialize_table_ring(ring)
-            if sink is not None:
-                if count:
-                    sink.write("\n")
-                sink.write(text)
-            elif args.json:
-                collected.append(text)
-            else:
-                if count:
-                    print()
-                print(text, end="")
-            count += 1
-    except BudgetError as exc:
-        complete = False
-        token = exc.resume_token
-    finally:
-        if sink is not None:
-            sink.close()
+    if args.out:
+        with open(args.out, "w", encoding="utf-8") as sink:
+            count = write_ring_file(sink, until_budget())
+    elif args.json:
+        collected = [serialize_table_ring(ring) for ring in until_budget()]
+        count = len(collected)
+    else:
+        count = write_ring_file(sys.stdout, until_budget())
+    complete = not stops
+    token = stops[0].resume_token if stops else None
     if args.json:
         doc = {
             "order": args.order,

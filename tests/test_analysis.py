@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finring import analysis
 from finring import (
     BudgetError,
     ConstructionError,
@@ -153,6 +154,24 @@ def test_unit_group_m2_gf2():
     ug = unit_group(m)
     assert ug.count == 6
     assert ug.sum.index == m.zero
+
+
+def test_matrix_units_take_one_adjugate_each(monkeypatch):
+    # the radical reads its units from the table it builds anyway, and the
+    # unit group keeps the inverse each adjugate produced
+    calls = []
+    adjugate = analysis._matrix_inverse_adjugate
+
+    def counting(r, a):
+        calls.append(a)
+        return adjugate(r, a)
+
+    monkeypatch.setattr(analysis, "_matrix_inverse_adjugate", counting)
+    m = make_matrix_ring(2, make_gf(2))
+    assert jacobson_radical(m).is_zero
+    assert calls == []
+    assert unit_group(m).count == 6
+    assert len(calls) == 16
 
 
 def test_unit_census_matches_unit_group():

@@ -7,7 +7,11 @@ from finring import (
     ConstructionError,
     TheoremReport,
     make_boolean,
+    make_gf,
+    make_matrix_ring,
     make_table_ring,
+    make_triangular_ring,
+    make_zn,
     normalize_check_id,
     recheck_counterexample,
     run_all,
@@ -150,3 +154,87 @@ def test_recheck_t5_recomputes_from_witness():
 def test_recheck_without_serialization_cannot_be_refuted():
     ce = {"ring": "lost", "witness": {}}
     assert recheck_counterexample(_fake_report("T2", ce)) is True
+
+
+def test_recheck_direct_override_applies_to_every_check():
+    # the override replaces the check's own recheck even where that recheck
+    # would refute the report (each of these claims holds on its ring)
+    ut2 = make_triangular_ring(2, make_zn(2))
+    cases = [
+        ("T8", ut2, {"unit_count": 2, "expected": 2}),
+        ("T4", make_gf(4), {"unit_sum": 0, "expected": 0}),
+        ("T6", make_matrix_ring(2, make_gf(2)), {"unit_count": 6}),
+    ]
+    for cid, r, witness in cases:
+        ce = {"ring": r.name, "witness": witness, "serialization": _snapshot(r)}
+        report = _fake_report(cid, ce)
+        assert recheck_counterexample(report) is False, cid
+        assert recheck_counterexample(report, direct=lambda r: False) is True, cid
+
+
+# Every check's printed description and population text, frozen.
+DESCRIPTIONS = {
+    "T1": "Every boolean ring has characteristic 2, is commutative, and its only unit is 1.",
+    "T2": "In a ring of characteristic other than 2, negation pairs the units without "
+          "fixed points, so the units sum to 0.",
+    "T3": "A ring of characteristic other than 2 has an even number of units.",
+    "T4": "A field with q elements has q-1 units; they sum to 1 when q = 2 and to 0 "
+          "otherwise, and the geometric sum of a primitive element agrees.",
+    "T5": "The closed product formula for the number of invertible n-by-n matrices "
+          "over GF(q) matches a brute-force count.",
+    "T6": "Over a characteristic-2 field, the invertible n-by-n matrices (n >= 2) are "
+          "even in number and sum to 0; each first-column class has even size.",
+    "T7": "A finite ring with 1 whose only unit is 1 is boolean — hence of "
+          "characteristic 2 and commutative — and its radical is zero.",
+    "T8": "UT_n(Z_2) has exactly 2^((n-1)n/2) units; they sum to the single "
+          "off-diagonal matrix E_12 when n = 2 and to 0 for n >= 3.",
+    "T9": "For every ring in the population, the quotient by its radical has zero "
+          "radical (the quotient is semisimple).",
+}
+
+
+def _populations(k, scanned, scanned_t7, scanned_t9):
+    enumerated = f"standard families and all enumerated rings of order <= {k}"
+    return {
+        "T1": f"boolean rings among the {enumerated} ({scanned} rings scanned)",
+        "T2": f"{enumerated}, restricted to characteristic != 2 ({scanned} rings scanned)",
+        "T3": f"{enumerated}, restricted to characteristic != 2 ({scanned} rings scanned)",
+        "T4": "fields GF(q) for q in [2, 3, 4, 5, 7, 8, 9, 16, 25, 27]",
+        "T5": "(n, q) instances [(1, 5), (2, 2), (2, 3), (2, 4), (3, 2)]",
+        "T6": "matrix rings M(n, GF(q)) for (n, q) in [(2, 2), (3, 2), (2, 4)]",
+        "T7": f"all enumerated rings of order <= {k} (raw and one per isomorphism class) "
+              f"plus the boolean products B(k), k <= 6, restricted to trivial unit group "
+              f"({scanned_t7} rings scanned)",
+        "T8": "triangular rings UT(n, Z(2)) for n in [2, 3, 4]",
+        "T9": f"standard families and one ring per isomorphism class of order <= {k} "
+              f"({scanned_t9} rings scanned)",
+    }
+
+
+def test_report_texts_pinned(reports):
+    assert {r.check_id: r.description for r in reports} == DESCRIPTIONS
+    assert {r.check_id: r.population for r in reports} == _populations(8, 633, 607, 72)
+    shallow = run_all(4)
+    assert {r.check_id: r.description for r in shallow} == DESCRIPTIONS
+    assert {r.check_id: r.population for r in shallow} == _populations(4, 69, 29, 58)
+
+
+def test_recheck_refutes_claims_that_hold():
+    # doctored reports naming rings on which each claim holds: the scan-only
+    # recheck must not confirm them
+    gf4 = make_gf(4)
+    ut2, ut3 = (make_triangular_ring(n, make_zn(2)) for n in (2, 3))
+    e12 = ut2.from_entries([0, 1, 0, 0])
+    cases = [
+        ("T3", make_zn(9), {"unit_count": 7}),
+        ("T4", gf4, {"unit_sum": 1, "expected": 0}),
+        ("T4", gf4, {"geometric_sum": 1, "expected": 0}),
+        ("T6", make_matrix_ring(2, make_gf(2)), {"unit_sum": 1}),
+        ("T8", ut2, {"unit_count": 3, "expected": 2}),
+        ("T8", ut2, {"unit_sum": 0, "expected": e12}),
+        ("T8", ut3, {"unit_count": 7, "expected": 8}),
+        ("T8", ut3, {"unit_sum": 5, "expected": 0}),
+    ]
+    for cid, r, witness in cases:
+        ce = {"ring": r.name, "witness": witness, "serialization": _snapshot(r)}
+        assert recheck_counterexample(_fake_report(cid, ce)) is False, (cid, witness)

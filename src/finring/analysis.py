@@ -240,47 +240,41 @@ def _unit_mask(r: Ring) -> np.ndarray:
     return right
 
 
-def _unit_inverses(r: Ring) -> dict[int, int | None]:
-    """Every unit of a ring of order <= UNIT_SCAN_CAP, mapped to its inverse.
-
-    A matrix ring keeps the inverse each adjugate builds.  Other rings read
-    the units from the dense table and take each inverse by `inverse_index`,
-    a separate route, so a unit it rejects is caught by `unit_group`.
-    """
-    if isinstance(r, MatrixRing):
-        inverses = {a: _matrix_inverse_adjugate(r, a) for a in range(r.order)}
-        return {a: inv for a, inv in inverses.items() if inv is not None}
-    return {int(u): inverse_index(r, int(u)) for u in np.nonzero(_unit_mask(r))[0]}
-
-
 def unit_group(r: Ring) -> UnitGroupSummary:
     """Every unit of the ring, with count and elementwise sum.
 
-    The group laws are verified exhaustively before returning: closure
-    under multiplication, a two-sided inverse for each unit, and one in
-    the set.  Rings larger than UNIT_SCAN_CAP raise BudgetError; use
-    `unit_sum` / `unit_count` for streaming totals of lazy matrix rings.
+    Units, their inverses and the group laws are read from the dense
+    multiplication table: closure under multiplication, one in the set,
+    and a two-sided inverse for each unit, which must also agree with
+    `inverse_index` (an independent route: the adjugate on matrix rings).
+    Rings larger than UNIT_SCAN_CAP raise BudgetError; use `unit_sum` /
+    `unit_count` for streaming totals of lazy matrix rings.
     """
     if r.order > UNIT_SCAN_CAP:
         raise BudgetError(
             f"{r.name}: unit group enumerable only up to order {UNIT_SCAN_CAP}; "
             "unit_sum/unit_count stream larger matrix rings")
-    inverses = _unit_inverses(r)
-    units = list(inverses)
-    uset = set(units)
-    if r.one not in uset:
+    mul = r.tables()[1]
+    umask = _unit_mask(r)
+    if not umask[r.one]:
         raise ConstructionError(f"{r.name}: one is missing from the unit set")
-    for u, inv in inverses.items():
-        if inv is None or inv not in uset:
-            raise ConstructionError(f"{r.name}: unit {u} lacks a two-sided inverse in the set")
-    for u in units:
-        for v in units:
-            if r.mul(u, v) not in uset:
-                raise ConstructionError(f"{r.name}: units not closed under multiplication at ({u},{v})")
+    units = np.flatnonzero(umask)
+    open_pairs = np.argwhere(~umask[mul[np.ix_(units, units)]])
+    if len(open_pairs):
+        u, v = units[open_pairs[0]]
+        raise ConstructionError(f"{r.name}: units not closed under multiplication at ({u},{v})")
+    inverses = np.argmax(mul[units] == r.one, axis=1)
+    one_sided = np.flatnonzero(mul[inverses, units] != r.one)
+    if len(one_sided):
+        raise ConstructionError(
+            f"{r.name}: unit {units[one_sided[0]]} lacks a two-sided inverse in the set")
     s = 0
-    for u in units:
+    for u, inv in zip(units.tolist(), inverses.tolist()):
+        if inverse_index(r, u) != inv:
+            raise ConstructionError(
+                f"{r.name}: inverse_index disagrees with the table inverse {inv} of unit {u}")
         s = r.add(s, u)
-    return UnitGroupSummary(units=[Elem(r, u) for u in units], count=len(units),
+    return UnitGroupSummary(units=[Elem(r, u) for u in units.tolist()], count=len(units),
                             sum=Elem(r, s), closure_verified=True)
 
 
@@ -312,23 +306,13 @@ def _iter_invertible_entries(r: MatrixRing):
             yield template
 
 
-def _stream_matrix_units(r: MatrixRing) -> tuple[int, int]:
-    """(count, sum index) over all invertible matrices, streamed."""
-    if r.order > STREAM_CAP:
-        raise BudgetError(f"{r.name}: streaming unit scan needs order <= {STREAM_CAP}")
-    badd = r.base.add
-    count = 0
-    sums = [0] * r.cells
-    for es in _iter_invertible_entries(r):
-        count += 1
-        for k, e in enumerate(es):
-            if e:
-                sums[k] = badd(sums[k], e)
-    return count, r.from_entries(sums)
+def _iter_triangular_unit_entries(r: MatrixRing):
+    """Row-major entry lists of every unit of a triangular ring.
 
-
-def _stream_triangular_units(r: MatrixRing) -> tuple[int, int]:
-    """(count, sum index) for a triangular ring: unit diagonal, free uppers."""
+    A triangular matrix is a unit iff its diagonal entries are, so the
+    diagonal runs over base units and the upper cells run free.  One list
+    is reused and refilled between yields.
+    """
     base = r.base
     diag_units = [u for u in range(base.order)
                   if inverse_index(base, u) is not None]
@@ -337,9 +321,6 @@ def _stream_triangular_units(r: MatrixRing) -> tuple[int, int]:
     total = len(diag_units) ** n * base.order ** len(uppers)
     if total > STREAM_CAP:
         raise BudgetError(f"{r.name}: streaming unit scan needs at most {STREAM_CAP} units")
-    badd = base.add
-    count = 0
-    sums = [0] * r.cells
     full = [0] * r.cells
     for diag in itertools.product(diag_units, repeat=n):
         for i in range(n):
@@ -347,10 +328,19 @@ def _stream_triangular_units(r: MatrixRing) -> tuple[int, int]:
         for rest in itertools.product(range(base.order), repeat=len(uppers)):
             for (i, j), v in zip(uppers, rest):
                 full[i * n + j] = v
-            count += 1
-            for k, e in enumerate(full):
-                if e:
-                    sums[k] = badd(sums[k], e)
+            yield full
+
+
+def _stream_units(r: MatrixRing, unit_entries) -> tuple[int, int]:
+    """(count, sum index) over a stream of unit entry lists."""
+    badd = r.base.add
+    count = 0
+    sums = [0] * r.cells
+    for es in unit_entries:
+        count += 1
+        for k, e in enumerate(es):
+            if e:
+                sums[k] = badd(sums[k], e)
     return count, r.from_entries(sums)
 
 
@@ -359,11 +349,13 @@ def _unit_census(r: Ring) -> tuple[int, int]:
         summary = unit_group(r)
         return summary.count, summary.sum.index
     if isinstance(r, MatrixRing):
-        # A triangular matrix is a unit iff its diagonal is: streaming those
-        # skips a determinant per matrix (about 1M of them on UT(4,GF(4))).
+        # Streaming the diagonal units of a triangular ring skips a
+        # determinant per matrix (about 1M of them on UT(4,GF(4))).
         if r.kind == "triangular":
-            return _stream_triangular_units(r)
-        return _stream_matrix_units(r)
+            return _stream_units(r, _iter_triangular_unit_entries(r))
+        if r.order > STREAM_CAP:
+            raise BudgetError(f"{r.name}: streaming unit scan needs order <= {STREAM_CAP}")
+        return _stream_units(r, _iter_invertible_entries(r))
     raise BudgetError(f"{r.name}: no streaming unit scan for this ring kind")
 
 

@@ -37,6 +37,7 @@ from .rings import (
     TableRingStructure,
     additive_invariant_factors,
     factorize,
+    invariant_factor_chain,
     make_table_ring,
 )
 from . import analysis as _analysis
@@ -143,15 +144,8 @@ def abelian_group_shapes(order: int) -> list[AdditiveGroupShape]:
     per_prime = [(p, list(_partitions(e))) for p, e in factorize(order)]
     chains = []
     for combo in itertools.product(*(parts for _, parts in per_prime)):
-        width = max(len(part) for part in combo)
-        fs = []
-        for i in range(width):
-            d = 1
-            for (p, _), part in zip(per_prime, combo):
-                if i < len(part):
-                    d *= p ** part[i]
-            fs.append(d)
-        chains.append(tuple(fs))
+        chains.append(invariant_factor_chain(
+            [(p, part) for (p, _), part in zip(per_prime, combo)]))
     chains.sort(reverse=True)
     shapes = []
     for fs in chains:
@@ -397,7 +391,7 @@ def _search_worker(args):
 
 
 def _additive_isomorphisms(ctx: _ShapeContext, target_add, target_order: int):
-    """All additive isomorphisms from the shape labeling onto a target group.
+    """Yield every additive isomorphism from the shape labeling onto a target group.
 
     Generator images are drawn from the target elements annihilated by the
     corresponding invariant factor; linear extension plus a bijectivity
@@ -406,7 +400,7 @@ def _additive_isomorphisms(ctx: _ShapeContext, target_add, target_order: int):
     """
     n = ctx.order
     if target_order != n:
-        return []
+        return
     cand = []
     for d in ctx.factors:
         cs = []
@@ -417,33 +411,36 @@ def _additive_isomorphisms(ctx: _ShapeContext, target_add, target_order: int):
             if acc == 0:
                 cs.append(x)
         cand.append(cs)
-    isos = []
     for images in itertools.product(*cand):
-        mults = []
-        for d, img in zip(ctx.factors, images):
-            row = [0] * d
-            for a in range(1, d):
-                row[a] = target_add(row[a - 1], img)
-            mults.append(row)
         phi = [0] * n
-        seen = set()
-        for x in range(n):
-            s = 0
-            for (i, a) in ctx.digits[x]:
-                s = target_add(s, mults[i][a])
+        seen = {0}
+        for x in range(1, n):
+            # phi(x) = phi(x - e_i) + phi(e_i), e_i the first generator in x
+            i = ctx.digits[x][0][0]
+            s = target_add(phi[x - ctx.strides[i]], images[i])
+            if s in seen:
+                break
             phi[x] = s
             seen.add(s)
-        if len(seen) == n:
-            isos.append(tuple(phi))
-    return isos
+        else:
+            yield tuple(phi)
 
 
-_AUTOS_CACHE: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
+_AUTOS_CACHE: dict[tuple[int, ...], list[bytes]] = {}
+
+# Tables are relabeled this many automorphisms at a time: 64 KiB of order-16
+# tables, where all 20160 of shape (2, 2, 2, 2) at once would take 5 MiB.
+_RELABEL_BLOCK = 256
 
 
-def _shape_automorphisms(ctx: _ShapeContext) -> list[tuple[int, ...]]:
+def _shape_automorphisms(ctx: _ShapeContext) -> list[bytes]:
+    """The shape's automorphisms as bytes rows (an image fits a byte at order <= 16).
+
+    Bytes rows index and hash like tuples and join cheaply into a uint8 array.
+    """
     if ctx.factors not in _AUTOS_CACHE:
-        autos = _additive_isomorphisms(ctx, lambda a, b: ctx.add[a][b], ctx.order)
+        autos = [bytes(phi) for phi in
+                 _additive_isomorphisms(ctx, lambda a, b: ctx.add[a][b], ctx.order)]
         expected = abelian_automorphism_count(ctx.factors)
         if len(autos) != expected:
             raise ConstructionError(
@@ -453,16 +450,20 @@ def _shape_automorphisms(ctx: _ShapeContext) -> list[tuple[int, ...]]:
     return _AUTOS_CACHE[ctx.factors]
 
 
-def _relabeled(ctx: _ShapeContext, mul_flat, phi) -> tuple[int, ...]:
+def _relabelings(ctx: _ShapeContext, mul):
+    """Yield `mul` (flat or square, on the shape's labeling) relabeled by
+    every automorphism phi, as uint8 blocks with one flat table per row:
+    rel[phi x, phi y] = phi[mul[x, y]].  Together the rows are the orbit.
+    """
     n = ctx.order
-    rel = [0] * (n * n)
-    for i in range(n):
-        pi = phi[i]
-        base = i * n
-        prow = pi * n
-        for j in range(n):
-            rel[prow + phi[j]] = phi[mul_flat[base + j]]
-    return tuple(rel)
+    mul = np.asarray(mul, dtype=np.uint8).reshape(n, n)
+    autos = _shape_automorphisms(ctx)
+    for start in range(0, len(autos), _RELABEL_BLOCK):
+        phi = np.frombuffer(b"".join(autos[start:start + _RELABEL_BLOCK]),
+                            dtype=np.uint8).reshape(-1, n)
+        inv = np.argsort(phi, axis=1)
+        pulled = mul[inv[:, :, None], inv[:, None, :]].reshape(len(phi), n * n)
+        yield np.take_along_axis(phi, pulled, axis=1)
 
 
 # ---------------------------------------------------------------------------
@@ -549,16 +550,13 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = False, *,
                 pairs = _unital_tables(
                     ctx, _dfs_stream(ctx, reverse=reverse, budget=budget_cell,
                                      start_path=path, token_prefix=token_prefix))
-            seen: set[tuple[int, ...]] = set()
-            autos = None
+            seen: set[bytes] = set()
             for mul_flat, one in pairs:
                 if up_to_iso:
-                    if mul_flat in seen:
+                    if bytes(mul_flat) in seen:
                         continue
-                    if autos is None:
-                        autos = _shape_automorphisms(ctx)
-                    for phi in autos:
-                        seen.add(_relabeled(ctx, mul_flat, phi))
+                    for block in _relabelings(ctx, mul_flat):
+                        seen.update(map(bytes, block))
                 n = ctx.order
                 mul_rows = [list(mul_flat[i * n:(i + 1) * n]) for i in range(n)]
                 ring = make_table_ring(ctx.add_np, mul_rows, one=one,
@@ -615,27 +613,24 @@ def canonical_form(r: Ring) -> CanonicalForm:
     if r.order > CANONICAL_CAP:
         raise ConstructionError(
             f"canonical forms are computed only up to order {CANONICAL_CAP}")
-    if isinstance(r, TableRingStructure):
-        factors = r.additive_type
-    else:
-        factors = additive_invariant_factors(r)
+    factors = additive_invariant_factors(r)
     ctx = _shape_context(factors)
-    isos = _additive_isomorphisms(ctx, r.add, r.order)
-    if not isos:
-        raise ConstructionError(f"{r.name}: no additive isomorphism onto shape {list(factors)}")
     n = r.order
-    best = None
-    for phi in isos:
-        inv = [0] * n
-        for s_idx, t_idx in enumerate(phi):
-            inv[t_idx] = s_idx
-        mul_flat = tuple(inv[r.mul(phi[a], phi[b])] for a in range(n) for b in range(n))
-        key = (mul_flat, inv[r.one])
-        if best is None or key < best:
-            best = key
+    phi = next(_additive_isomorphisms(ctx, r.add, n), None)
+    if phi is None:
+        raise ConstructionError(f"{r.name}: no additive isomorphism onto shape {list(factors)}")
+    # Every isomorphism from the shape is phi composed with an automorphism
+    # of the shape, so the candidates are the relabelings of phi's pull-back.
+    phi = np.asarray(phi)
+    pulled = np.argsort(phi)[r.tables()[1][np.ix_(phi, phi)]]
+    best = min(min(map(bytes, block)) for block in _relabelings(ctx, pulled))
+    # A table has one unity, so minimizing (mul, one) minimizes mul alone;
+    # the unity is the row of the minimal table that fixes every element.
+    identity = bytes(range(n))
+    one = next(e for e in range(n) if best[e * n:(e + 1) * n] == identity)
     add_flat = tuple(v for row in ctx.add for v in row)
     return CanonicalForm(invariant_factors=factors, add_table=add_flat,
-                         mul_table=best[0], one=best[1])
+                         mul_table=tuple(best), one=one)
 
 
 def are_isomorphic(r1: Ring, r2: Ring) -> bool:

@@ -905,7 +905,7 @@ def additive_invariant_factors(ring: Ring) -> tuple[int, ...]:
             acc = ring.add(acc, x)
             k += 1
         ords[x] = k
-    per_prime: dict[int, list[int]] = {}
+    per_prime = []
     for p, e in factorize(n):
         target = p ** e
         conj = []
@@ -926,14 +926,23 @@ def additive_invariant_factors(ring: Ring) -> tuple[int, ...]:
                 break
             lam.append(parts)
             i += 1
-        per_prime[p] = lam
-    width = max(len(lam) for lam in per_prime.values())
+        per_prime.append((p, lam))
+    return invariant_factor_chain(per_prime)
+
+
+def invariant_factor_chain(per_prime) -> tuple[int, ...]:
+    """Merge per-prime exponent partitions into one divisibility chain.
+
+    `per_prime` lists (p, exponents largest first); the i-th invariant
+    factor is the product over p of p^(i-th exponent).
+    """
+    width = max(len(part) for _, part in per_prime)
     out = []
     for i in range(width):
         d = 1
-        for p, lam in per_prime.items():
-            if i < len(lam):
-                d *= p ** lam[i]
+        for p, part in per_prime:
+            if i < len(part):
+                d *= p ** part[i]
         out.append(d)
     return tuple(out)
 

@@ -157,8 +157,8 @@ def test_unit_group_m2_gf2():
 
 
 def test_matrix_units_take_one_adjugate_each(monkeypatch):
-    # the radical reads its units from the table it builds anyway, and the
-    # unit group keeps the inverse each adjugate produced
+    # the radical and the unit group read their units from the table; the
+    # unit group cross-checks each unit's table inverse by one adjugate
     calls = []
     adjugate = analysis._matrix_inverse_adjugate
 
@@ -171,7 +171,23 @@ def test_matrix_units_take_one_adjugate_each(monkeypatch):
     assert jacobson_radical(m).is_zero
     assert calls == []
     assert unit_group(m).count == 6
-    assert len(calls) == 16
+    assert len(calls) == 6
+
+
+def test_unit_group_cross_checks_table_inverses(monkeypatch):
+    # a unit whose independent inverse disagrees with its table inverse
+    # must stop unit_group, on the adjugate route and the modular one
+    real = analysis.inverse_index
+    for r in (make_matrix_ring(2, make_gf(2)), make_zn(12)):
+        bad = unit_group(r).units[-1].index
+
+        def wrong(ring, a, r=r, bad=bad):
+            return ring.one if ring is r and a == bad else real(ring, a)
+
+        monkeypatch.setattr(analysis, "inverse_index", wrong)
+        with pytest.raises(ConstructionError, match="inverse_index disagrees"):
+            unit_group(r)
+        monkeypatch.setattr(analysis, "inverse_index", real)
 
 
 def test_unit_census_matches_unit_group():

@@ -1,6 +1,7 @@
 """Exhaustive enumeration: shapes, counts, isomorphism, budgets, serialization."""
 
 import io
+import random
 
 import pytest
 
@@ -9,6 +10,7 @@ from finring import (
     ConstructionError,
     abelian_automorphism_count,
     abelian_group_shapes,
+    additive_invariant_factors,
     are_isomorphic,
     canonical_form,
     characteristic,
@@ -25,7 +27,11 @@ from finring import (
     unit_count,
     write_ring_file,
 )
-from finring.enumeration import _shape_automorphisms, _shape_context
+from finring.enumeration import (
+    _additive_isomorphisms,
+    _shape_automorphisms,
+    _shape_context,
+)
 
 # Isomorphism-class counts of unital rings, pinned by exhaustive search.
 ISO_COUNTS = {1: 1, 2: 1, 3: 1, 4: 4, 5: 1, 6: 1, 7: 1, 8: 11}
@@ -253,6 +259,53 @@ def test_table_copy_is_isomorphic():
     copy = make_table_ring(add, mul, one=m.one)
     assert are_isomorphic(m, copy)
     assert canonical_form(m) == canonical_form(copy)
+
+
+def _canonical_form_by_every_isomorphism(r):
+    """Reference form: pull r back through every additive isomorphism."""
+    ctx = _shape_context(additive_invariant_factors(r))
+    n = r.order
+    best = None
+    for phi in _additive_isomorphisms(ctx, r.add, n):
+        inv = [0] * n
+        for s_idx, t_idx in enumerate(phi):
+            inv[t_idx] = s_idx
+        mul_flat = tuple(inv[r.mul(phi[a], phi[b])] for a in range(n) for b in range(n))
+        key = (mul_flat, inv[r.one])
+        if best is None or key < best:
+            best = key
+    return best
+
+
+def test_canonical_form_matches_every_isomorphism_oracle(enum_iso):
+    rings = enum_iso[8] + [make_product([make_zn(4), make_zn(4)]), make_gf(9)]
+    for r in rings:
+        cf = canonical_form(r)
+        assert (cf.mul_table, cf.one) == _canonical_form_by_every_isomorphism(r), r.name
+
+
+def _relabeled_table_copy(r, rng):
+    """Dense copy of r under a seeded permutation of the indices fixing 0."""
+    n = r.order
+    perm = [0] + rng.sample(range(1, n), n - 1)
+    add, mul = r.tables()
+    new_add = [[0] * n for _ in range(n)]
+    new_mul = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            new_add[perm[a]][perm[b]] = perm[int(add[a][b])]
+            new_mul[perm[a]][perm[b]] = perm[int(mul[a][b])]
+    return make_table_ring(new_add, new_mul, one=perm[r.one])
+
+
+def test_canonical_form_invariant_under_relabeling_at_order_16():
+    # (2, 2, 2, 2) has 20160 automorphisms, relabeled over several blocks
+    rng = random.Random(16)
+    for r in (make_matrix_ring(2, make_gf(2)), make_gf(16)):
+        form = canonical_form(r)
+        assert form.invariant_factors == (2, 2, 2, 2)
+        for _ in range(2):
+            assert canonical_form(_relabeled_table_copy(r, rng)) == form, r.name
 
 
 def test_non_isomorphic_same_order():

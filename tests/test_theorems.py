@@ -238,3 +238,16 @@ def test_recheck_refutes_claims_that_hold():
     for cid, r, witness in cases:
         ce = {"ring": r.name, "witness": witness, "serialization": _snapshot(r)}
         assert recheck_counterexample(_fake_report(cid, ce)) is False, (cid, witness)
+
+
+def test_t8_recheck_ignores_the_witness():
+    # the T8 recheck takes n from the order and its expectation from the
+    # claim: a doctored witness cannot turn UT(2,Z(2)) into a violation,
+    # while a ring of that order with other units stays one
+    ut2 = make_triangular_ring(2, make_zn(2))
+    for witness in ({"unit_count": 2, "expected": 3}, {}, {"unit_sum": 2, "expected": 0}):
+        ce = {"ring": ut2.name, "witness": witness, "serialization": _snapshot(ut2)}
+        assert recheck_counterexample(_fake_report("T8", ce)) is False, witness
+    for r, violated in ((make_zn(8), True), (make_gf(8), True), (make_zn(4), False)):
+        ce = {"ring": r.name, "witness": {}, "serialization": _snapshot(r)}
+        assert recheck_counterexample(_fake_report("T8", ce)) is violated, r.name

@@ -8,8 +8,15 @@ interface, so analysis and search code can stay representation-agnostic.
 
 Rings are immutable after construction and all operations are pure functions
 of (ring, element indices), so instances are safe to share between threads
-and processes.  Internal caches (dense tables, field multiplication rows)
-are filled idempotently and never change observable behaviour.
+and processes.  Internal caches (dense tables, field exp/log lists) are
+filled idempotently and never change observable behaviour.
+
+Every family builds its dense tables from small pieces with numpy: Z_n
+and GF(q) from outer sums and exp/log lists, products and the additive
+group of GF(p^s) by mixed-radix composition of the factor (digit) tables,
+matrix rings by one small table per output cell, quotients through the
+coset map.  The generic per-pair `Ring._build_tables` is the reference
+the tests compare them against.
 """
 
 from __future__ import annotations
@@ -30,8 +37,34 @@ TABLE_CAP = 4096
 # eagerly (Z_n, GF, products).  Matrix rings may exceed it and remain lazy.
 DEFAULT_ORDER_CAP = 1 << 20
 
-# Field multiplication rows are precomputed below this order.
-_GF_TABLE_CAP = 256
+# Vectorized passes over order x order tables go in row blocks of about
+# this many entries, so their temporaries stay a few MB beside the tables.
+_BLOCK_ENTRIES = 1 << 20
+
+
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices covering range(rows), each block about _BLOCK_ENTRIES / width rows."""
+    step = max(1, _BLOCK_ENTRIES // max(1, width))
+    return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
+
+
+def compose_tables(tables) -> np.ndarray:
+    """The mixed-radix table of digitwise operation tables, first digit least significant.
+
+    Entry [x, y] applies tables[k] to the k-th digits of x and y, the digit
+    radices being the tables' orders.  Each fold puts the next, more
+    significant digit on top of the table so far with one broadcast add
+    (the table so far is the contiguous inner axis), so the only order x
+    order array made is the result itself (int32).
+    """
+    out = np.array(tables[0], dtype=np.int32)  # a copy: never alias a factor's table
+    for f in tables[1:]:
+        m, t = len(f), len(out)
+        wider = np.empty((m * t, m * t), dtype=np.int32)
+        np.add((np.asarray(f, dtype=np.int32) * t)[:, None, :, None], out[None, :, None, :],
+               out=wider.reshape(m, t, m, t))
+        out = wider
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -295,6 +328,8 @@ class Ring:
         return self._tables
 
     def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
+        """Per-pair tables through `add` and `mul`: the reference that every
+        family's vectorized `_build_tables` is tested against; no family uses it."""
         n = self.order
         add = np.empty((n, n), dtype=np.int32)
         mul = np.empty((n, n), dtype=np.int32)
@@ -329,9 +364,11 @@ class ZnRing(Ring):
 
     def _build_tables(self):
         idx = np.arange(self.n, dtype=np.int32)
-        add = (idx[:, None] + idx[None, :]) % self.n
-        mul = (idx[:, None] * idx[None, :]) % self.n
-        return add.astype(np.int32), mul.astype(np.int32)
+        add = np.add.outer(idx, idx)
+        add %= self.n
+        mul = np.multiply.outer(idx, idx)  # < TABLE_CAP**2, inside int32
+        mul %= self.n
+        return add, mul
 
 
 class GFRing(Ring):
@@ -342,6 +379,11 @@ class GFRing(Ring):
     where `a` is the class of x.  The modulus is the lexicographically
     least monic irreducible of degree s (constant coefficient compared
     first), so encodings are reproducible across runs and machines.
+
+    Up to TABLE_CAP, `mul` reads exp/log lists over the least primitive
+    element g (Lidl & Niederreiter, *Finite Fields*): x*y = g^(log x +
+    log y).  The lists are made once with the polynomial product
+    `_mul_poly`, which above TABLE_CAP is the multiplication itself.
     """
 
     kind = "field"
@@ -358,7 +400,8 @@ class GFRing(Ring):
         self.q = q
         self.modulus = least_irreducible(p, s)
         self.spec = FieldSpec(p=p, s=s, q=q, modulus=self.modulus)
-        self._mul_rows: list[list[int]] | None = None
+        self._exp: list[int] | None = None
+        self._log: list[int] | None = None
 
     def coeffs(self, index: int) -> tuple[int, ...]:
         out = []
@@ -397,11 +440,11 @@ class GFRing(Ring):
         return index
 
     def mul(self, a, b):
-        if self.q <= _GF_TABLE_CAP:
-            if self._mul_rows is None:
-                self._mul_rows = self._build_mul_rows()
-            return self._mul_rows[a][b]
-        return self._mul_poly(a, b)
+        if self.q > TABLE_CAP:
+            return self._mul_poly(a, b)
+        if self._log is None:
+            self._build_exp_log()
+        return self._exp[self._log[a] + self._log[b]]
 
     def _mul_poly(self, a, b):
         rem = _poly_rem(_poly_mul(self.coeffs(a), self.coeffs(b), self.p), self.modulus, self.p)
@@ -410,15 +453,40 @@ class GFRing(Ring):
             index = index * self.p + c
         return index
 
-    def _build_mul_rows(self):
+    def _build_exp_log(self):
+        """exp[k] = g^k for the least primitive g, and log inverting it.
+
+        exp holds two periods (so log x + log y needs no reduction mod
+        q - 1) and then zeros; log[0] = 2(q - 1) sends every product with
+        0 into the zeros, so mul needs no branch.
+        """
         q = self.q
-        rows = [[0] * q for _ in range(q)]
-        for a in range(1, q):
-            for b in range(a, q):
-                v = self._mul_poly(a, b)
-                rows[a][b] = v
-                rows[b][a] = v
-        return rows
+        for g in range(1, q):
+            powers, x = [1], g
+            while x != 1:
+                powers.append(x)
+                x = self._mul_poly(x, g)
+            if len(powers) == q - 1:
+                break
+        log = [0] * q
+        for k, x in enumerate(powers):
+            log[x] = k
+        log[0] = 2 * (q - 1)
+        self._exp = powers * 2 + [0] * (2 * (q - 1) + 1)
+        self._log = log
+
+    def _build_tables(self):
+        p, q = self.p, self.q
+        zp = np.arange(p, dtype=np.int32)
+        add = compose_tables([np.add.outer(zp, zp) % p] * self.s)
+        if self._log is None:
+            self._build_exp_log()
+        exp = np.asarray(self._exp, dtype=np.int32)
+        log = np.asarray(self._log, dtype=np.intp)
+        mul = np.empty((q, q), dtype=np.int32)
+        for rows in row_blocks(q, q):
+            mul[rows] = exp[log[rows, None] + log[None, :]]
+        return add, mul
 
     def pretty(self, index):
         if index < self.p:
@@ -533,24 +601,33 @@ class MatrixRing(Ring):
         return "[" + ",".join(rows) + "]"
 
     def _build_tables(self):
-        # Cellwise over the base ring's dense tables: one fancy-indexed
-        # N-by-N pass per stored cell (and per term for products) instead
-        # of a Python dispatch for each of the N*N pairs.
+        # Addition is cellwise, so its table is the composition of the base
+        # table over the stored cells.  Output cell c of x*y depends only on
+        # x's digits at the cell's row positions and y's at its column
+        # positions: its values over all such digit pairs form one small
+        # table, already weighted by the cell's place value, and the product
+        # table is the sum of one gather from each.
         badd, bmul = self.base.tables()
         m, N = self.base.order, self.order
-        powers = m ** np.arange(len(self.stored), dtype=np.int64)
-        digits = (np.arange(N, dtype=np.int64)[:, None] // powers[None, :]) % m
-        add = np.zeros((N, N), dtype=np.int64)
-        for c in range(len(self.stored)):
-            col = digits[:, c]
-            add += badd[np.ix_(col, col)].astype(np.int64) * powers[c]
-        mul = np.zeros((N, N), dtype=np.int64)
+        add = compose_tables([badd] * len(self.stored))
+        powers = m ** np.arange(len(self.stored), dtype=np.intp)
+        digits = (np.arange(N, dtype=np.intp)[:, None] // powers[None, :]) % m
+        cells = []
         for c, terms in enumerate(self._terms):
-            acc = np.zeros((N, N), dtype=np.int32)
-            for p, q in terms:
-                acc = badd[acc, bmul[np.ix_(digits[:, p], digits[:, q])]]
-            mul += acc.astype(np.int64) * powers[c]
-        return add.astype(np.int32), mul.astype(np.int32)
+            t = len(terms)
+            small_digits = digits[:m ** t, :t]  # digit l of u, for u < m^t
+            small = np.zeros((m ** t, m ** t), dtype=np.int32)
+            for l in range(t):
+                small = badd[small, bmul[np.ix_(small_digits[:, l], small_digits[:, l])]]
+            row_key = digits[:, [p for p, _ in terms]] @ powers[:t]
+            col_key = digits[:, [q for _, q in terms]] @ powers[:t]
+            cells.append((small * np.int32(powers[c]), row_key, col_key))
+        mul = np.zeros((N, N), dtype=np.int32)
+        for rows in row_blocks(N, N):
+            block = mul[rows]
+            for small, row_key, col_key in cells:
+                block += np.take(small[row_key[rows]], col_key, axis=1)
+        return add, mul
 
 
 class ProductRing(Ring):
@@ -613,6 +690,11 @@ class ProductRing(Ring):
 
     def pretty(self, index):
         return "(" + ",".join(f.pretty(c) for f, c in zip(self.factors, self.components(index))) + ")"
+
+    def _build_tables(self):
+        tables = [f.tables() for f in self.factors]
+        return (compose_tables([add for add, _ in tables]),
+                compose_tables([mul for _, mul in tables]))
 
 
 class TableRingStructure(Ring):

@@ -17,6 +17,8 @@ import time
 from collections.abc import Callable
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import BudgetError, ConstructionError
 from .rings import (
     TABLE_CAP,
@@ -35,7 +37,6 @@ from .analysis import (
     gl_order,
     is_boolean,
     is_commutative,
-    inverse_by_scan,
     jacobson_radical,
     primitive_element,
     unit_census,
@@ -195,7 +196,11 @@ def _counterexample(name: str, r: Ring | None, witness: dict) -> dict:
 
 
 def _units_by_scan(r: Ring) -> list[int]:
-    return [x for x in range(r.order) if inverse_by_scan(r, x) is not None]
+    """Every x with some y such that x*y = one = y*x, read from the dense table."""
+    if r.order > TABLE_CAP:
+        raise BudgetError(f"{r.name}: unit scan needs order <= {TABLE_CAP}")
+    is_one = r.tables()[1] == r.one
+    return np.flatnonzero((is_one & is_one.T).any(axis=1)).tolist()
 
 
 def _unit_total_by_scan(r: Ring) -> tuple[list[int], int]:

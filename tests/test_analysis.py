@@ -2,11 +2,12 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finring import analysis
+from finring import analysis, rings, theorems
 from finring import (
     BudgetError,
     ConstructionError,
@@ -28,6 +29,7 @@ from finring import (
     make_triangular_ring,
     make_zn,
     matrix_inverse_row_reduce,
+    parse_ring,
     multiplicative_order,
     primitive_element,
     quotient_ring,
@@ -37,6 +39,7 @@ from finring import (
     unit_group,
     unit_sum,
 )
+from finring.rings import matrix_determinant
 
 
 # ---------------------------------------------------------------------------
@@ -377,3 +380,85 @@ def test_odd_characteristic_unit_pairing(n):
     assert ug.sum.index == 0
     for u in ug.units:
         assert r.neg(u.index) != u.index
+
+
+# ---------------------------------------------------------------------------
+# fast routes against their references
+
+
+def _two_sided_radical(r):
+    """{a : 1 - x*a*y is a unit for all x, y}, one candidate at a time
+    (after the x = y = 1 prefilter)."""
+    add, mul = r.tables()
+    umask = analysis._unit_mask(r)
+    one_minus = add[r.one][np.argmax(add == 0, axis=1)]
+    return [a for a in range(r.order)
+            if umask[one_minus[a]] and umask[one_minus[mul[mul[:, a]]]].all()]
+
+
+def test_one_sided_radical_matches_two_sided_scan(enum_raw, monkeypatch):
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 16)  # several column blocks per ring
+    # every ring of the T9 population (families and the rings of order <= 8)
+    population = [r for _, r in theorems._family_population()]
+    population += [r for n in sorted(enum_raw) for r in enum_raw[n]]
+    population += [parse_ring(e) for e in ("UT(4,Z(2))", "M(2,Z(4))", "M(3,GF(2))")]
+    for r in population:
+        got = [e.index for e in jacobson_radical(r).members]
+        assert got == _two_sided_radical(r), r.name
+
+
+def _scalar_census(r):
+    """(unit count, unit sum, first-column class sizes), one element at a time."""
+    base, n = r.base, r.n
+    count, sums, classes = 0, [0] * r.cells, {}
+    for x in range(r.order):
+        es = r.entries(x)
+        if inverse_index(base, matrix_determinant(base, es, n)) is None:
+            continue
+        count += 1
+        sums = [base.add(s, e) for s, e in zip(sums, es)]
+        col = tuple(es[i * n] for i in range(n))
+        classes[col] = classes.get(col, 0) + 1
+    return count, r.from_entries(sums), classes
+
+
+@pytest.mark.parametrize("expr", ["M(2,Z(4))", "M(2,GF(3))", "UT(3,GF(4))", "UT(3,Z(4))",
+                                  "UT(2,Z(2))", "M(1,Z(2))"])
+def test_block_census_matches_scalar_loop(expr, monkeypatch):
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 64)  # unit_group in several row blocks
+    r = parse_ring(expr)
+    count, total, classes = _scalar_census(r)
+    assert analysis._stream_units(r) == (count, total)
+    assert (count, total) == (unit_group(r).count, unit_group(r).sum.index)
+    if r.kind == "matrix":
+        got = unit_first_column_classes(r)
+        assert got == classes
+        assert list(got) == sorted(classes)  # lexicographic first columns
+
+
+@pytest.mark.parametrize("expr", ["M(1,Z(4100))", "UT(1,Z(4100))", "M(1,GF(4099))"])
+def test_block_census_of_one_by_one_rings_above_the_table_cap(expr, monkeypatch):
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 1000)  # several blocks of 1000 rows
+    r = parse_ring(expr)
+    assert r.order > rings.TABLE_CAP
+    count, total, classes = _scalar_census(r)
+    assert (unit_count(r), unit_sum(r).index) == (count, total)
+    if r.kind == "matrix":
+        assert unit_first_column_classes(r) == classes
+
+
+@pytest.mark.parametrize("expr", ["M(2,Z(4))", "M(2,Z(6))", "M(3,GF(2))"])
+def test_vectorized_determinant_matches_cofactor_expansion(expr):
+    r = parse_ring(expr)
+    es = np.array([r.entries(x) for x in range(r.order)])
+    dets = analysis._determinants(r.base, es, r.n)
+    assert dets.tolist() == [matrix_determinant(r.base, row, r.n) for row in es.tolist()]
+
+
+def test_multiples_match_sequential_adds():
+    f = make_gf(9)
+    for v in range(9):
+        total = 0
+        for k in range(40):
+            assert analysis._multiple(f.add, v, k) == total, (v, k)
+            total = f.add(total, v)

@@ -1,5 +1,6 @@
 """Command-line interface: argument handling, document schemas, exit codes."""
 
+import hashlib
 import json
 
 import pytest
@@ -84,6 +85,30 @@ def test_report_construction_error_is_usage(cli):
     code, _, err = cli("report", "--ring", "GF(6)")
     assert code == EXIT_USAGE
     assert "prime power" in err
+
+
+# sha256 of each --json document with "timings" dropped (keys sorted),
+# taken before the table-first report kernel replaced the per-pair table
+# builds, the two-sided radical scan and the per-matrix census loop.
+PINNED_DOCUMENTS = [
+    ("report", "M(3,GF(2))", "59a8caef1935e2bfeedfe6266776cb2831196826761b4e3c2ea5d1f5d5716bdd"),
+    ("report", "UT(4,Z(2))", "427d38a9732a2da6d9f2402eff8660cf6ae668aef36627dbb3e1bd345639ddee"),
+    ("report", "GF(256)", "1bfb734763aaa94a48222ba1e9c922a6bde0a9900c26fb02cac7207a67a32e69"),
+    ("report", "B(8)", "5d28ec4187442acb38000b9739d3ab522b1b2c09e08236fe173c130e0ef0e515"),
+    ("report", "GF(16) x GF(16)",
+     "8de8de1f9b387963e6cf1f1474310e5a92469d4d84627d472abd295c52eddcac"),
+    ("unit-sum", "M(2,GF(16))", "3dd3318b20786e9cce367538b59d65480f9d118d2d3307629015f69655b384af"),
+    ("unit-sum", "M(3,GF(3))", "62e663b3242fad66f8e9009c6734c2c8ee110268b6d1a895096efdde940d52fd"),
+    ("unit-sum", "UT(4,GF(4))", "a9d94d4ba9be1718fdab2a38579791f8d5297dd275cfccb2e39c36c2e5074c3f"),
+]
+
+
+@pytest.mark.parametrize("command, ring, digest", PINNED_DOCUMENTS)
+def test_analysis_documents_pinned(cli, command, ring, digest):
+    code, doc, _ = run_json(cli, command, "--ring", ring)
+    assert code == EXIT_OK
+    doc.pop("timings")
+    assert hashlib.sha256(json.dumps(doc, sort_keys=True).encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ from finring import (
     verify_ring_axioms,
     verify_tables,
 )
+from finring import parse_ring, primitive_element, rings
 from finring.rings import DEFAULT_ORDER_CAP, TABLE_CAP, factorize, is_prime, prime_power
 
 
@@ -476,3 +477,43 @@ def test_invariant_factors_form_divisibility_chain():
 ])
 def test_axioms_hold_everywhere(build):
     verify_ring_axioms(build())
+
+
+# ---------------------------------------------------------------------------
+# table routes against their references
+
+
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 49, 64, 81])
+def test_gf_exp_log_mul_matches_polynomial_product(q):
+    f = make_gf(q)
+    for a in range(q):
+        assert [f.mul(a, b) for b in range(q)] == [f._mul_poly(a, b) for b in range(q)], a
+    # exp/log run over the least primitive element
+    assert f._exp[1] == primitive_element(f).index
+
+
+@pytest.mark.parametrize("expr", ["B(5)", "GF(4) x Z(6)", "Z(4) x GF(9)", "Z(2) x Z(3) x Z(4)",
+                                  "GF(27)", "M(2,Z(3))", "UT(3,Z(2))"])
+def test_vectorized_tables_match_generic(expr, monkeypatch):
+    # blocks of 100 entries, so the row-blocked table builds cross block edges
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 100)
+    r = parse_ring(expr)
+    fast = r._build_tables()
+    slow = Ring._build_tables(r)
+    for f, s in zip(fast, slow):
+        assert f.dtype == s.dtype and np.array_equal(f, s)
+
+
+def test_every_family_builds_tables_without_the_per_pair_route(monkeypatch):
+    def refuse(self):
+        raise AssertionError(f"{self.name} reached the per-pair Ring._build_tables")
+
+    monkeypatch.setattr(Ring, "_build_tables", refuse)
+    ut2 = make_triangular_ring(2, make_zn(2))
+    rings = [parse_ring(e) for e in ("Z(6)", "GF(2)", "GF(9)", "M(2,Z(3))", "UT(3,Z(2))",
+                                     "B(3)", "GF(4) x Z(3)", "Z(2) x M(2,GF(2))")]
+    rings += [quotient_ring(ut2, [0, 2]), make_table_ring(*make_zn(4).tables())]
+    for r in rings:
+        add, mul = r.tables()
+        assert add.shape == mul.shape == (r.order, r.order), r.name
+        assert add.dtype == mul.dtype == np.int32, r.name

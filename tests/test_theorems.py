@@ -2,8 +2,11 @@
 
 import pytest
 
+from finring import inverse_by_scan, theorems
 from finring import (
     CHECK_IDS,
+    TABLE_CAP,
+    BudgetError,
     ConstructionError,
     TheoremReport,
     make_boolean,
@@ -13,6 +16,7 @@ from finring import (
     make_triangular_ring,
     make_zn,
     normalize_check_id,
+    quotient_ring,
     recheck_counterexample,
     run_all,
     run_check,
@@ -251,3 +255,14 @@ def test_t8_recheck_ignores_the_witness():
     for r, violated in ((make_zn(8), True), (make_gf(8), True), (make_zn(4), False)):
         ce = {"ring": r.name, "witness": {}, "serialization": _snapshot(r)}
         assert recheck_counterexample(_fake_report("T8", ce)) is violated, r.name
+
+
+def test_units_by_scan_table_route_matches_inverse_scan():
+    ut2 = make_triangular_ring(2, make_zn(2))
+    rings = [make_zn(12), ut2, make_matrix_ring(2, make_gf(2)),
+             quotient_ring(make_zn(12), [0, 4, 8]), quotient_ring(ut2, [0, 2])]
+    for r in rings:
+        expected = [x for x in range(r.order) if inverse_by_scan(r, x) is not None]
+        assert theorems._units_by_scan(r) == expected, r.name
+    with pytest.raises(BudgetError):
+        theorems._units_by_scan(make_zn(TABLE_CAP + 1))

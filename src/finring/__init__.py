@@ -51,7 +51,6 @@ from .analysis import (
     matrix_inverse_row_reduce,
     multiplicative_order,
     primitive_element,
-    ring_generators,
     unit_census,
     unit_count,
     unit_first_column_classes,
@@ -109,7 +108,7 @@ __all__ = [
     "inverse_by_scan", "inverse_index", "is_boolean", "is_commutative",
     "is_division_ring", "is_semisimple", "is_unit", "jacobson_radical",
     "matrix_inverse_row_reduce", "multiplicative_order", "primitive_element",
-    "ring_generators", "unit_census", "unit_count",
+    "unit_census", "unit_count",
     "unit_first_column_classes", "unit_group", "unit_sum",
     "BEST_EFFORT_MAX_ORDER", "MANDATORY_MAX_ORDER", "AdditiveGroupShape",
     "CanonicalForm", "abelian_automorphism_count", "abelian_group_shapes",

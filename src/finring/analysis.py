@@ -103,41 +103,6 @@ def characteristic(r: Ring) -> int:
     return k
 
 
-def ring_generators(r: Ring) -> list[int]:
-    """Indices of a finite generating set of r as a unital ring.
-
-    Matrix and triangular rings are generated by matrix units carrying base
-    generators, so pairwise checks over this set replace whole-ring scans
-    for lazily enumerated rings.
-    """
-    if isinstance(r, ZnRing):
-        return [r.one]
-    if isinstance(r, GFRing):
-        return [r.one] if r.s == 1 else [r.p]
-    if isinstance(r, ProductRing):
-        gens = []
-        for t, f in enumerate(r.factors):
-            for g in ring_generators(f):
-                comps = [0] * len(r.factors)
-                comps[t] = g
-                gens.append(r.from_components(comps))
-        return gens
-    if isinstance(r, MatrixRing):
-        base_gens = set(ring_generators(r.base))
-        base_gens.add(r.base.one)
-        n = r.n
-        gens = []
-        for (i, j) in r.stored:
-            for g in base_gens:
-                es = [0] * (n * n)
-                es[i * n + j] = g
-                gens.append(r.from_entries(es))
-        return gens
-    if r.order > TABLE_CAP:
-        raise BudgetError(f"{r.name}: no generating set known below order {TABLE_CAP}")
-    return list(range(r.order))
-
-
 def is_boolean(r: Ring) -> bool:
     """True iff x*x = x for every element (scan stops at the first failure)."""
     if r.order > STREAM_CAP:

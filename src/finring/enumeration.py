@@ -163,9 +163,10 @@ class _ShapeContext:
 
     Elements are mixed-radix digit vectors over the factors, first factor
     least significant; `add` and `smul` are dense lookup lists, `digits`
-    the nonzero digit support of each element, and `K[i][j]` the candidate
-    values for the structure constant g_i * g_j (the annihilator of
-    gcd(d_i, d_j), since that scalar kills both generators).
+    the nonzero digit support of each element (`digit_array`: all digits,
+    one row per element), and `K[i][j]` the candidate values for the
+    structure constant g_i * g_j (the annihilator of gcd(d_i, d_j), since
+    that scalar kills both generators).
     """
 
     def __init__(self, factors: tuple[int, ...]):
@@ -192,6 +193,8 @@ class _ShapeContext:
         self.smul = [[encode(tuple((s * a) % d for a, d in zip(decode(x), factors)))
                       for x in range(n)] for s in range(self.exponent)]
         self.digits = [tuple((i, a) for i, a in enumerate(decode(x)) if a) for x in range(n)]
+        # x as the sum of a * g_m over its digits, as (m, smul[a]) pairs
+        self.terms = [tuple((m, self.smul[a]) for m, a in d) for d in self.digits]
         self.gens = [strides[i] % n for i in range(r)]
 
         def ann(g):
@@ -211,8 +214,18 @@ class _ShapeContext:
         self.positions = positions
         posidx = {p: k for k, p in enumerate(positions)}
         self.P = [[posidx[(i, j)] for j in range(r)] for i in range(r)]
-        self.triples = [(i, j, k) for i in range(r) for j in range(r) for k in range(r)]
+        # generator triple (i, j, k) as the positions it reads: g_i g_j, g_j g_k,
+        # then g_m g_k and g_i g_m for the digits m of those two products; each
+        # starts in the watch list of the later of its first two (see _dfs_stream)
+        self.watch = [[] for _ in positions]
+        for i in range(r):
+            for j in range(r):
+                for k in range(r):
+                    self.watch[max(self.P[i][j], self.P[j][k])].append(
+                        (self.P[i][j], self.P[j][k], [self.P[m][k] for m in range(r)],
+                         [self.P[i][m] for m in range(r)]))
         self.add_np = np.asarray(self.add, dtype=np.int32)
+        self.digit_array = np.array([decode(x) for x in range(n)], dtype=np.int64)
 
     def candidate_lists(self, reverse: bool) -> list[list[int]]:
         out = [self.K[i][j] for (i, j) in self.positions]
@@ -239,6 +252,20 @@ def _dfs_stream(ctx: _ShapeContext, reverse: bool = False, budget=None,
                 start_path=None, token_prefix: str = "", fixed_prefix=None):
     """Yield every structure-constant assignment that stays associative.
 
+    Position d of the wavefront order is filled at depth d.  A generator
+    triple (i, j, k) asks (g_i g_j) g_k == g_i (g_j g_k); it reads
+    constants position by position and is undecided while one it needs is
+    unplaced.  Each undecided triple waits in the watch list of the first
+    unplaced position it read (at the start, the later of P[i][j] and
+    P[j][k], the two it reads first), so at depth d only the triples
+    waiting on d are evaluated: a false one prunes the node, a true one is
+    dropped, and one still undecided moves to the list of the later
+    position it now stops at.  Backtracking pops those moves.  A triple
+    cannot resolve before every position it reads is placed, so each node
+    resolves exactly the triples that re-checking every open triple at
+    every node would: the tree, its node counts and the stream are those
+    of that exhaustive check (kept in the tests as the oracle).
+
     `budget` is a single-element list of remaining node visits shared
     across shapes (None = unbounded); exhausting it raises BudgetError
     whose resume token is `token_prefix` plus the candidate-index path of
@@ -248,39 +275,14 @@ def _dfs_stream(ctx: _ShapeContext, reverse: bool = False, budget=None,
     `fixed_prefix` pins the candidate indices of the leading positions
     (parallel partitioning).
     """
-    positions = ctx.positions
-    npos = len(positions)
+    npos = len(ctx.positions)
     cands = ctx.candidate_lists(reverse)
-    triples = ctx.triples
-    digits, add, smul, P = ctx.digits, ctx.add, ctx.smul, ctx.P
-    ntri = len(triples)
+    add, terms = ctx.add, ctx.terms
+    watch = [list(w) for w in ctx.watch]
     C = [-1] * npos
     spine = list(start_path) if start_path else []
-    path: list[int] = []
 
-    def check_triple(t):
-        i, j, k = triples[t]
-        cij = C[P[i][j]]
-        if cij < 0:
-            return -1
-        cjk = C[P[j][k]]
-        if cjk < 0:
-            return -1
-        lhs = 0
-        for (m, a) in digits[cij]:
-            v = C[P[m][k]]
-            if v < 0:
-                return -1
-            lhs = add[lhs][smul[a][v]]
-        rhs = 0
-        for (m, a) in digits[cjk]:
-            v = C[P[i][m]]
-            if v < 0:
-                return -1
-            rhs = add[rhs][smul[a][v]]
-        return 1 if lhs == rhs else 0
-
-    def rec(depth, unchecked, on_spine):
+    def rec(depth, on_spine):
         if depth == npos:
             yield tuple(C)
             return
@@ -291,36 +293,54 @@ def _dfs_stream(ctx: _ShapeContext, reverse: bool = False, budget=None,
             index_range = range(spine[depth], len(clist))
         else:
             index_range = range(len(clist))
+        waiting = watch[depth]
         for ci in index_range:
             replayed = (on_spine and depth < len(spine) - 1 and ci == spine[depth])
             if not replayed and budget is not None:
                 if budget[0] <= 0:
+                    path = [cands[d].index(C[d]) for d in range(depth)] + [ci]
                     raise BudgetError(
                         f"node budget exhausted while searching order {ctx.order}",
-                        resume_token=token_prefix + ",".join(map(str, path + [ci])))
+                        resume_token=token_prefix + ",".join(map(str, path)))
                 budget[0] -= 1
             C[depth] = clist[ci]
-            path.append(ci)
-            newmask = unchecked
+            moved = []
             ok = True
-            t = 0
-            m = unchecked
-            while m:
-                if m & 1:
-                    res = check_triple(t)
-                    if res == 0:
-                        ok = False
+            for triple in waiting:
+                pij, pjk, col_k, row_i = triple
+                # q: the first unplaced position read, or -1 once decided
+                cij = C[pij]
+                cjk = C[pjk]
+                q = -1
+                lhs = 0
+                for m, scale in terms[cij]:
+                    v = C[col_k[m]]
+                    if v < 0:
+                        q = col_k[m]
                         break
-                    if res == 1:
-                        newmask &= ~(1 << t)
-                m >>= 1
-                t += 1
+                    lhs = add[lhs][scale[v]]
+                if q < 0:
+                    rhs = 0
+                    for m, scale in terms[cjk]:
+                        v = C[row_i[m]]
+                        if v < 0:
+                            q = row_i[m]
+                            break
+                        rhs = add[rhs][scale[v]]
+                    if q < 0:
+                        if lhs != rhs:
+                            ok = False
+                            break
+                        continue
+                watch[q].append(triple)
+                moved.append(q)
             if ok:
-                yield from rec(depth + 1, newmask, replayed)
-            path.pop()
+                yield from rec(depth + 1, replayed)
+            for q in moved:
+                watch[q].pop()
         C[depth] = -1
 
-    yield from rec(0, (1 << ntri) - 1, bool(spine))
+    yield from rec(0, bool(spine))
 
 
 def _unity_of(ctx: _ShapeContext, consts) -> int:
@@ -351,20 +371,18 @@ def _unity_of(ctx: _ShapeContext, consts) -> int:
     return -1
 
 
-def _full_mul(ctx: _ShapeContext, consts) -> tuple[int, ...]:
-    """Bilinear extension of the structure constants to the full flat table."""
-    n, exponent = ctx.order, ctx.exponent
-    add, smul, digits, P = ctx.add, ctx.smul, ctx.digits, ctx.P
-    out = []
-    for x in range(n):
-        dx = digits[x]
-        for y in range(n):
-            s = 0
-            for (i, a) in dx:
-                for (j, b) in digits[y]:
-                    s = add[s][smul[(a * b) % exponent][consts[P[i][j]]]]
-            out.append(s)
-    return tuple(out)
+def _full_mul(ctx: _ShapeContext, consts) -> np.ndarray:
+    """Bilinear extension of the structure constants: the flat uint8 mul table.
+
+    Digit l of x * y is the sum over i, j of x_i y_j (g_i g_j)_l, mod d_l:
+    the digit matrix contracted twice with the constants' digits.  Orders
+    stay <= 16, so every entry fits a byte.
+    """
+    digits, r, n = ctx.digit_array, ctx.r, ctx.order
+    const_digits = digits[np.asarray(consts)[ctx.P]]                     # [i, j, l]
+    left = (digits @ const_digits.reshape(r, r * r)).reshape(n, r, r)    # [x, j, l]
+    prod = digits @ left                                                 # [x, y, l]
+    return ((prod % ctx.factors) @ ctx.strides).astype(np.uint8).ravel()
 
 
 def _unital_tables(ctx: _ShapeContext, assignments):
@@ -558,8 +576,7 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = False, *,
                     for block in _relabelings(ctx, mul_flat):
                         seen.update(map(bytes, block))
                 n = ctx.order
-                mul_rows = [list(mul_flat[i * n:(i + 1) * n]) for i in range(n)]
-                ring = make_table_ring(ctx.add_np, mul_rows, one=one,
+                ring = make_table_ring(ctx.add_np, mul_flat.reshape(n, n), one=one,
                                        additive_type=shape.invariant_factors,
                                        name=f"R{order}#{emitted}")
                 emitted += 1

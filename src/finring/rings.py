@@ -42,9 +42,12 @@ DEFAULT_ORDER_CAP = 1 << 20
 _BLOCK_ENTRIES = 1 << 20
 
 
-def row_blocks(rows: int, width: int) -> list[slice]:
-    """Slices covering range(rows), each block about _BLOCK_ENTRIES / width rows."""
-    step = max(1, _BLOCK_ENTRIES // max(1, width))
+def row_blocks(rows: int, width: int, entries: int | None = None) -> list[slice]:
+    """Slices covering range(rows), each block about entries / width rows.
+
+    entries defaults to _BLOCK_ENTRIES, read at call time.
+    """
+    step = max(1, (entries or _BLOCK_ENTRIES) // max(1, width))
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
@@ -885,6 +888,14 @@ class QuotientRing(Ring):
 # axiom verification
 
 
+# Entries per cubic-axiom block: the whole table up to order 40.  Measured at
+# orders 16-128, 2^16 beat both 2^15 and 2^17; blocks of two or three rows
+# (orders 129-181 here) ran up to 2x slower than one row at a time, so where
+# fewer than _AXIOM_BLOCK_MIN_ROWS rows fit a block is one row.
+_AXIOM_BLOCK_ENTRIES = 1 << 16
+_AXIOM_BLOCK_MIN_ROWS = 4
+
+
 def _axiom_fail(axiom: str, witness: str):
     raise ConstructionError(f"ring axiom violated: {axiom} at {witness}")
 
@@ -893,9 +904,12 @@ def verify_tables(add, mul, one: int) -> None:
     """Check all eight unital-ring axioms on dense tables.
 
     Quadratic axioms are checked whole-array; the cubic ones (both
-    associativities, both distributivities) go row by row so the working
-    set stays at one order x order slab.  The first failure raises a
-    ConstructionError naming the axiom and a witness.
+    associativities, both distributivities) for a block of elements a at a
+    time, a being the fixed factor of each axiom, with about
+    _AXIOM_BLOCK_ENTRIES entries per array.  Only a failing block is then
+    checked a by a, to name the first witness: the failure raises a
+    ConstructionError naming the axiom and the witness, exactly as checking
+    every a in turn would.
     """
     add = np.asarray(add)
     mul = np.asarray(mul)
@@ -920,30 +934,56 @@ def verify_tables(add, mul, one: int) -> None:
         b = int(np.nonzero(mul[:, one] != arange)[0][0])
         _axiom_fail("multiplicative identity", f"({b},{one})")
 
-    for a in range(n):
-        arow = add[a]
-        lhs = add[arow]          # (a+b)+c indexed [b, c]
-        rhs = arow[add]          # a+(b+c)
-        if not (lhs == rhs).all():
-            b, c = map(int, np.argwhere(lhs != rhs)[0])
-            _axiom_fail("additive associativity", f"({a},{b},{c})")
-        mrow = mul[a]
-        lhs = mul[mrow]          # (a*b)*c
-        rhs = mrow[mul]          # a*(b*c)
-        if not (lhs == rhs).all():
-            b, c = map(int, np.argwhere(lhs != rhs)[0])
-            _axiom_fail("multiplicative associativity", f"({a},{b},{c})")
-        lhs = mrow[add]                              # a*(b+c)
-        rhs = add[mrow[:, None], mrow[None, :]]      # a*b + a*c
-        if not (lhs == rhs).all():
-            b, c = map(int, np.argwhere(lhs != rhs)[0])
-            _axiom_fail("left distributivity", f"({a},{b},{c})")
-        mcol = mul[:, a]
-        lhs = mcol[add]                              # (b+c)*a
-        rhs = add[mcol[:, None], mcol[None, :]]      # b*a + c*a
-        if not (lhs == rhs).all():
-            b, c = map(int, np.argwhere(lhs != rhs)[0])
-            _axiom_fail("right distributivity", f"({b},{c},{a})")
+    fits = _AXIOM_BLOCK_MIN_ROWS * n * n <= _AXIOM_BLOCK_ENTRIES
+    for rows in row_blocks(n, n * n, _AXIOM_BLOCK_ENTRIES if fits else n * n):
+        if _cubic_axioms_hold(add, mul, rows):
+            continue
+        for a in range(rows.start, rows.stop):
+            _check_cubic_row(add, mul, a)
+        raise RuntimeError(f"rows {rows.start}..{rows.stop - 1} fail a cubic axiom "
+                           "as a block but name no witness row by row")
+
+
+def _cubic_axioms_hold(add, mul, rows: slice) -> bool:
+    """Both associativities and both distributivities for every a in rows, at once."""
+    def after(x, table):  # [a, b, c] -> x[a, table[b, c]]
+        return np.take(x, table, axis=1)
+
+    def sums(x):  # [a, b, c] -> x[a, b] + x[a, c]
+        return add[x[:, :, None], x[:, None, :]]
+
+    add_rows, mul_rows, mul_cols = add[rows], mul[rows], mul[:, rows].T
+    return bool((add[add_rows] == after(add_rows, add)).all()        # (a+b)+c = a+(b+c)
+                and (mul[mul_rows] == after(mul_rows, mul)).all()    # (ab)c = a(bc)
+                and (after(mul_rows, add) == sums(mul_rows)).all()   # a(b+c) = ab+ac
+                and (after(mul_cols, add) == sums(mul_cols)).all())  # (b+c)a = ba+ca
+
+
+def _check_cubic_row(add, mul, a: int) -> None:
+    """The cubic axioms for one fixed factor a; raises at the first failure."""
+    arow = add[a]
+    lhs = add[arow]          # (a+b)+c indexed [b, c]
+    rhs = arow[add]          # a+(b+c)
+    if not (lhs == rhs).all():
+        b, c = map(int, np.argwhere(lhs != rhs)[0])
+        _axiom_fail("additive associativity", f"({a},{b},{c})")
+    mrow = mul[a]
+    lhs = mul[mrow]          # (a*b)*c
+    rhs = mrow[mul]          # a*(b*c)
+    if not (lhs == rhs).all():
+        b, c = map(int, np.argwhere(lhs != rhs)[0])
+        _axiom_fail("multiplicative associativity", f"({a},{b},{c})")
+    lhs = mrow[add]                              # a*(b+c)
+    rhs = add[mrow[:, None], mrow[None, :]]      # a*b + a*c
+    if not (lhs == rhs).all():
+        b, c = map(int, np.argwhere(lhs != rhs)[0])
+        _axiom_fail("left distributivity", f"({a},{b},{c})")
+    mcol = mul[:, a]
+    lhs = mcol[add]                              # (b+c)*a
+    rhs = add[mcol[:, None], mcol[None, :]]      # b*a + c*a
+    if not (lhs == rhs).all():
+        b, c = map(int, np.argwhere(lhs != rhs)[0])
+        _axiom_fail("right distributivity", f"({b},{c},{a})")
 
 
 def verify_ring_axioms(ring: Ring) -> None:

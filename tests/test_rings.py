@@ -382,6 +382,108 @@ def test_verify_tables_reports_witness():
         verify_tables(np.array(broken), np.array(mul), one=1)
 
 
+def oracle_verify_tables(add, mul, one):
+    """The axiom check one element at a time: the reference verdict and message."""
+    n = add.shape[0]
+    arange = np.arange(n)
+
+    def fail(axiom, witness):
+        raise ConstructionError(f"ring axiom violated: {axiom} at {witness}")
+
+    if not (add == add.T).all():
+        a, b = map(int, np.argwhere(add != add.T)[0])
+        fail("additive commutativity", f"({a},{b})")
+    if not (add[0] == arange).all():
+        fail("additive identity", f"(0,{int(np.nonzero(add[0] != arange)[0][0])})")
+    no_inverse = np.nonzero(~(add == 0).any(axis=1))[0]
+    if no_inverse.size:
+        fail("additive inverses", f"({int(no_inverse[0])},)")
+    if n > 1 and one == 0:
+        fail("multiplicative identity", "one == zero in a ring of order > 1")
+    if not (mul[one] == arange).all():
+        fail("multiplicative identity", f"({one},{int(np.nonzero(mul[one] != arange)[0][0])})")
+    if not (mul[:, one] == arange).all():
+        fail("multiplicative identity",
+             f"({int(np.nonzero(mul[:, one] != arange)[0][0])},{one})")
+    for a in range(n):
+        witness = oracle_cubic_failure(add, mul, a)
+        if witness:
+            fail(*witness)
+
+
+def oracle_cubic_failure(add, mul, a):
+    """(axiom, witness) of the first cubic axiom failing with fixed factor a, or None."""
+    checks = (
+        ("additive associativity", add[add[a]], add[a][add], False),
+        ("multiplicative associativity", mul[mul[a]], mul[a][mul], False),
+        ("left distributivity", mul[a][add], add[mul[a][:, None], mul[a][None, :]], False),
+        ("right distributivity", mul[:, a][add], add[mul[:, a][:, None], mul[:, a][None, :]],
+         True),
+    )
+    for axiom, lhs, rhs, right in checks:
+        if not (lhs == rhs).all():
+            b, c = map(int, np.argwhere(lhs != rhs)[0])
+            return axiom, f"({b},{c},{a})" if right else f"({a},{b},{c})"
+    return None
+
+
+def _verdict(check, add, mul, one):
+    try:
+        check(add, mul, one)
+    except ConstructionError as exc:
+        return str(exc)
+    return None
+
+
+def _corruptions(ring, count, rng):
+    """Seeded single-entry corruptions of each table, with the entry; for add
+    also the mirrored pair, which keeps it commutative so the cubic axioms
+    are reached."""
+    add, mul = (np.array(t) for t in ring.tables())
+    n = ring.order
+    for _ in range(count):
+        for table, mirrored in ((add, False), (add, True), (mul, False)):
+            x, y = rng.randrange(n), rng.randrange(n)
+            v = rng.choice([u for u in range(n) if u != table[x, y]])
+            bad = table.copy()
+            bad[x, y] = v
+            if mirrored:
+                bad[y, x] = v
+            yield ((bad, mul) if table is add else (add, bad)), (x, y)
+
+
+def test_verify_tables_messages_match_row_oracle(enum_raw):
+    rng = random.Random(20131)
+    population = [(r, 4) for n in range(2, 9) for r in enum_raw[n]]
+    population += [(parse_ring(e), 30) for e in ("UT(3,Z(2))", "M(2,GF(2))", "GF(4) x Z(4)")]
+    seen = set()
+    for ring, count in population:
+        for (add, mul), entry in _corruptions(ring, count, rng):
+            got = _verdict(verify_tables, add, mul, ring.one)
+            assert got == _verdict(oracle_verify_tables, add, mul, ring.one)
+            seen.add(got.split(" at ")[0] if got else None)
+            # the block screen alone against the oracle, at the corrupted entry's
+            # row and column element (where a failure of the entry shows)
+            for a in entry:
+                assert (rings._cubic_axioms_hold(add, mul, slice(a, a + 1))
+                        == (oracle_cubic_failure(add, mul, a) is None))
+    # the corruptions reach every cubic axiom, not only the quadratic screens
+    for axiom in ("additive associativity", "multiplicative associativity",
+                  "left distributivity", "right distributivity"):
+        assert f"ring axiom violated: {axiom}" in seen
+
+
+@pytest.mark.parametrize("entries", [4 * 256, 5 * 256, 3 * 256])  # 4-row, 5-row, 1-row blocks
+def test_verify_tables_messages_across_axiom_blocks(entries, monkeypatch):
+    monkeypatch.setattr(rings, "_AXIOM_BLOCK_ENTRIES", entries)
+    rng = random.Random(entries)
+    for expr in ("M(2,GF(2))", "GF(4) x Z(4)"):
+        ring = parse_ring(expr)
+        for (add, mul), _ in _corruptions(ring, 20, rng):
+            assert (_verdict(verify_tables, add, mul, ring.one)
+                    == _verdict(oracle_verify_tables, add, mul, ring.one))
+
+
 def test_table_cap_enforced():
     big = make_product([make_zn(5000), make_zn(2)])
     assert big.order == 10000 > TABLE_CAP
@@ -490,6 +592,14 @@ def test_gf_exp_log_mul_matches_polynomial_product(q):
         assert [f.mul(a, b) for b in range(q)] == [f._mul_poly(a, b) for b in range(q)], a
     # exp/log run over the least primitive element
     assert f._exp[1] == primitive_element(f).index
+
+
+def test_row_blocks_reads_block_size_at_call_time(monkeypatch):
+    # the tests above and in test_analysis shrink _BLOCK_ENTRIES to cross block edges
+    assert len(rings.row_blocks(64, 64)) == 1
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 256)
+    assert len(rings.row_blocks(64, 64)) == 16
+    assert len(rings.row_blocks(64, 64, 1024)) == 4
 
 
 @pytest.mark.parametrize("expr", ["B(5)", "GF(4) x Z(6)", "Z(4) x GF(9)", "Z(2) x Z(3) x Z(4)",

@@ -135,8 +135,7 @@ def cmd_gl_order(args) -> int:
 
 def cmd_enumerate(args) -> int:
     stream = enumerate_unital_rings(
-        args.order, up_to_iso=args.up_to_iso, jobs=args.jobs,
-        budget=args.budget, resume=args.resume)
+        args.order, up_to_iso=args.up_to_iso, budget=args.budget, resume=args.resume)
     stops: list[BudgetError] = []
 
     def until_budget():
@@ -182,8 +181,8 @@ def cmd_enumerate(args) -> int:
 def cmd_verify(args) -> int:
     ids = list(CHECK_IDS) if args.all else [args.theorem]
     cache: dict = {}
-    reports = [run_check(cid, max_order=args.max_order, jobs=args.jobs,
-                         budget=args.budget, cache=cache) for cid in ids]
+    reports = [run_check(cid, max_order=args.max_order, budget=args.budget, cache=cache)
+               for cid in ids]
     if args.json:
         _print_json([rep.to_dict() for rep in reports])
     else:
@@ -240,8 +239,6 @@ def build_parser() -> argparse.ArgumentParser:
     en.add_argument("order", type=int)
     en.add_argument("--up-to-iso", action="store_true",
                     help="one representative per isomorphism class")
-    en.add_argument("--jobs", type=int, default=1, metavar="N",
-                    help="parallel workers (output independent of N)")
     en.add_argument("--out", metavar="FILE", help="write rings to FILE instead of stdout")
     en.add_argument("--budget", type=int, default=None, metavar="NODES",
                     help="search-node budget (required for orders above 8)")
@@ -257,7 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--all", action="store_true", help="run every check")
     ver.add_argument("--max-order", type=int, default=8, metavar="K",
                      help="enumerate populations up to this order (default 8)")
-    ver.add_argument("--jobs", type=int, default=1, metavar="N")
     ver.add_argument("--budget", type=int, default=None, metavar="NODES")
     ver.add_argument("--json", action="store_true")
     ver.set_defaults(func=cmd_verify)

@@ -12,9 +12,7 @@ sides; tables without a unity are discarded.
 Orders up to 8 enumerate without restriction.  Orders 9..16 are
 best-effort: they require an explicit node budget and fail gracefully
 with a resume token (BudgetError) when it runs out, so a later call can
-continue exactly where the search stopped.  Parallel runs partition the
-search space by the leading structure constants; the merged stream is
-byte-identical for every worker count.
+continue exactly where the search stopped.
 
 Isomorphism classing relies on the fact that, at these orders, every ring
 isomorphism is in particular an isomorphism of additive groups: two rings
@@ -25,7 +23,6 @@ an additive automorphism carries one multiplication table to the other.
 from __future__ import annotations
 
 import itertools
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from math import gcd
 
@@ -249,7 +246,7 @@ def _shape_context(factors) -> _ShapeContext:
 
 
 def _dfs_stream(ctx: _ShapeContext, reverse: bool = False, budget=None,
-                start_path=None, token_prefix: str = "", fixed_prefix=None):
+                start_path=None, token_prefix: str = ""):
     """Yield every structure-constant assignment that stays associative.
 
     Position d of the wavefront order is filled at depth d.  A generator
@@ -272,8 +269,6 @@ def _dfs_stream(ctx: _ShapeContext, reverse: bool = False, budget=None,
     the node about to be visited.  `start_path` resumes from exactly such
     a path: subtrees lexicographically before it are skipped and the
     spine nodes above the target are replayed without consuming budget.
-    `fixed_prefix` pins the candidate indices of the leading positions
-    (parallel partitioning).
     """
     npos = len(ctx.positions)
     cands = ctx.candidate_lists(reverse)
@@ -287,9 +282,7 @@ def _dfs_stream(ctx: _ShapeContext, reverse: bool = False, budget=None,
             yield tuple(C)
             return
         clist = cands[depth]
-        if fixed_prefix is not None and depth < len(fixed_prefix):
-            index_range = range(fixed_prefix[depth], fixed_prefix[depth] + 1)
-        elif on_spine and depth < len(spine):
+        if on_spine and depth < len(spine):
             index_range = range(spine[depth], len(clist))
         else:
             index_range = range(len(clist))
@@ -393,17 +386,6 @@ def _unital_tables(ctx: _ShapeContext, assignments):
             yield _full_mul(ctx, consts), e
 
 
-def _search_worker(args):
-    """Search one contiguous block of leading-constant prefixes (parallel path)."""
-    factors, reverse, depth, start, stop = args
-    ctx = _shape_context(tuple(factors))
-    ranges = [range(len(c)) for c in ctx.candidate_lists(reverse)[:depth]]
-    out = []
-    for combo in itertools.islice(itertools.product(*ranges), start, stop):
-        out.extend(_unital_tables(ctx, _dfs_stream(ctx, reverse=reverse, fixed_prefix=combo)))
-    return out
-
-
 # ---------------------------------------------------------------------------
 # additive isomorphisms, automorphisms, and orbit dedup
 
@@ -488,27 +470,36 @@ def _relabelings(ctx: _ShapeContext, mul):
 # the public enumeration stream
 
 
-def _parse_resume(token: str, order: int, mode: str):
+def _parse_resume(token: str, order: int, mode: str, shapes) -> tuple[int, list[int]]:
+    """The shape index and the path, a node of that shape's tree, a token names."""
+    malformed = ConstructionError(f"malformed resume token: {token!r}")
     parts = token.split(":")
     if len(parts) != 5 or parts[0] != _TOKEN_VERSION:
-        raise ConstructionError(f"malformed resume token: {token!r}")
+        raise malformed
     _, t_order, t_mode, t_shape, t_path = parts
     if not (t_order.isdigit() and t_shape.isdigit()):
-        raise ConstructionError(f"malformed resume token: {token!r}")
+        raise malformed
     if int(t_order) != order or t_mode != mode:
         raise ConstructionError(
             f"resume token {token!r} does not match order={order}, search_order mode {mode!r}")
     try:
         path = [int(p) for p in t_path.split(",") if p != ""]
     except ValueError:
-        raise ConstructionError(f"malformed resume token: {token!r}") from None
-    if any(p < 0 for p in path):
-        raise ConstructionError(f"malformed resume token: {token!r}")
-    return int(t_shape), path
+        raise malformed from None
+    shape = int(t_shape)
+    if shape >= len(shapes):
+        raise ConstructionError(
+            f"resume token {token!r} names shape {shape}, but order {order} "
+            f"has only {len(shapes)} additive shapes")
+    ctx = _shape_context(shapes[shape].invariant_factors)
+    sizes = [len(ctx.K[i][j]) for i, j in ctx.positions]
+    if len(path) > len(sizes) or any(not 0 <= p < size for p, size in zip(path, sizes)):
+        raise malformed
+    return shape, path
 
 
 def enumerate_unital_rings(order: int, up_to_iso: bool = False, *,
-                           search_order: str = "forward", jobs: int = 1,
+                           search_order: str = "forward",
                            budget: int | None = None, resume: str | None = None):
     """Stream every unital ring of the order as validated explicit-table rings.
 
@@ -516,10 +507,9 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = False, *,
     isomorphism class (the first found).  `search_order` ("forward" or
     "reversed") flips the candidate order at every branch point — an
     independent traversal whose canonical-form sets must coincide with the
-    forward run.  `jobs` parallelizes by leading-constant prefix with a
-    worker-count-independent merge.  Orders above 8 require an explicit
-    node `budget`; when it runs out, a BudgetError carries a `resume`
-    token that continues the stream exactly where it stopped.
+    forward run.  Orders above 8 require an explicit node `budget`; when it
+    runs out, a BudgetError carries a `resume` token that continues the
+    stream exactly where it stopped.
     """
     if not isinstance(order, int) or order < 1:
         raise ConstructionError(f"enumeration order must be a positive integer, got {order}")
@@ -528,32 +518,24 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = False, *,
             f"enumeration is scoped to orders <= {BEST_EFFORT_MAX_ORDER}, got {order}")
     if search_order not in ("forward", "reversed"):
         raise ConstructionError(f"search_order must be 'forward' or 'reversed', got {search_order!r}")
-    if not isinstance(jobs, int) or jobs < 1:
-        raise ConstructionError(f"jobs must be a positive integer, got {jobs}")
     if budget is not None and (not isinstance(budget, int) or budget < 0):
         raise ConstructionError(f"budget must be a non-negative integer, got {budget}")
     mode = "f" if search_order == "forward" else "r"
-    if jobs > 1 and (budget is not None or resume is not None):
-        raise ConstructionError("budgeted or resumed searches run sequentially; use jobs=1")
     if order > MANDATORY_MAX_ORDER and budget is None and resume is None:
         raise BudgetError(
             f"order {order} is best-effort: pass an explicit node budget "
             "(the token restarts from the beginning)",
             resume_token=f"{_TOKEN_VERSION}:{order}:{mode}:0:")
+    shapes = abelian_group_shapes(order)
     start_shape, start_path = 0, []
     if resume is not None:
-        start_shape, start_path = _parse_resume(resume, order, mode)
+        start_shape, start_path = _parse_resume(resume, order, mode, shapes)
         if budget is None and order > MANDATORY_MAX_ORDER:
             raise BudgetError(
                 f"order {order} is best-effort: pass an explicit node budget along with the token",
                 resume_token=resume)
     reverse = mode == "r"
     budget_cell = None if budget is None else [int(budget)]
-    shapes = abelian_group_shapes(order)
-    if start_shape >= len(shapes) and resume is not None:
-        raise ConstructionError(
-            f"resume token {resume!r} names shape {start_shape}, but order {order} "
-            f"has only {len(shapes)} additive shapes")
 
     def run():
         emitted = 0
@@ -562,12 +544,9 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = False, *,
             ctx = _shape_context(shape.invariant_factors)
             token_prefix = f"{_TOKEN_VERSION}:{order}:{mode}:{si}:"
             path = start_path if si == start_shape else []
-            if jobs > 1:
-                pairs = _parallel_shape(ctx, reverse, jobs)
-            else:
-                pairs = _unital_tables(
-                    ctx, _dfs_stream(ctx, reverse=reverse, budget=budget_cell,
-                                     start_path=path, token_prefix=token_prefix))
+            pairs = _unital_tables(
+                ctx, _dfs_stream(ctx, reverse=reverse, budget=budget_cell,
+                                 start_path=path, token_prefix=token_prefix))
             seen: set[bytes] = set()
             for mul_flat, one in pairs:
                 if up_to_iso:
@@ -583,26 +562,6 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = False, *,
                 yield ring
 
     return run()
-
-
-def _parallel_shape(ctx: _ShapeContext, reverse: bool, jobs: int):
-    """Worker-partitioned search of one shape, merged in sequential order."""
-    cands = ctx.candidate_lists(reverse)
-    sizes = [len(c) for c in cands]
-    depth, total = 0, 1
-    while depth < len(sizes) and total < jobs * 8:
-        total *= sizes[depth]
-        depth += 1
-    if total < 2 or depth == 0:
-        yield from _unital_tables(ctx, _dfs_stream(ctx, reverse=reverse))
-        return
-    nbatches = min(total, jobs * 4)
-    bounds = sorted({round(total * k / nbatches) for k in range(nbatches + 1)})
-    args = [(ctx.factors, reverse, depth, lo, hi)
-            for lo, hi in zip(bounds[:-1], bounds[1:])]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        for block in pool.map(_search_worker, args):
-            yield from block
 
 
 # ---------------------------------------------------------------------------
@@ -681,8 +640,13 @@ def serialize_table_ring(r: TableRingStructure) -> str:
     """Text form: header `order zero one factors...`, add rows, mul rows."""
     if not isinstance(r, TableRingStructure):
         raise ConstructionError("only explicit-table rings serialize to the text format")
+    return table_text(r, r.additive_type)
+
+
+def table_text(r: Ring, factors) -> str:
+    """The text form of any ring's dense tables, `factors` its additive type."""
     add, mul = r.tables()
-    head = " ".join(map(str, [r.order, r.zero, r.one, *r.additive_type]))
+    head = " ".join(map(str, [r.order, r.zero, r.one, *factors]))
     lines = [head]
     for row in add:
         lines.append(" ".join(str(int(v)) for v in row))
@@ -693,18 +657,25 @@ def serialize_table_ring(r: TableRingStructure) -> str:
 
 def parse_table_ring(text: str, name: str | None = None) -> TableRingStructure:
     """Inverse of serialize_table_ring; validates every ring axiom on load."""
-    lines = [ln for ln in text.strip().splitlines()]
+    lines = text.strip().splitlines()
     if not lines:
         raise ConstructionError("empty table-ring serialization")
-    head = lines[0].split()
+    try:
+        fields = [[int(v) for v in ln.split()] for ln in lines]
+    except ValueError as exc:
+        raise ConstructionError(f"table-ring serialization: {exc}") from None
+    head = fields[0]
     if len(head) < 4:
         raise ConstructionError(f"table-ring header needs order, zero, one, factors: {lines[0]!r}")
-    order, zero, one = (int(v) for v in head[:3])
-    factors = tuple(int(v) for v in head[3:])
+    order, zero, one = head[:3]
+    factors = tuple(head[3:])
     if len(lines) != 1 + 2 * order:
         raise ConstructionError(
             f"expected {2 * order} table rows after the header, found {len(lines) - 1}")
-    rows = [[int(v) for v in ln.split()] for ln in lines[1:]]
+    rows = fields[1:]
+    for ln, row in zip(lines[1:], rows):
+        if len(row) != order:
+            raise ConstructionError(f"table row needs {order} entries: {ln!r}")
     return make_table_ring(rows[:order], rows[order:], one=one, zero=zero,
                            additive_type=factors, name=name)
 

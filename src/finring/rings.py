@@ -704,14 +704,14 @@ class TableRingStructure(Ring):
     """A ring given by explicit addition and multiplication tables.
 
     The tables are validated on construction: index 0 must be the additive
-    zero, a unity must exist (or match the one supplied), and with
-    `validate=True` (the default) every ring axiom is checked exhaustively.
+    zero, a unity must exist (or match the one supplied), and every ring
+    axiom is checked exhaustively.
     """
 
     kind = "table"
 
     def __init__(self, add_table, mul_table, one: int | None = None, *, zero: int = 0,
-                 additive_type=None, name: str | None = None, validate: bool = True):
+                 additive_type=None, name: str | None = None):
         add = np.ascontiguousarray(np.asarray(add_table, dtype=np.int32))
         mul = np.ascontiguousarray(np.asarray(mul_table, dtype=np.int32))
         if add.ndim != 2 or add.shape[0] != add.shape[1] or add.shape != mul.shape:
@@ -734,10 +734,7 @@ class TableRingStructure(Ring):
                 raise ConstructionError("multiplication table has no unity element")
         elif not ((mul[one] == arange).all() and (mul[:, one] == arange).all()):
             raise ConstructionError(f"declared unity {one} is not a two-sided identity")
-        if validate:
-            verify_tables(add, mul, one)
-        elif not (add == 0).any(axis=1).all():
-            raise ConstructionError("some element has no additive inverse")
+        verify_tables(add, mul, one)
         super().__init__(n, int(one), name or f"table({n})")
         self._add = add
         self._mul = mul
@@ -1208,11 +1205,10 @@ def make_boolean(k: int) -> ProductRing:
 
 
 def make_table_ring(add_table, mul_table, one: int | None = None, *, zero: int = 0,
-                    additive_type=None, name: str | None = None,
-                    validate: bool = True) -> TableRingStructure:
+                    additive_type=None, name: str | None = None) -> TableRingStructure:
     """A ring from explicit tables; all axioms are verified before acceptance."""
     return TableRingStructure(add_table, mul_table, one, zero=zero,
-                              additive_type=additive_type, name=name, validate=validate)
+                              additive_type=additive_type, name=name)
 
 
 def quotient_ring(parent: Ring, ideal, name: str | None = None) -> QuotientRing:

@@ -24,10 +24,10 @@ from .rings import (
     TABLE_CAP,
     Ring,
     TableRingStructure,
+    additive_invariant_factors,
     make_boolean,
     make_gf,
     make_matrix_ring,
-    make_table_ring,
     make_triangular_ring,
     make_zn,
     quotient_ring,
@@ -48,6 +48,7 @@ from .enumeration import (
     enumerate_unital_rings,
     parse_table_ring,
     serialize_table_ring,
+    table_text,
 )
 
 ALIASES = {"main": "T7"}
@@ -123,8 +124,7 @@ def _family_population() -> list[tuple[str, Ring]]:
     return pop
 
 
-def _enumerated_rings(cache: dict, max_order: int, up_to_iso: bool,
-                      jobs: int, budget: int | None):
+def _enumerated_rings(cache: dict, max_order: int, up_to_iso: bool, budget: int | None):
     """Enumerated rings of order 2..max_order, shared across checks.
 
     Returns (rings, complete, note); a budget stop marks the scan
@@ -136,10 +136,8 @@ def _enumerated_rings(cache: dict, max_order: int, up_to_iso: bool,
         rings: list[TableRingStructure] = []
         complete, note = True, None
         for order in range(2, max_order + 1):
-            use_jobs = jobs if budget is None else 1
             try:
-                rings.extend(enumerate_unital_rings(
-                    order, up_to_iso=up_to_iso, jobs=use_jobs, budget=budget))
+                rings.extend(enumerate_unital_rings(order, up_to_iso=up_to_iso, budget=budget))
             except BudgetError as exc:
                 complete = False
                 note = (f"enumeration of order {order} stopped by the node budget; "
@@ -151,21 +149,21 @@ def _enumerated_rings(cache: dict, max_order: int, up_to_iso: bool,
 
 def _families_and_enumerated(up_to_iso: bool):
     """Population builder: the standard families, then every raw ring or one per class."""
-    def build(max_order, jobs, budget, cache):
-        rings, complete, note = _enumerated_rings(cache, max_order, up_to_iso, jobs, budget)
+    def build(max_order, budget, cache):
+        rings, complete, note = _enumerated_rings(cache, max_order, up_to_iso, budget)
         return _family_population() + [(r.name, r) for r in rings], complete, note
     return build
 
 
 def _fixed(build):
     """Population builder for a list that does not depend on the scan depth."""
-    return lambda max_order, jobs, budget, cache: (build(), True, None)
+    return lambda max_order, budget, cache: (build(), True, None)
 
 
-def _t7_population(max_order, jobs, budget, cache):
+def _t7_population(max_order, budget, cache):
     """Raw rings, one ring per isomorphism class, and the boolean products."""
-    raw, complete_r, note_r = _enumerated_rings(cache, max_order, False, jobs, budget)
-    iso, complete_i, note_i = _enumerated_rings(cache, max_order, True, jobs, budget)
+    raw, complete_r, note_r = _enumerated_rings(cache, max_order, False, budget)
+    iso, complete_i, note_i = _enumerated_rings(cache, max_order, True, budget)
     note = note_r or note_i
     items = [(r.name, r) for r in raw] + [(f"{r.name}/iso", r) for r in iso]
     if max_order >= 2:
@@ -179,8 +177,7 @@ def _serialize_any(r: Ring) -> str | None:
     if isinstance(r, TableRingStructure):
         return serialize_table_ring(r)
     if r.order <= TABLE_CAP:
-        add, mul = r.tables()
-        return serialize_table_ring(make_table_ring(add, mul, one=r.one, name=r.name))
+        return table_text(r, additive_invariant_factors(r))
     return None
 
 
@@ -219,7 +216,7 @@ def _has_characteristic_two(r: Ring) -> bool:
 class CheckSpec:
     """One check: its claim, the population it is scanned over, and its recheck.
 
-    `population(max_order, jobs, budget, cache)` returns (items, complete,
+    `population(max_order, budget, cache)` returns (items, complete,
     note) with (name, subject) items; `population_text` is formatted with
     `max_order` and `scanned`, the number of items before premise filtering.
     `claim(name, subject)` runs on each item passing `premise(subject)`
@@ -524,8 +521,7 @@ CHECK_IDS = tuple(CHECKS)
 
 
 def run_check(check_id: str, *, max_order: int = DEFAULT_MAX_ORDER,
-              jobs: int = 1, budget: int | None = None,
-              cache: dict | None = None) -> TheoremReport:
+              budget: int | None = None, cache: dict | None = None) -> TheoremReport:
     """Run one check; `cache` shares enumerated populations across checks."""
     spec = CHECKS[normalize_check_id(check_id)]
     if not isinstance(max_order, int) or max_order < 1:
@@ -533,7 +529,7 @@ def run_check(check_id: str, *, max_order: int = DEFAULT_MAX_ORDER,
     if cache is None:
         cache = {}
     started = time.perf_counter()
-    items, complete, note = spec.population(max_order, jobs, budget, cache)
+    items, complete, note = spec.population(max_order, budget, cache)
 
     def finish(population, tested, bad, note):
         return TheoremReport(
@@ -560,11 +556,11 @@ def run_check(check_id: str, *, max_order: int = DEFAULT_MAX_ORDER,
     return finish(population, tested, None, note)
 
 
-def run_all(max_order: int = DEFAULT_MAX_ORDER, *, jobs: int = 1,
+def run_all(max_order: int = DEFAULT_MAX_ORDER, *,
             budget: int | None = None) -> list[TheoremReport]:
     """All nine checks with a shared enumeration cache, in T1..T9 order."""
     cache: dict = {}
-    return [run_check(cid, max_order=max_order, jobs=jobs, budget=budget, cache=cache)
+    return [run_check(cid, max_order=max_order, budget=budget, cache=cache)
             for cid in CHECK_IDS]
 
 

@@ -121,9 +121,8 @@ def test_criterion_05_main_theorem_exhaustive(capsys):
     failures = []
     checked = 0
     for order in range(2, 9):
-        jobs = 4 if order == 8 else 1
         for up_to_iso in (False, True):
-            for r in enumerate_unital_rings(order, up_to_iso=up_to_iso, jobs=jobs):
+            for r in enumerate_unital_rings(order, up_to_iso=up_to_iso):
                 if unit_count(r) != 1:
                     continue
                 checked += 1
@@ -140,7 +139,7 @@ def test_criterion_05_main_theorem_exhaustive(capsys):
         failures.append("no ring with a trivial unit group was scanned")
     _verdict(capsys, "C5",
              f"trivial units force boolean/char 2/commutative/J=0 "
-             f"({checked} premise rings, raw and up-to-iso, order <= 8, jobs 4)",
+             f"({checked} premise rings, raw and up-to-iso, order <= 8)",
              time.perf_counter() - started, failures, bound=600.0)
 
 

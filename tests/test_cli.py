@@ -168,8 +168,7 @@ def test_enumerate_json_inline_rings(cli):
 
 def test_enumerate_iso_to_file(cli, tmp_path):
     path = tmp_path / "rings.txt"
-    code, doc, _ = run_json(cli, "enumerate", "8", "--up-to-iso", "--jobs", "2",
-                            "--out", str(path))
+    code, doc, _ = run_json(cli, "enumerate", "8", "--up-to-iso", "--out", str(path))
     assert code == EXIT_OK
     assert doc["count"] == 11 and doc["out"] == str(path)
     assert "rings" not in doc
@@ -223,6 +222,14 @@ def test_enumerate_text_budget_stderr_hint(cli):
 def test_enumerate_bad_resume_token(cli):
     code, _, err = cli("enumerate", "4", "--resume", "nonsense")
     assert code == EXIT_USAGE
+
+
+def test_enumerate_resume_index_out_of_range_is_usage(cli):
+    code, out, err = cli("enumerate", "9", "--budget", "1000000",
+                         "--resume", "v1:9:f:0:99", "--json")
+    assert code == EXIT_USAGE
+    assert out == ""
+    assert "malformed resume token" in err
 
 
 def test_enumerate_order_out_of_scope(cli):
@@ -291,6 +298,11 @@ def test_help_exits_cleanly(cli):
     code, out, _ = cli("--help")
     assert code == EXIT_OK
     assert "report" in out and "enumerate" in out
+
+
+def test_jobs_option_is_gone(cli):
+    assert cli("enumerate", "8", "--jobs", "2")[0] == EXIT_USAGE
+    assert cli("verify", "--all", "--jobs", "2")[0] == EXIT_USAGE
 
 
 def test_verify_requires_exactly_one_selector(cli):

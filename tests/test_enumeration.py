@@ -141,13 +141,6 @@ def test_reversed_raw_stream_is_permutation(enum_raw):
     assert fwd == rev
 
 
-def test_parallel_stream_identical(enum_raw):
-    seq = [serialize_table_ring(r) for r in enum_raw[8]]
-    for jobs in (2, 3):
-        par = [serialize_table_ring(r) for r in enumerate_unital_rings(8, jobs=jobs)]
-        assert par == seq
-
-
 def test_enumeration_argument_validation():
     with pytest.raises(ConstructionError):
         enumerate_unital_rings(0)
@@ -155,10 +148,6 @@ def test_enumeration_argument_validation():
         enumerate_unital_rings(17)
     with pytest.raises(ConstructionError):
         enumerate_unital_rings(4, search_order="sideways")
-    with pytest.raises(ConstructionError):
-        enumerate_unital_rings(4, jobs=0)
-    with pytest.raises(ConstructionError):
-        enumerate_unital_rings(8, jobs=2, budget=100)
     with pytest.raises(ConstructionError):
         enumerate_unital_rings(8, budget=-5)
 
@@ -216,6 +205,16 @@ def test_resume_token_validation():
         list(enumerate_unital_rings(8, resume="v1:8:r:0:"))  # wrong mode
     with pytest.raises(ConstructionError):
         list(enumerate_unital_rings(8, resume="v1:8:f:9:"))  # no such shape
+    # shape 0 of order 9 is Z_9: one position, with 9 candidates
+    for path in ("9", "99", "0,0", ",".join(["0"] * 15 + ["5"])):
+        with pytest.raises(ConstructionError, match="malformed resume token"):
+            list(enumerate_unital_rings(9, budget=10 ** 6, resume=f"v1:9:f:0:{path}"))
+    # shape 2 of order 8 is (2,2,2): nine positions, each with 8 candidates
+    with pytest.raises(ConstructionError, match="malformed resume token"):
+        list(enumerate_unital_rings(8, resume="v1:8:f:2:" + ",".join(["0"] * 10)))
+    # the last index of every position is still a node of the tree
+    assert len(list(enumerate_unital_rings(9, budget=10 ** 6, resume="v1:9:f:0:8"))) == 73
+    assert list(enumerate_unital_rings(8, resume="v1:8:f:2:" + ",".join(["7"] * 9))) == []
 
 
 def test_order_16_partial_stream_and_resume():
@@ -372,6 +371,12 @@ def test_parse_validates_contents():
     corrupted = good.replace("2 0 1", "2 0 0", 1)
     with pytest.raises(ConstructionError):
         parse_table_ring(corrupted)
+    with pytest.raises(ConstructionError):
+        parse_table_ring(good.replace("2 0 1", "2 0 x", 1))  # non-integer field
+    with pytest.raises(ConstructionError):
+        parse_table_ring(good.replace("2 0 1", "2 0", 1))  # ragged row
+    with pytest.raises(ConstructionError):
+        parse_table_ring(good.replace("2 0 1", "2 0 1 2", 1))  # over-long row
 
 
 def test_ring_file_round_trip(enum_iso):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from finring import inverse_by_scan, theorems
+from finring import inverse_by_scan, rings, theorems
 from finring import (
     CHECK_IDS,
     TABLE_CAP,
@@ -126,6 +126,17 @@ def _fake_report(check_id, counterexample):
     return TheoremReport(
         check_id=check_id, description="doctored", population="doctored",
         population_count=1, passed=False, counterexample=counterexample)
+
+
+def test_serialize_any_writes_constructed_rings_without_validating(monkeypatch):
+    subjects = [make_matrix_ring(2, make_gf(2)), make_triangular_ring(3, make_zn(2)),
+                quotient_ring(make_zn(12), [0, 4, 8])]
+    round_trips = [_snapshot(r) for r in subjects]
+
+    def refuse(*_):
+        raise AssertionError("verify_tables called while serializing")
+    monkeypatch.setattr(rings, "verify_tables", refuse)
+    assert [theorems._serialize_any(r) for r in subjects] == round_trips
 
 
 def test_recheck_requires_a_counterexample(reports):

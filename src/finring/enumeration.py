@@ -426,27 +426,57 @@ def _additive_isomorphisms(ctx: _ShapeContext, target_add, target_order: int):
             yield tuple(phi)
 
 
-_AUTOS_CACHE: dict[tuple[int, ...], list[bytes]] = {}
+_AUTOS_CACHE: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
-# Tables are relabeled this many automorphisms at a time: 64 KiB of order-16
-# tables, where all 20160 of shape (2, 2, 2, 2) at once would take 5 MiB.
+# Automorphism rows are built and narrowed in blocks of about this many, so
+# no intermediate (a uint8 array, or the index arrays numpy makes for fancy
+# indexing) grows with the 20160 rows of shape (2, 2, 2, 2).
+_AUTO_BLOCK = 1024
+# Whole tables are relabeled this many automorphisms at a time: 64 KiB of
+# order-16 tables.
 _RELABEL_BLOCK = 256
 
 
-def _shape_automorphisms(ctx: _ShapeContext) -> list[bytes]:
-    """The shape's automorphisms as bytes rows (an image fits a byte at order <= 16).
+def _shape_automorphisms(ctx: _ShapeContext) -> tuple[np.ndarray, np.ndarray]:
+    """The shape's automorphisms as uint8 rows, with each row's inverse.
 
-    Bytes rows index and hash like tuples and join cheaply into a uint8 array.
+    Built one generator at a time: row phi of the partial array maps the
+    span of g_0 .. g_{t-1} (the labels below d_0 ... d_{t-1}) injectively,
+    and is extended by every image of g_t that d_t kills, in ascending
+    order; an extension survives if it is still injective (no two of its
+    sorted entries equal).  So the rows come out in the order of the image
+    tuples (phi g_0, ..., phi g_{r-1}), the order `_additive_isomorphisms`
+    yields them in (the tests' oracle).
+    Both arrays are cached read-only; an image fits a byte at order <= 16.
     """
     if ctx.factors not in _AUTOS_CACHE:
-        autos = [bytes(phi) for phi in
-                 _additive_isomorphisms(ctx, lambda a, b: ctx.add[a][b], ctx.order)]
+        add = ctx.add_np.astype(np.uint8)
+        partial = np.zeros((1, 1), dtype=np.uint8)
+        for d, stride in zip(ctx.factors, ctx.strides):
+            images = np.flatnonzero(np.asarray(ctx.smul[d % ctx.exponent]) == 0).astype(np.uint8)
+            step = max(1, _AUTO_BLOCK // len(images))
+            grown = []
+            for start in range(0, len(partial), step):
+                # cells[p, c, a, x] = phi_p(x) + a * images[c]
+                base = partial[start:start + step]
+                cells = [np.broadcast_to(base[:, None, :], (len(base), len(images), stride))]
+                for _ in range(d - 1):
+                    cells.append(add[cells[-1], images[None, :, None]])
+                rows = np.stack(cells, axis=2).reshape(-1, d * stride)
+                ordered = np.sort(rows, axis=1)
+                grown.append(rows[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)])
+            partial = np.concatenate(grown)
         expected = abelian_automorphism_count(ctx.factors)
-        if len(autos) != expected:
+        if len(partial) != expected:
             raise ConstructionError(
                 f"automorphism count mismatch for {list(ctx.factors)}: "
-                f"enumerated {len(autos)}, formula {expected}")
-        _AUTOS_CACHE[ctx.factors] = autos
+                f"enumerated {len(partial)}, formula {expected}")
+        inverse = np.concatenate([np.argsort(partial[start:start + _AUTO_BLOCK], axis=1)
+                                  .astype(np.uint8)
+                                  for start in range(0, len(partial), _AUTO_BLOCK)])
+        partial.setflags(write=False)
+        inverse.setflags(write=False)
+        _AUTOS_CACHE[ctx.factors] = partial, inverse
     return _AUTOS_CACHE[ctx.factors]
 
 
@@ -457,11 +487,10 @@ def _relabelings(ctx: _ShapeContext, mul):
     """
     n = ctx.order
     mul = np.asarray(mul, dtype=np.uint8).reshape(n, n)
-    autos = _shape_automorphisms(ctx)
+    autos, inverses = _shape_automorphisms(ctx)
     for start in range(0, len(autos), _RELABEL_BLOCK):
-        phi = np.frombuffer(b"".join(autos[start:start + _RELABEL_BLOCK]),
-                            dtype=np.uint8).reshape(-1, n)
-        inv = np.argsort(phi, axis=1)
+        phi = autos[start:start + _RELABEL_BLOCK]
+        inv = inverses[start:start + _RELABEL_BLOCK]
         pulled = mul[inv[:, :, None], inv[:, None, :]].reshape(len(phi), n * n)
         yield np.take_along_axis(phi, pulled, axis=1)
 
@@ -598,12 +627,36 @@ def canonical_form(r: Ring) -> CanonicalForm:
     # Every isomorphism from the shape is phi composed with an automorphism
     # of the shape, so the candidates are the relabelings of phi's pull-back.
     phi = np.asarray(phi)
-    pulled = np.argsort(phi)[r.tables()[1][np.ix_(phi, phi)]]
-    best = min(min(map(bytes, block)) for block in _relabelings(ctx, pulled))
+    pulled = np.argsort(phi)[r.tables()[1][np.ix_(phi, phi)]].astype(np.uint8)
+    autos, inverses = _shape_automorphisms(ctx)
+    # The least table is the least row 0, then the least row 1 among the
+    # automorphisms that gave that row 0, and so on: row x of a relabeling
+    # is phi[pulled[inv x, inv y]] over y, computed only for the
+    # automorphisms still in play.  Row 0 is zero in every relabeling.
+    alive = np.arange(len(autos))
+    rows = [bytes(n)]
+    shifts = np.arange(4 * (n - 1), -1, -4, dtype=np.uint64)
+    for x in range(1, n):
+        best_key, keep = None, []
+        for start in range(0, len(alive), _AUTO_BLOCK):
+            ids = alive[start:start + _AUTO_BLOCK]
+            inv = inverses[ids]
+            row = np.take_along_axis(autos[ids], pulled[inv[:, x:x + 1], inv], axis=1)
+            # entries are below 16, so a row packs into one uint64 whose
+            # order is the row's lexicographic order
+            key = (row.astype(np.uint64) << shifts).sum(axis=1)
+            low = key.min()
+            if best_key is None or low < best_key:
+                best_key, keep, least = low, [], row[key.argmin()]
+            if low == best_key:
+                keep.append(ids[key == low])
+        alive = np.concatenate(keep)
+        rows.append(least.tobytes())
+    best = b"".join(rows)
     # A table has one unity, so minimizing (mul, one) minimizes mul alone;
     # the unity is the row of the minimal table that fixes every element.
     identity = bytes(range(n))
-    one = next(e for e in range(n) if best[e * n:(e + 1) * n] == identity)
+    one = rows.index(identity)
     add_flat = tuple(v for row in ctx.add for v in row)
     return CanonicalForm(invariant_factors=factors, add_table=add_flat,
                          mul_table=tuple(best), one=one)

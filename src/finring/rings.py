@@ -15,8 +15,8 @@ Every family builds its dense tables from small pieces with numpy: Z_n
 and GF(q) from outer sums and exp/log lists, products and the additive
 group of GF(p^s) by mixed-radix composition of the factor (digit) tables,
 matrix rings by one small table per output cell, quotients through the
-coset map.  The generic per-pair `Ring._build_tables` is the reference
-the tests compare them against.
+coset map.  The tests compare each against a per-pair build through
+`add` and `mul`.
 """
 
 from __future__ import annotations
@@ -331,17 +331,8 @@ class Ring:
         return self._tables
 
     def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Per-pair tables through `add` and `mul`: the reference that every
-        family's vectorized `_build_tables` is tested against; no family uses it."""
-        n = self.order
-        add = np.empty((n, n), dtype=np.int32)
-        mul = np.empty((n, n), dtype=np.int32)
-        for a in range(n):
-            ra, rm = add[a], mul[a]
-            for b in range(n):
-                ra[b] = self.add(a, b)
-                rm[b] = self.mul(a, b)
-        return add, mul
+        """Dense (add, mul) int32 tables; each family builds its own with numpy."""
+        raise NotImplementedError
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.name} order={self.order}>"

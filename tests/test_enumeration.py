@@ -1,8 +1,11 @@
 """Exhaustive enumeration: shapes, counts, isomorphism, budgets, serialization."""
 
+import hashlib
 import io
+import json
 import random
 
+import numpy as np
 import pytest
 
 from finring import (
@@ -21,6 +24,7 @@ from finring import (
     make_product,
     make_table_ring,
     make_zn,
+    parse_ring,
     parse_table_ring,
     read_ring_file,
     serialize_table_ring,
@@ -29,6 +33,7 @@ from finring import (
 )
 from finring.enumeration import (
     _additive_isomorphisms,
+    _relabelings,
     _shape_automorphisms,
     _shape_context,
 )
@@ -80,9 +85,23 @@ def test_automorphism_count_formula(factors, count):
 def test_automorphism_formula_matches_brute_enumeration(factors):
     # _shape_automorphisms raises internally if the enumerated group size
     # disagrees with the closed formula
-    autos = _shape_automorphisms(_shape_context(factors))
+    autos, _ = _shape_automorphisms(_shape_context(factors))
     assert len(autos) == abelian_automorphism_count(factors)
-    assert len(set(autos)) == len(autos)
+    assert len(np.unique(autos, axis=0)) == len(autos)
+
+
+@pytest.mark.parametrize("order", range(1, 17))
+def test_automorphism_array_matches_isomorphism_oracle(order):
+    # the generator-at-a-time array against the image-tuple walk onto the
+    # shape's own add table, row for row, and each inverse row against its row
+    for shape in abelian_group_shapes(order):
+        ctx = _shape_context(shape.invariant_factors)
+        autos, inverses = _shape_automorphisms(ctx)
+        oracle = list(_additive_isomorphisms(ctx, lambda a, b: ctx.add[a][b], order))
+        assert autos.dtype == inverses.dtype == np.uint8
+        assert [tuple(map(int, row)) for row in autos] == oracle, shape
+        identity = np.arange(order)
+        assert all((phi[inv] == identity).all() for phi, inv in zip(autos, inverses)), shape
 
 
 # ---------------------------------------------------------------------------
@@ -283,6 +302,54 @@ def test_canonical_form_matches_every_isomorphism_oracle(enum_iso):
         assert (cf.mul_table, cf.one) == _canonical_form_by_every_isomorphism(r), r.name
 
 
+def _orbit_minimum(r):
+    """Reference form: the least table over the whole relabeled orbit of
+    one pull-back, as (mul table, unity)."""
+    ctx = _shape_context(additive_invariant_factors(r))
+    n = r.order
+    phi = np.asarray(next(_additive_isomorphisms(ctx, r.add, n)))
+    pulled = np.argsort(phi)[r.tables()[1][np.ix_(phi, phi)]]
+    best = min(min(map(bytes, block)) for block in _relabelings(ctx, pulled))
+    one = next(e for e in range(n) if best[e * n:(e + 1) * n] == bytes(range(n)))
+    return tuple(best), one
+
+
+# Rings on all five additive shapes of order 16, three of them on (2,2,2,2).
+ORDER_16_RINGS = ("M(2,GF(2))", "GF(16)", "B(4)", "Z(4) x Z(2) x Z(2)", "GF(4) x Z(4)",
+                  "Z(16)", "Z(8) x Z(2)", "Z(4) x Z(4)")
+
+
+def test_canonical_form_matches_orbit_minimum(enum_iso):
+    rng = random.Random(12)
+    rings = [r for n in sorted(enum_iso) for r in enum_iso[n]]
+    for n in range(9, 13):
+        rings += list(enumerate_unital_rings(n, up_to_iso=True, budget=1_000_000))
+    rings += [parse_ring(e) for e in ORDER_16_RINGS]
+    assert {additive_invariant_factors(r) for r in rings if r.order == 16} == {
+        s.invariant_factors for s in abelian_group_shapes(16)}
+    for r in rings:
+        copy = _relabeled_table_copy(r, rng)
+        cf = canonical_form(copy)
+        assert (cf.mul_table, cf.one) == _orbit_minimum(copy), r.name
+
+
+# sha256 of the canonical forms of the benchmark's isomorphism rings, as
+# computed by the whole-orbit minimum that the row-by-row narrowing replaced.
+CANONICAL_SHA256 = {
+    "M(2,GF(2))": "aaf1c30555a3ebe6a369725388de7df0c676139b5f5d9f8efa25bbb6b83f4ce7",
+    "Z(4) x Z(2) x Z(2)": "1a543153d04f6f54330f9696cf887d9898f7901862eb404097a08798d7da08b7",
+    "GF(4) x Z(4)": "269e84306ca546c69342794ca7653d7f8a7ce6c75263a9b9251a682ed5081dae",
+    "GF(16)": "073fd6f708de70d617a3eb87babd2c92d3bdb84fb91644c7be2e92a1a7a7b68f",
+}
+
+
+@pytest.mark.parametrize("expr", sorted(CANONICAL_SHA256))
+def test_canonical_form_digests_are_pinned(expr):
+    cf = canonical_form(parse_ring(expr))
+    doc = [list(cf.invariant_factors), list(cf.add_table), list(cf.mul_table), cf.one]
+    assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == CANONICAL_SHA256[expr]
+
+
 def _relabeled_table_copy(r, rng):
     """Dense copy of r under a seeded permutation of the indices fixing 0."""
     n = r.order
@@ -298,7 +365,7 @@ def _relabeled_table_copy(r, rng):
 
 
 def test_canonical_form_invariant_under_relabeling_at_order_16():
-    # (2, 2, 2, 2) has 20160 automorphisms, relabeled over several blocks
+    # (2, 2, 2, 2) has 20160 automorphisms, narrowed over several blocks
     rng = random.Random(16)
     for r in (make_matrix_ring(2, make_gf(2)), make_gf(16)):
         form = canonical_form(r)

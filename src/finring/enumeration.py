@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from math import gcd
+from math import gcd, prod
 
 import numpy as np
 
@@ -146,8 +146,9 @@ def abelian_group_shapes(order: int) -> list[AdditiveGroupShape]:
     chains.sort(reverse=True)
     shapes = []
     for fs in chains:
-        ctx = _shape_context(fs)
-        shapes.append(AdditiveGroupShape(fs, tuple(ctx.gens), abelian_automorphism_count(fs)))
+        # e_i is labeled by the product of the factors before it
+        gens = tuple(prod(fs[:i]) for i in range(len(fs)))
+        shapes.append(AdditiveGroupShape(fs, gens, abelian_automorphism_count(fs)))
     return shapes
 
 
@@ -159,11 +160,12 @@ class _ShapeContext:
     """Precomputed additive data for one invariant-factor chain.
 
     Elements are mixed-radix digit vectors over the factors, first factor
-    least significant; `add` and `smul` are dense lookup lists, `digits`
-    the nonzero digit support of each element (`digit_array`: all digits,
-    one row per element), and `K[i][j]` the candidate values for the
-    structure constant g_i * g_j (the annihilator of gcd(d_i, d_j), since
-    that scalar kills both generators).
+    least significant; `add` and `smul` are dense lookup lists (`add_np`:
+    `add` as a read-only uint8 array), `digits` the nonzero digit support
+    of each element (`digit_array`: all digits, one row per element), and
+    `K[i][j]` the candidate values for the structure constant g_i * g_j
+    (the elements gcd(d_i, d_j) kills, since that scalar kills both
+    generators).
     """
 
     def __init__(self, factors: tuple[int, ...]):
@@ -193,12 +195,10 @@ class _ShapeContext:
         # x as the sum of a * g_m over its digits, as (m, smul[a]) pairs
         self.terms = [tuple((m, self.smul[a]) for m, a in d) for d in self.digits]
         self.gens = [strides[i] % n for i in range(r)]
-
-        def ann(g):
-            return [x for x in range(n)
-                    if all((g * a) % d == 0 for a, d in zip(decode(x), factors))]
-
-        self.K = [[ann(gcd(factors[i], factors[j])) for j in range(r)] for i in range(r)]
+        self.add_np = np.asarray(self.add, dtype=np.uint8)
+        self.add_np.setflags(write=False)
+        self.K = [[_killed(self.add_np, gcd(factors[i], factors[j])).tolist()
+                   for j in range(r)] for i in range(r)]
 
         # wavefront position order: finish each leading generator block so
         # associativity triples become checkable as early as possible
@@ -221,7 +221,6 @@ class _ShapeContext:
                     self.watch[max(self.P[i][j], self.P[j][k])].append(
                         (self.P[i][j], self.P[j][k], [self.P[m][k] for m in range(r)],
                          [self.P[i][m] for m in range(r)]))
-        self.add_np = np.asarray(self.add, dtype=np.int32)
         self.digit_array = np.array([decode(x) for x in range(n)], dtype=np.int64)
 
     def candidate_lists(self, reverse: bool) -> list[list[int]]:
@@ -390,93 +389,77 @@ def _unital_tables(ctx: _ShapeContext, assignments):
 # additive isomorphisms, automorphisms, and orbit dedup
 
 
-def _additive_isomorphisms(ctx: _ShapeContext, target_add, target_order: int):
-    """Yield every additive isomorphism from the shape labeling onto a target group.
-
-    Generator images are drawn from the target elements annihilated by the
-    corresponding invariant factor; linear extension plus a bijectivity
-    check keeps exactly the isomorphisms.  With the shape's own add law as
-    target this enumerates the automorphism group.
-    """
-    n = ctx.order
-    if target_order != n:
-        return
-    cand = []
-    for d in ctx.factors:
-        cs = []
-        for x in range(n):
-            acc = 0
-            for _ in range(d):
-                acc = target_add(acc, x)
-            if acc == 0:
-                cs.append(x)
-        cand.append(cs)
-    for images in itertools.product(*cand):
-        phi = [0] * n
-        seen = {0}
-        for x in range(1, n):
-            # phi(x) = phi(x - e_i) + phi(e_i), e_i the first generator in x
-            i = ctx.digits[x][0][0]
-            s = target_add(phi[x - ctx.strides[i]], images[i])
-            if s in seen:
-                break
-            phi[x] = s
-            seen.add(s)
-        else:
-            yield tuple(phi)
-
-
 _AUTOS_CACHE: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
-# Automorphism rows are built and narrowed in blocks of about this many, so
+# Additive maps are built and narrowed in blocks of about this many rows, so
 # no intermediate (a uint8 array, or the index arrays numpy makes for fancy
-# indexing) grows with the 20160 rows of shape (2, 2, 2, 2).
+# indexing) grows with the 20160 automorphisms of shape (2, 2, 2, 2).
 _AUTO_BLOCK = 1024
 # Whole tables are relabeled this many automorphisms at a time: 64 KiB of
 # order-16 tables.
 _RELABEL_BLOCK = 256
 
 
-def _shape_automorphisms(ctx: _ShapeContext) -> tuple[np.ndarray, np.ndarray]:
-    """The shape's automorphisms as uint8 rows, with each row's inverse.
+def _killed(add, d: int) -> np.ndarray:
+    """The elements x of the add table's group with d x = 0, ascending, as uint8."""
+    x = np.arange(len(add))
+    acc = x
+    for _ in range(d - 1):
+        acc = add[acc, x]
+    return np.flatnonzero(acc == 0).astype(np.uint8)
 
-    Built one generator at a time: row phi of the partial array maps the
-    span of g_0 .. g_{t-1} (the labels below d_0 ... d_{t-1}) injectively,
-    and is extended by every image of g_t that d_t kills, in ascending
-    order; an extension survives if it is still injective (no two of its
-    sorted entries equal).  So the rows come out in the order of the image
-    tuples (phi g_0, ..., phi g_{r-1}), the order `_additive_isomorphisms`
-    yields them in (the tests' oracle).
-    Both arrays are cached read-only; an image fits a byte at order <= 16.
+
+def _additive_maps(ctx: _ShapeContext, add):
+    """Yield every additive isomorphism from the shape labeling onto the
+    group of the add table `add`, as uint8 blocks with one map per row.
+
+    Depth first, one generator at a time: a row on the span of
+    g_0 .. g_{t-1} (the labels below d_0 ... d_{t-1}) is extended by every
+    image of g_t that d_t kills, ascending, and survives if still injective.
+    So the rows come out in the order of the image tuples
+    (phi g_0, ..., phi g_{r-1}); an image fits a byte at order <= 16.
     """
+    if len(add) != ctx.order:
+        return
+    add = np.asarray(add, dtype=np.uint8)
+    images = [_killed(add, d) for d in ctx.factors]
+
+    def extend(t, partial):
+        if t == ctx.r:
+            if len(partial):
+                yield partial
+            return
+        d, stride, cands = ctx.factors[t], ctx.strides[t], images[t]
+        step = max(1, _AUTO_BLOCK // len(cands))
+        for start in range(0, len(partial), step):
+            # cells[p, c, a, x] = phi_p(x) + a * cands[c]
+            base = partial[start:start + step]
+            cells = [np.broadcast_to(base[:, None, :], (len(base), len(cands), stride))]
+            for _ in range(d - 1):
+                cells.append(add[cells[-1], cands[None, :, None]])
+            rows = np.stack(cells, axis=2).reshape(-1, d * stride)
+            ordered = np.sort(rows, axis=1)
+            yield from extend(t + 1, rows[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)])
+
+    yield from extend(0, np.zeros((1, 1), dtype=np.uint8))
+
+
+def _shape_automorphisms(ctx: _ShapeContext) -> tuple[np.ndarray, np.ndarray]:
+    """The shape's automorphisms as uint8 rows, in image-tuple order, with
+    each row's inverse; both cached read-only."""
     if ctx.factors not in _AUTOS_CACHE:
-        add = ctx.add_np.astype(np.uint8)
-        partial = np.zeros((1, 1), dtype=np.uint8)
-        for d, stride in zip(ctx.factors, ctx.strides):
-            images = np.flatnonzero(np.asarray(ctx.smul[d % ctx.exponent]) == 0).astype(np.uint8)
-            step = max(1, _AUTO_BLOCK // len(images))
-            grown = []
-            for start in range(0, len(partial), step):
-                # cells[p, c, a, x] = phi_p(x) + a * images[c]
-                base = partial[start:start + step]
-                cells = [np.broadcast_to(base[:, None, :], (len(base), len(images), stride))]
-                for _ in range(d - 1):
-                    cells.append(add[cells[-1], images[None, :, None]])
-                rows = np.stack(cells, axis=2).reshape(-1, d * stride)
-                ordered = np.sort(rows, axis=1)
-                grown.append(rows[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)])
-            partial = np.concatenate(grown)
+        autos = np.concatenate(list(_additive_maps(ctx, ctx.add_np)))
         expected = abelian_automorphism_count(ctx.factors)
-        if len(partial) != expected:
+        if len(autos) != expected:
             raise ConstructionError(
                 f"automorphism count mismatch for {list(ctx.factors)}: "
-                f"enumerated {len(partial)}, formula {expected}")
-        inverse = np.concatenate([np.argsort(partial[start:start + _AUTO_BLOCK], axis=1)
+                f"enumerated {len(autos)}, formula {expected}")
+        inverse = np.concatenate([np.argsort(autos[start:start + _AUTO_BLOCK], axis=1)
                                   .astype(np.uint8)
-                                  for start in range(0, len(partial), _AUTO_BLOCK)])
-        partial.setflags(write=False)
+                                  for start in range(0, len(autos), _AUTO_BLOCK)])
+        autos.setflags(write=False)
         inverse.setflags(write=False)
-        _AUTOS_CACHE[ctx.factors] = partial, inverse
+        _AUTOS_CACHE[ctx.factors] = autos, inverse
     return _AUTOS_CACHE[ctx.factors]
 
 
@@ -621,13 +604,14 @@ def canonical_form(r: Ring) -> CanonicalForm:
     factors = additive_invariant_factors(r)
     ctx = _shape_context(factors)
     n = r.order
-    phi = next(_additive_isomorphisms(ctx, r.add, n), None)
-    if phi is None:
+    add, mul = r.tables()
+    first = next(_additive_maps(ctx, add), None)
+    if first is None:
         raise ConstructionError(f"{r.name}: no additive isomorphism onto shape {list(factors)}")
     # Every isomorphism from the shape is phi composed with an automorphism
     # of the shape, so the candidates are the relabelings of phi's pull-back.
-    phi = np.asarray(phi)
-    pulled = np.argsort(phi)[r.tables()[1][np.ix_(phi, phi)]].astype(np.uint8)
+    phi = first[0]
+    pulled = np.argsort(phi)[mul[np.ix_(phi, phi)]].astype(np.uint8)
     autos, inverses = _shape_automorphisms(ctx)
     # The least table is the least row 0, then the least row 1 among the
     # automorphisms that gave that row 0, and so on: row x of a relabeling

@@ -695,8 +695,8 @@ class TableRingStructure(Ring):
     """A ring given by explicit addition and multiplication tables.
 
     The tables are validated on construction: index 0 must be the additive
-    zero, a unity must exist (or match the one supplied), and every ring
-    axiom is checked exhaustively.
+    zero, a unity must exist (or match the one supplied, which must be an
+    integer in range(order)), and every ring axiom is checked exhaustively.
     """
 
     kind = "table"
@@ -723,8 +723,10 @@ class TableRingStructure(Ring):
                     break
             else:
                 raise ConstructionError("multiplication table has no unity element")
-        elif not ((mul[one] == arange).all() and (mul[:, one] == arange).all()):
-            raise ConstructionError(f"declared unity {one} is not a two-sided identity")
+        else:
+            _check_unity_index(one, n)
+            if not ((mul[one] == arange).all() and (mul[:, one] == arange).all()):
+                raise ConstructionError(f"declared unity {one} is not a two-sided identity")
         verify_tables(add, mul, one)
         super().__init__(n, int(one), name or f"table({n})")
         self._add = add
@@ -763,11 +765,16 @@ class QuotientRing(Ring):
 
     Coset k is represented by reps[k], the least parent index it contains.
     The zero coset is the ideal itself, so index 0 again names the zero.
+    The ideal is checked and the cosets found on the parent's dense tables,
+    so parents above TABLE_CAP raise BudgetError.
     """
 
     kind = "quotient"
 
     def __init__(self, parent: Ring, ideal, name: str | None = None):
+        n = parent.order
+        if n > TABLE_CAP:
+            raise BudgetError(f"{parent.name}: quotients computed only up to order {TABLE_CAP}")
         members = set()
         for a in ideal:
             if isinstance(a, Elem):
@@ -778,7 +785,6 @@ class QuotientRing(Ring):
             else:
                 members.add(int(a))
         members = sorted(members)
-        n = parent.order
         if not members or members[0] < 0 or members[-1] >= n:
             raise ConstructionError(f"{parent.name}: ideal members must be element indices")
         if 0 not in members:
@@ -787,58 +793,34 @@ class QuotientRing(Ring):
         for a in members:
             if parent.neg(a) not in mset:
                 raise ConstructionError(f"{parent.name}: ideal not closed under negation at {a}")
-        if n <= TABLE_CAP:
-            padd, pmul = parent.tables()
-            marr = np.asarray(members)
-            mmask = np.zeros(n, dtype=bool)
-            mmask[marr] = True
-            bad = np.argwhere(~mmask[padd[np.ix_(marr, marr)]])
-            if bad.size:
-                i, j = bad[0]
-                raise ConstructionError(
-                    f"{parent.name}: ideal not closed under addition at ({members[i]},{members[j]})")
-            bad = np.argwhere(~mmask[pmul[:, marr]])
-            if bad.size:
-                r, i = bad[0]
-                raise ConstructionError(
-                    f"{parent.name}: ideal not absorbing on the left at ({r},{members[i]})")
-            bad = np.argwhere(~mmask[pmul[marr, :]])
-            if bad.size:
-                i, r = bad[0]
-                raise ConstructionError(
-                    f"{parent.name}: ideal not absorbing on the right at ({members[i]},{r})")
-            coset_of = {}
-            reps = []
-            for x in range(n):
-                if x in coset_of:
-                    continue
-                k = len(reps)
-                for y in padd[x, marr]:
-                    coset_of[int(y)] = k
-                reps.append(x)
-        else:
-            for a in members:
-                for b in members:
-                    if parent.add(a, b) not in mset:
-                        raise ConstructionError(
-                            f"{parent.name}: ideal not closed under addition at ({a},{b})")
-            for r in range(n):
-                for a in members:
-                    if parent.mul(r, a) not in mset:
-                        raise ConstructionError(
-                            f"{parent.name}: ideal not absorbing on the left at ({r},{a})")
-                    if parent.mul(a, r) not in mset:
-                        raise ConstructionError(
-                            f"{parent.name}: ideal not absorbing on the right at ({a},{r})")
-            coset_of = {}
-            reps = []
-            for x in range(n):
-                if x in coset_of:
-                    continue
-                k = len(reps)
-                for a in members:
-                    coset_of[parent.add(x, a)] = k
-                reps.append(x)
+        padd, pmul = parent.tables()
+        marr = np.asarray(members)
+        mmask = np.zeros(n, dtype=bool)
+        mmask[marr] = True
+        bad = np.argwhere(~mmask[padd[np.ix_(marr, marr)]])
+        if bad.size:
+            i, j = bad[0]
+            raise ConstructionError(
+                f"{parent.name}: ideal not closed under addition at ({members[i]},{members[j]})")
+        bad = np.argwhere(~mmask[pmul[:, marr]])
+        if bad.size:
+            r, i = bad[0]
+            raise ConstructionError(
+                f"{parent.name}: ideal not absorbing on the left at ({r},{members[i]})")
+        bad = np.argwhere(~mmask[pmul[marr, :]])
+        if bad.size:
+            i, r = bad[0]
+            raise ConstructionError(
+                f"{parent.name}: ideal not absorbing on the right at ({members[i]},{r})")
+        coset_of = {}
+        reps = []
+        for x in range(n):
+            if x in coset_of:
+                continue
+            k = len(reps)
+            for y in padd[x, marr]:
+                coset_of[int(y)] = k
+            reps.append(x)
         if len(reps) * len(members) != n:  # cosets of a subgroup tile the ring
             raise ConstructionError(f"{parent.name}: ideal cosets do not partition the ring")
         self.parent = parent
@@ -884,6 +866,11 @@ _AXIOM_BLOCK_ENTRIES = 1 << 16
 _AXIOM_BLOCK_MIN_ROWS = 4
 
 
+def _check_unity_index(one, n: int) -> None:
+    if not (isinstance(one, (int, np.integer)) and 0 <= one < n):
+        raise ConstructionError(f"declared unity {one!r} is not an element index in range(0, {n})")
+
+
 def _axiom_fail(axiom: str, witness: str):
     raise ConstructionError(f"ring axiom violated: {axiom} at {witness}")
 
@@ -897,11 +884,13 @@ def verify_tables(add, mul, one: int) -> None:
     _AXIOM_BLOCK_ENTRIES entries per array.  Only a failing block is then
     checked a by a, to name the first witness: the failure raises a
     ConstructionError naming the axiom and the witness, exactly as checking
-    every a in turn would.
+    every a in turn would.  A `one` that is not an integer in range(order)
+    is rejected first, before numpy could wrap or reject it as an index.
     """
     add = np.asarray(add)
     mul = np.asarray(mul)
     n = add.shape[0]
+    _check_unity_index(one, n)
     arange = np.arange(n, dtype=add.dtype)
 
     if not (add == add.T).all():

@@ -2,8 +2,10 @@
 
 import hashlib
 import io
+import itertools
 import json
 import random
+from math import gcd
 
 import numpy as np
 import pytest
@@ -32,7 +34,7 @@ from finring import (
     write_ring_file,
 )
 from finring.enumeration import (
-    _additive_isomorphisms,
+    _additive_maps,
     _relabelings,
     _shape_automorphisms,
     _shape_context,
@@ -42,6 +44,43 @@ from finring.enumeration import (
 ISO_COUNTS = {1: 1, 2: 1, 3: 1, 4: 4, 5: 1, 6: 1, 7: 1, 8: 11}
 # Raw labeled-table counts on the canonical additive carriers.
 RAW_COUNTS = {1: 1, 2: 1, 3: 2, 4: 14, 5: 4, 6: 2, 7: 6, 8: 552}
+
+
+def _additive_isomorphisms(ctx, target_add, target_order):
+    """Oracle: yield every additive isomorphism from the shape labeling onto
+    a target group, by walking every tuple of generator images.
+
+    Generator images are drawn from the target elements annihilated by the
+    corresponding invariant factor; linear extension plus a bijectivity
+    check keeps exactly the isomorphisms.  With the shape's own add law as
+    target this enumerates the automorphism group.
+    """
+    n = ctx.order
+    if target_order != n:
+        return
+    cand = []
+    for d in ctx.factors:
+        cs = []
+        for x in range(n):
+            acc = 0
+            for _ in range(d):
+                acc = target_add(acc, x)
+            if acc == 0:
+                cs.append(x)
+        cand.append(cs)
+    for images in itertools.product(*cand):
+        phi = [0] * n
+        seen = {0}
+        for x in range(1, n):
+            # phi(x) = phi(x - e_i) + phi(e_i), e_i the first generator in x
+            i = ctx.digits[x][0][0]
+            s = target_add(phi[x - ctx.strides[i]], images[i])
+            if s in seen:
+                break
+            phi[x] = s
+            seen.add(s)
+        else:
+            yield tuple(phi)
 
 
 # ---------------------------------------------------------------------------
@@ -59,6 +98,14 @@ def test_shapes_order_4_and_6():
     assert [s.invariant_factors for s in abelian_group_shapes(6)] == [(6,)]
     assert [s.invariant_factors for s in abelian_group_shapes(12)] == [(12,), (6, 2)]
     assert [s.invariant_factors for s in abelian_group_shapes(1)] == [(1,)]
+
+
+def test_shapes_of_orders_above_a_byte():
+    # shapes are listed from the factor chains alone, with no uint8 search
+    # context, so orders whose labels overflow a byte still work
+    shapes = abelian_group_shapes(300)
+    assert [s.invariant_factors for s in shapes] == [(300,), (150, 2), (60, 5), (30, 10)]
+    assert [s.generators for s in shapes] == [(1,), (1, 150), (1, 60), (1, 30)]
 
 
 def test_shape_factors_form_divisibility_chains():
@@ -102,6 +149,56 @@ def test_automorphism_array_matches_isomorphism_oracle(order):
         assert [tuple(map(int, row)) for row in autos] == oracle, shape
         identity = np.arange(order)
         assert all((phi[inv] == identity).all() for phi, inv in zip(autos, inverses)), shape
+
+
+@pytest.mark.parametrize("order", range(1, 17))
+def test_additive_maps_onto_relabeled_copies_match_oracle(order):
+    # onto a seeded relabeling of a ring of each shape, the builder's rows
+    # against the image-tuple walk, row for row (the first 1024 on (2,2,2,2))
+    rng = random.Random(order)
+    for shape in abelian_group_shapes(order):
+        factors = shape.invariant_factors
+        ctx = _shape_context(factors)
+        copy = _relabeled_table_copy(make_product([make_zn(d) for d in factors]), rng)
+        blocks = list(_additive_maps(ctx, copy.tables()[0]))
+        assert all(block.dtype == np.uint8 for block in blocks), shape
+        rows = [tuple(map(int, row)) for block in blocks for row in block]
+        assert len(rows) == shape.automorphism_count, shape
+        oracle = list(itertools.islice(_additive_isomorphisms(ctx, copy.add, order), 1024))
+        assert rows[:1024] == oracle, shape
+
+
+@pytest.mark.parametrize("factors, target", [
+    ((4,), "Z(2) x Z(2)"), ((2, 2), "Z(4)"), ((2, 2, 2, 2), "Z(16)"),
+    ((4, 4), "Z(8) x Z(2)"), ((2,), "Z(4)"),
+])
+def test_additive_maps_onto_another_group_yield_nothing(factors, target):
+    ctx = _shape_context(factors)
+    r = parse_ring(target)
+    assert list(_additive_maps(ctx, r.tables()[0])) == []
+    assert list(_additive_isomorphisms(ctx, r.add, r.order)) == []
+
+
+@pytest.mark.parametrize("order", range(1, 17))
+def test_candidate_lists_match_digit_annihilators(order):
+    # K[i][j] against the elements whose every digit gcd(d_i, d_j) kills
+    for shape in abelian_group_shapes(order):
+        ctx = _shape_context(shape.invariant_factors)
+        for i, di in enumerate(ctx.factors):
+            for j, dj in enumerate(ctx.factors):
+                g = gcd(di, dj)
+                ann = [x for x in range(order)
+                       if all((g * int(a)) % d == 0
+                              for a, d in zip(ctx.digit_array[x], ctx.factors))]
+                assert ctx.K[i][j] == ann, (shape, i, j)
+                assert all(type(x) is int for x in ctx.K[i][j])
+
+
+def test_emitted_rings_do_not_share_the_shape_add_table():
+    r = next(enumerate_unital_rings(4))
+    r.tables()[0][1, 1] = 3
+    assert not _shape_context(r.additive_type).add_np.flags.writeable
+    assert len(list(enumerate_unital_rings(4))) == 14
 
 
 # ---------------------------------------------------------------------------

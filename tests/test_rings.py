@@ -21,6 +21,7 @@ from finring import (
     make_table_ring,
     make_triangular_ring,
     make_zn,
+    parse_table_ring,
     quotient_ring,
     verify_ring_axioms,
     verify_tables,
@@ -394,6 +395,18 @@ def test_verify_tables_reports_witness():
         verify_tables(np.array(broken), np.array(mul), one=1)
 
 
+@pytest.mark.parametrize("one", [-1, 2, 1.5])
+def test_declared_unity_must_be_an_element_index(one):
+    # -1 would wrap to the last row and 2 overrun it; 1.5 is no index at all
+    add, mul = _zn_tables(2)
+    with pytest.raises(ConstructionError, match="declared unity"):
+        make_table_ring(add, mul, one=one)
+    with pytest.raises(ConstructionError, match="declared unity"):
+        verify_tables(np.array(add), np.array(mul), one)
+    with pytest.raises(ConstructionError):
+        parse_table_ring(f"2 0 {one} 2\n0 1\n1 0\n0 0\n0 1\n")
+
+
 def oracle_verify_tables(add, mul, one):
     """The axiom check one element at a time: the reference verdict and message."""
     n = add.shape[0]
@@ -539,6 +552,11 @@ def test_quotient_rejects_foreign_elements():
     z4, z6 = make_zn(4), make_zn(6)
     with pytest.raises(RingMismatchError):
         quotient_ring(z4, [z6.element(0), z6.element(2)])
+
+
+def test_quotient_above_table_cap_is_a_budget_error():
+    with pytest.raises(BudgetError, match="quotients"):
+        quotient_ring(make_zn(2 * TABLE_CAP), [0, TABLE_CAP])
 
 
 def test_quotient_tables_match_generic():

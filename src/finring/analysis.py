@@ -42,8 +42,6 @@ from .rings import (
     ZnRing,
     is_commutative,  # re-exported; it also vets matrix-ring bases there
     is_prime,
-    matrix_adjugate,
-    matrix_determinant,
     prime_power,
     row_blocks,
 )
@@ -129,27 +127,11 @@ def inverse_by_scan(r: Ring, a: int) -> int | None:
     return None
 
 
-def _matrix_inverse_adjugate(r, a: int) -> int | None:
-    """Determinant-is-unit test with the inverse built as det^-1 * adjugate."""
-    es = r.entries(a)
-    d = matrix_determinant(r.base, es, r.n)
-    dinv = inverse_index(r.base, d)
-    if dinv is None:
-        return None
-    adj = matrix_adjugate(r.base, es, r.n)
-    bm = r.base.mul
-    inv = r.from_entries([bm(dinv, e) for e in adj])
-    # both-sided self-check: cheap, and guards the commutative-base assumption
-    if r.mul(a, inv) != r.one or r.mul(inv, a) != r.one:
-        raise ConstructionError(f"{r.name}: adjugate inverse failed its self-check at {a}")
-    return inv
-
-
 def matrix_inverse_row_reduce(r, a: int) -> int | None:
     """Inverse by Gauss-Jordan elimination; requires a field base.
 
     An independent second route to invertibility: it never consults the
-    determinant, so agreement with the adjugate route is a real check.
+    determinant, so agreement with `_matrix_inverses` is a real check.
     """
     if not isinstance(r, MatrixRing):
         raise ConstructionError("row reduction applies to matrix and triangular rings")
@@ -196,7 +178,13 @@ def inverse_index(r: Ring, a: int) -> int | None:
             invs.append(v)
         return r.from_components(invs)
     if isinstance(r, MatrixRing):
-        return _matrix_inverse_adjugate(r, a)
+        inv = _matrix_inverses(r, [a])[0]
+        if inv < 0:
+            return None
+        # both-sided self-check: cheap, and guards the commutative-base assumption
+        if r.mul(a, inv) != r.one or r.mul(inv, a) != r.one:
+            raise ConstructionError(f"{r.name}: adjugate inverse failed its self-check at {a}")
+        return inv
     return inverse_by_scan(r, a)
 
 
@@ -221,10 +209,11 @@ def unit_group(r: Ring) -> UnitGroupSummary:
 
     Units, their inverses and the group laws are read from the dense
     multiplication table: closure under multiplication, one in the set,
-    and a two-sided inverse for each unit, which must also agree with
-    `inverse_index` (an independent route: the adjugate on matrix rings).
-    Rings larger than UNIT_SCAN_CAP raise BudgetError; use `unit_sum` /
-    `unit_count` for streaming totals of lazy matrix rings.
+    and a two-sided inverse for each unit, which must also agree with an
+    independent route: one `_matrix_inverses` batch (det^-1 * adj) on
+    matrix rings, `inverse_index` per unit on the others.  Rings larger
+    than UNIT_SCAN_CAP raise BudgetError; use `unit_sum` / `unit_count`
+    for streaming totals of lazy matrix rings.
     """
     if r.order > UNIT_SCAN_CAP:
         raise BudgetError(
@@ -248,9 +237,13 @@ def unit_group(r: Ring) -> UnitGroupSummary:
     if len(one_sided):
         raise ConstructionError(
             f"{r.name}: unit {units[one_sided[0]]} lacks a two-sided inverse in the set")
+    if isinstance(r, MatrixRing):
+        checked = _matrix_inverses(r, units.tolist())
+    else:
+        checked = [inverse_index(r, u) for u in units.tolist()]
     total = r.zero
-    for u, inv in zip(units.tolist(), inverses.tolist()):
-        if inverse_index(r, u) != inv:
+    for u, inv, got in zip(units.tolist(), inverses.tolist(), checked):
+        if got != inv:
             raise ConstructionError(
                 f"{r.name}: inverse_index disagrees with the table inverse {inv} of unit {u}")
         total = int(add[total, u])
@@ -273,26 +266,75 @@ def _value_grid(m: int, k: int) -> np.ndarray:
 def _determinants(base: Ring, es: np.ndarray, n: int) -> np.ndarray:
     """Determinant of each row of `es` (row-major n x n entries over `base`).
 
-    The cofactor expansion of `matrix_determinant`, run on whole columns
-    through the base ring's tables (built only for n >= 2).
+    Cofactor expansion along the first row, run on whole columns through
+    the base ring's tables (built only for n >= 2).  Each minor, a set of
+    columns on the bottom rows, is computed once and shared by every
+    expansion path through it.  It is the one determinant in the package:
+    `_adjugates` takes its minors through it.
     """
     if n == 1:
         return es[:, 0]
     badd, bmul = base.tables()
     bneg = np.argmax(badd == 0, axis=1)
+    minors = {}
 
-    def det(rows, cols):
-        if len(rows) == 1:
-            return es[:, rows[0] * n + cols[0]]
-        total = None
-        for t, c in enumerate(cols):
-            term = bmul[es[:, rows[0] * n + c], det(rows[1:], cols[:t] + cols[t + 1:])]
-            if t % 2:
-                term = bneg[term]
-            total = term if total is None else badd[total, term]
-        return total
+    def det(cols):  # the minor on the last len(cols) rows and the columns `cols`
+        if len(cols) == 1:
+            return es[:, (n - 1) * n + cols[0]]
+        if cols not in minors:
+            row = (n - len(cols)) * n
+            total = None
+            for t, c in enumerate(cols):
+                term = bmul[es[:, row + c], det(cols[:t] + cols[t + 1:])]
+                if t % 2:
+                    term = bneg[term]
+                total = term if total is None else badd[total, term]
+            minors[cols] = total
+        return minors[cols]
 
-    return det(tuple(range(n)), tuple(range(n)))
+    return det(tuple(range(n)))
+
+
+def _adjugates(base: Ring, es: np.ndarray, n: int) -> np.ndarray:
+    """Adjugate (transposed cofactor matrix) of each row of `es`, for n >= 2.
+
+    Cofactor (i, j) is the signed determinant of the minor without row i
+    and column j, taken for the whole block by `_determinants`.
+    """
+    bneg = np.argmax(base.tables()[0] == 0, axis=1)
+    out = np.empty_like(es)
+    for i in range(n):
+        for j in range(n):
+            minor = [k for k in range(n * n) if k // n != i and k % n != j]
+            d = _determinants(base, es[:, minor], n - 1)
+            out[:, j * n + i] = bneg[d] if (i + j) % 2 else d
+    return out
+
+
+def _matrix_inverses(r: MatrixRing, indices) -> list[int]:
+    """Index of det^-1 * adj for each matrix index in `indices`, -1 for non-units.
+
+    One batch: the determinants and the adjugates of the units go through
+    `_determinants`, and each distinct determinant is inverted once by
+    `inverse_index` on the base.  For n = 1 the inverse is the base
+    inverse of the entry, so the base tables are not built.
+    """
+    base, n = r.base, r.n
+    es = np.array([r.entries(a) for a in indices], dtype=np.intp).reshape(-1, r.cells)
+    dets, where = np.unique(_determinants(base, es, n), return_inverse=True)
+    base_inv = [inverse_index(base, int(d)) for d in dets]
+    dinv = np.array([-1 if v is None else v for v in base_inv], dtype=np.intp)[where]
+    units = np.flatnonzero(dinv >= 0)
+    out = [-1] * len(es)
+    if not len(units):
+        return out
+    if n == 1:
+        inv_es = dinv[units, None]
+    else:
+        inv_es = base.tables()[1][dinv[units, None], _adjugates(base, es[units], n)]
+    for k, row in zip(units.tolist(), inv_es.tolist()):
+        out[k] = r.from_entries(row)
+    return out
 
 
 def _grid_blocks(r: MatrixRing, outer: list[int], outer_rows: np.ndarray, inner: list[int]):

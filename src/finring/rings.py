@@ -694,9 +694,10 @@ class ProductRing(Ring):
 class TableRingStructure(Ring):
     """A ring given by explicit addition and multiplication tables.
 
-    The tables are validated on construction: index 0 must be the additive
-    zero, a unity must exist (or match the one supplied, which must be an
-    integer in range(order)), and every ring axiom is checked exhaustively.
+    The tables are validated on construction by `verify_tables`: index 0
+    must be the additive zero, the unity (found by scan unless supplied,
+    then an integer in range(order)) a two-sided identity, and every ring
+    axiom is checked exhaustively.
     """
 
     kind = "table"
@@ -705,28 +706,18 @@ class TableRingStructure(Ring):
                  additive_type=None, name: str | None = None):
         add = np.ascontiguousarray(np.asarray(add_table, dtype=np.int32))
         mul = np.ascontiguousarray(np.asarray(mul_table, dtype=np.int32))
-        if add.ndim != 2 or add.shape[0] != add.shape[1] or add.shape != mul.shape:
-            raise ConstructionError("tables must be two square matrices of the same order")
+        _check_table_shapes(add, mul)
         n = add.shape[0]
         if zero != 0:
             raise ConstructionError("tables must be indexed so that 0 is the additive zero")
-        for label, t in (("add", add), ("mul", mul)):
-            if t.size and ((t < 0) | (t >= n)).any():
-                raise ConstructionError(f"{label} table entries must be indices in range(0, {n})")
-        arange = np.arange(n, dtype=np.int32)
-        if not (add[0] == arange).all():
-            raise ConstructionError("index 0 is not the additive zero of the add table")
         if one is None:
+            arange = np.arange(n, dtype=np.int32)
             for e in range(n):
                 if (mul[e] == arange).all() and (mul[:, e] == arange).all():
                     one = e
                     break
             else:
                 raise ConstructionError("multiplication table has no unity element")
-        else:
-            _check_unity_index(one, n)
-            if not ((mul[one] == arange).all() and (mul[:, one] == arange).all()):
-                raise ConstructionError(f"declared unity {one} is not a two-sided identity")
         verify_tables(add, mul, one)
         super().__init__(n, int(one), name or f"table({n})")
         self._add = add
@@ -866,13 +857,18 @@ _AXIOM_BLOCK_ENTRIES = 1 << 16
 _AXIOM_BLOCK_MIN_ROWS = 4
 
 
-def _check_unity_index(one, n: int) -> None:
-    if not (isinstance(one, (int, np.integer)) and 0 <= one < n):
-        raise ConstructionError(f"declared unity {one!r} is not an element index in range(0, {n})")
-
-
 def _axiom_fail(axiom: str, witness: str):
     raise ConstructionError(f"ring axiom violated: {axiom} at {witness}")
+
+
+def _check_table_shapes(add: np.ndarray, mul: np.ndarray) -> None:
+    """Two square tables of one order whose entries are all element indices."""
+    if add.ndim != 2 or add.shape[0] != add.shape[1] or add.shape != mul.shape:
+        raise ConstructionError("tables must be two square matrices of the same order")
+    n = add.shape[0]
+    for label, t in (("add", add), ("mul", mul)):
+        if t.size and (t.dtype.kind not in "iu" or t.min() < 0 or t.max() >= n):
+            raise ConstructionError(f"{label} table entries must be indices in range(0, {n})")
 
 
 def verify_tables(add, mul, one: int) -> None:
@@ -884,13 +880,17 @@ def verify_tables(add, mul, one: int) -> None:
     _AXIOM_BLOCK_ENTRIES entries per array.  Only a failing block is then
     checked a by a, to name the first witness: the failure raises a
     ConstructionError naming the axiom and the witness, exactly as checking
-    every a in turn would.  A `one` that is not an integer in range(order)
-    is rejected first, before numpy could wrap or reject it as an index.
+    every a in turn would.  Tables that are not two square integer arrays
+    of one order with every entry in range(order), and a `one` that is not
+    an integer in range(order), are rejected first, before numpy could
+    wrap or reject them as indices.
     """
     add = np.asarray(add)
     mul = np.asarray(mul)
+    _check_table_shapes(add, mul)
     n = add.shape[0]
-    _check_unity_index(one, n)
+    if not (isinstance(one, (int, np.integer)) and 0 <= one < n):
+        raise ConstructionError(f"declared unity {one!r} is not an element index in range(0, {n})")
     arange = np.arange(n, dtype=add.dtype)
 
     if not (add == add.T).all():
@@ -1043,49 +1043,6 @@ def invariant_factor_chain(per_prime) -> tuple[int, ...]:
             if i < len(part):
                 d *= p ** part[i]
         out.append(d)
-    return tuple(out)
-
-
-# ---------------------------------------------------------------------------
-# matrix helpers (commutative base)
-
-
-def matrix_determinant(base: Ring, entries, n: int) -> int:
-    """Determinant by cofactor expansion; valid over a commutative base."""
-    es = list(entries)
-
-    def det(rows, cols):
-        if len(rows) == 1:
-            return es[rows[0] * n + cols[0]]
-        r0, rest = rows[0], rows[1:]
-        total = 0
-        for t, c in enumerate(cols):
-            entry = es[r0 * n + c]
-            if entry == 0:
-                continue
-            minor = det(rest, cols[:t] + cols[t + 1:])
-            term = base.mul(entry, minor)
-            total = base.add(total, term if t % 2 == 0 else base.neg(term))
-        return total
-
-    return det(tuple(range(n)), tuple(range(n)))
-
-
-def matrix_adjugate(base: Ring, entries, n: int) -> tuple[int, ...]:
-    """Adjugate (transposed cofactor matrix) over a commutative base."""
-    es = list(entries)
-    if n == 1:
-        return (base.one,)
-    out = [0] * (n * n)
-    for i in range(n):
-        rows = tuple(r for r in range(n) if r != i)
-        for j in range(n):
-            cols = tuple(c for c in range(n) if c != j)
-            sub = [es[r * n + c] for r in rows for c in cols]
-            m = matrix_determinant(base, sub, n - 1)
-            if (i + j) % 2:
-                m = base.neg(m)
-            out[j * n + i] = m
     return tuple(out)
 
 

@@ -39,7 +39,26 @@ from finring import (
     unit_group,
     unit_sum,
 )
-from finring.rings import matrix_determinant
+
+
+def matrix_determinant(base, entries, n):
+    """Determinant by cofactor expansion, one base-ring call at a time: the
+    scalar reference for the vectorized `_determinants`."""
+    es = list(entries)
+
+    def det(rows, cols):
+        if len(rows) == 1:
+            return es[rows[0] * n + cols[0]]
+        total = 0
+        for t, c in enumerate(cols):
+            entry = es[rows[0] * n + c]
+            if entry == 0:
+                continue
+            term = base.mul(entry, det(rows[1:], cols[:t] + cols[t + 1:]))
+            total = base.add(total, term if t % 2 == 0 else base.neg(term))
+        return total
+
+    return det(tuple(range(n)), tuple(range(n)))
 
 
 # ---------------------------------------------------------------------------
@@ -159,38 +178,87 @@ def test_unit_group_m2_gf2():
     assert ug.sum.index == m.zero
 
 
-def test_matrix_units_take_one_adjugate_each(monkeypatch):
+def test_matrix_unit_group_takes_one_kernel_batch(monkeypatch):
     # the radical and the unit group read their units from the table; the
-    # unit group cross-checks each unit's table inverse by one adjugate
-    calls = []
-    adjugate = analysis._matrix_inverse_adjugate
+    # unit group cross-checks every table inverse in one kernel batch, and
+    # never calls inverse_index on the matrix ring itself
+    batches, singles = [], []
+    kernel, single = analysis._matrix_inverses, analysis.inverse_index
 
-    def counting(r, a):
-        calls.append(a)
-        return adjugate(r, a)
+    def counting_kernel(r, indices):
+        batches.append(list(indices))
+        return kernel(r, indices)
 
-    monkeypatch.setattr(analysis, "_matrix_inverse_adjugate", counting)
+    def counting_single(r, a):
+        singles.append(r)
+        return single(r, a)
+
+    monkeypatch.setattr(analysis, "_matrix_inverses", counting_kernel)
+    monkeypatch.setattr(analysis, "inverse_index", counting_single)
     m = make_matrix_ring(2, make_gf(2))
     assert jacobson_radical(m).is_zero
-    assert calls == []
-    assert unit_group(m).count == 6
-    assert len(calls) == 6
+    assert batches == [] and singles == []
+    ug = unit_group(m)
+    assert ug.count == 6
+    assert batches == [[u.index for u in ug.units]]
+    assert m not in singles
 
 
 def test_unit_group_cross_checks_table_inverses(monkeypatch):
     # a unit whose independent inverse disagrees with its table inverse
-    # must stop unit_group, on the adjugate route and the modular one
-    real = analysis.inverse_index
-    for r in (make_matrix_ring(2, make_gf(2)), make_zn(12)):
-        bad = unit_group(r).units[-1].index
+    # must stop unit_group, on the kernel batch and on the modular route
+    m, z = make_matrix_ring(2, make_gf(2)), make_zn(12)
+    kernel, single = analysis._matrix_inverses, analysis.inverse_index
+    bad_m, bad_z = unit_group(m).units[-1].index, unit_group(z).units[-1].index
 
-        def wrong(ring, a, r=r, bad=bad):
-            return ring.one if ring is r and a == bad else real(ring, a)
+    def wrong_kernel(r, indices):
+        return [r.one if a == bad_m else v for a, v in zip(indices, kernel(r, indices))]
 
-        monkeypatch.setattr(analysis, "inverse_index", wrong)
+    def wrong_single(r, a):
+        return r.one if r is z and a == bad_z else single(r, a)
+
+    for name, wrong, ring in (("_matrix_inverses", wrong_kernel, m),
+                              ("inverse_index", wrong_single, z)):
+        monkeypatch.setattr(analysis, name, wrong)
         with pytest.raises(ConstructionError, match="inverse_index disagrees"):
-            unit_group(r)
-        monkeypatch.setattr(analysis, "inverse_index", real)
+            unit_group(ring)
+        monkeypatch.undo()
+
+
+def _scan_inverses(r):
+    """`inverse_by_scan` for every element at once: the first y with
+    a*y = y*a = one, read from the dense table, or -1."""
+    is_one = r.tables()[1] == r.one
+    both = is_one & is_one.T
+    return np.where(both.any(axis=1), np.argmax(both, axis=1), -1).tolist()
+
+
+@pytest.mark.parametrize("expr", ["M(2,Z(4))", "M(2,Z(6))", "UT(3,Z(4))", "M(1,Z(6))"])
+def test_matrix_inverses_match_the_scan(expr):
+    r = parse_ring(expr)
+    got = analysis._matrix_inverses(r, range(r.order))
+    assert got == _scan_inverses(r)
+    if r.order <= 256:  # the scalar scan itself, where it is quick
+        scanned = (inverse_by_scan(r, a) for a in range(r.order))
+        assert got == [-1 if v is None else v for v in scanned]
+
+
+@pytest.mark.parametrize("expr", ["M(2,GF(4))", "M(3,GF(2))", "UT(3,GF(4))"])
+def test_matrix_inverses_match_row_reduction(expr):
+    r = parse_ring(expr)
+    want = [matrix_inverse_row_reduce(r, a) for a in range(r.order)]
+    assert analysis._matrix_inverses(r, range(r.order)) == [-1 if v is None else v
+                                                            for v in want]
+
+
+def test_matrix_inverse_edges_above_the_table_cap():
+    # n >= 2 needs the base tables, so a base above the cap is refused;
+    # n = 1 never builds them, so GF(4099) inverts
+    with pytest.raises(ConstructionError, match="dense-table cap"):
+        inverse_index(parse_ring("M(2,GF(8192))"), 5)
+    m = parse_ring("M(1,GF(4099))")
+    inv = is_unit(m, 5)
+    assert inv is not None and m.mul(5, inv.index) == m.one
 
 
 def test_unit_census_matches_unit_group():

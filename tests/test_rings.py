@@ -395,6 +395,23 @@ def test_verify_tables_reports_witness():
         verify_tables(np.array(broken), np.array(mul), one=1)
 
 
+def test_verify_tables_checks_shapes_and_ranges():
+    # out-of-range entries would raise IndexError or wrap around as indices,
+    # float entries are no indices at all, and mismatched orders would fail
+    # numpy's broadcast
+    add, mul = (np.array(t) for t in _zn_tables(3))
+    for bad in (9, -1):
+        wrong = mul.copy()
+        wrong[2, 2] = bad
+        with pytest.raises(ConstructionError, match="entries must be indices"):
+            verify_tables(add, wrong, 1)
+    with pytest.raises(ConstructionError, match="entries must be indices"):
+        verify_tables(add, mul.astype(float), 1)
+    add2, _ = _zn_tables(2)
+    with pytest.raises(ConstructionError, match="square matrices of the same order"):
+        verify_tables(np.array(add2), mul, 1)
+
+
 @pytest.mark.parametrize("one", [-1, 2, 1.5])
 def test_declared_unity_must_be_an_element_index(one):
     # -1 would wrap to the last row and 2 overrun it; 1.5 is no index at all

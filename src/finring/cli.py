@@ -243,7 +243,9 @@ def build_parser() -> argparse.ArgumentParser:
     en.add_argument("--budget", type=int, default=None, metavar="NODES",
                     help="search-node budget (required for orders above 8)")
     en.add_argument("--resume", metavar="TOKEN", default=None,
-                    help="resume token from an earlier budget-stopped run")
+                    help="resume token from an earlier budget-stopped run of the same "
+                         "mode: tokens of raw runs (v1:N:f:...) and of --up-to-iso runs "
+                         "(v1:N:fi:...) name nodes of different search trees")
     en.add_argument("--json", action="store_true")
     en.set_defaults(func=cmd_enumerate)
 

@@ -5,9 +5,17 @@ The search runs one additive group shape at a time: pick the abelian group
 products g_i * g_j as structure constants.  Bilinearity extends any such
 choice to a full multiplication table, so the search space is the r*r
 constant grid, pruned as it is filled by checking associativity on every
-generator triple whose products are already determined.  Unity detection
-runs last, by scanning for an element that fixes all generators on both
-sides; tables without a unity are discarded.
+generator triple whose products are already determined.  The raw search
+detects the unity last, by scanning each leaf for an element that fixes
+all generators on both sides; tables without a unity are discarded.
+
+The search up to isomorphism pins the unity instead.  A unital ring's
+characteristic is the order of 1 and also the exponent of its additive
+group, so Z*1 is a cyclic subgroup of maximal order, hence a direct
+summand, and some additive automorphism sends 1 to the first generator
+g_0.  Every class therefore has a member with g_0 g_j = g_j g_0 = g_j for
+all j: those positions get g_j as their only candidate, and every leaf of
+this pinned tree has unity g_0, with no scan.
 
 Orders up to 8 enumerate without restriction.  Orders 9..16 are
 best-effort: they require an explicit node budget and fail gracefully
@@ -18,6 +26,8 @@ Isomorphism classing relies on the fact that, at these orders, every ring
 isomorphism is in particular an isomorphism of additive groups: two rings
 on the same canonical additive labeling are ring-isomorphic exactly when
 an additive automorphism carries one multiplication table to the other.
+An isomorphism between two pinned rings maps unity to unity, so it fixes
+g_0: the pinned classes are the orbits of Stab(g_0) in Aut(G).
 """
 
 from __future__ import annotations
@@ -165,7 +175,8 @@ class _ShapeContext:
     of each element (`digit_array`: all digits, one row per element), and
     `K[i][j]` the candidate values for the structure constant g_i * g_j
     (the elements gcd(d_i, d_j) kills, since that scalar kills both
-    generators).
+    generators).  `const_cells` are the flat cells of the products g_i g_j
+    in an n x n table, in position order.
     """
 
     def __init__(self, factors: tuple[int, ...]):
@@ -211,6 +222,7 @@ class _ShapeContext:
         self.positions = positions
         posidx = {p: k for k, p in enumerate(positions)}
         self.P = [[posidx[(i, j)] for j in range(r)] for i in range(r)]
+        self.const_cells = np.array([self.gens[i] * n + self.gens[j] for i, j in positions])
         # generator triple (i, j, k) as the positions it reads: g_i g_j, g_j g_k,
         # then g_m g_k and g_i g_m for the digits m of those two products; each
         # starts in the watch list of the later of its first two (see _dfs_stream)
@@ -223,8 +235,11 @@ class _ShapeContext:
                          [self.P[i][m] for m in range(r)]))
         self.digit_array = np.array([decode(x) for x in range(n)], dtype=np.int64)
 
-    def candidate_lists(self, reverse: bool) -> list[list[int]]:
-        out = [self.K[i][j] for (i, j) in self.positions]
+    def candidate_lists(self, reverse: bool, pinned: bool = False) -> list[list[int]]:
+        """Candidate values per position; `pinned` makes g_0 the unity, so
+        (0, j) and (j, 0) take g_j alone."""
+        out = [[self.gens[i + j]] if pinned and 0 in (i, j) else self.K[i][j]
+               for (i, j) in self.positions]
         if reverse:
             out = [list(reversed(c)) for c in out]
         return out
@@ -245,7 +260,7 @@ def _shape_context(factors) -> _ShapeContext:
 
 
 def _dfs_stream(ctx: _ShapeContext, reverse: bool = False, budget=None,
-                start_path=None, token_prefix: str = ""):
+                start_path=None, token_prefix: str = "", pinned: bool = False):
     """Yield every structure-constant assignment that stays associative.
 
     Position d of the wavefront order is filled at depth d.  A generator
@@ -268,9 +283,10 @@ def _dfs_stream(ctx: _ShapeContext, reverse: bool = False, budget=None,
     the node about to be visited.  `start_path` resumes from exactly such
     a path: subtrees lexicographically before it are skipped and the
     spine nodes above the target are replayed without consuming budget.
+    `pinned` searches the tree whose unity is g_0 (`candidate_lists`).
     """
     npos = len(ctx.positions)
-    cands = ctx.candidate_lists(reverse)
+    cands = ctx.candidate_lists(reverse, pinned)
     add, terms = ctx.add, ctx.terms
     watch = [list(w) for w in ctx.watch]
     C = [-1] * npos
@@ -385,11 +401,45 @@ def _unital_tables(ctx: _ShapeContext, assignments):
             yield _full_mul(ctx, consts), e
 
 
+def _class_tables(ctx: _ShapeContext, assignments, reverse: bool, start_path):
+    """Filter a pinned constant stream down to one (flat mul table, unity)
+    pair per isomorphism class: each Stab(g_0)-orbit's first member in
+    search order.
+
+    A leaf whose constants are not yet seen is relabeled by every row of
+    Stab(g_0), and the constants of its whole orbit are marked seen.  The
+    orbit's first member is its least constant tuple (greatest when
+    reversed), since the candidate lists ascend (descend).  A fresh search
+    meets every new orbit at that member.  A search resumed at
+    `start_path` meets only the leaves at or after that node, so it emits
+    a new orbit only if the first member is among them: earlier members
+    belong to the chunks before, which emitted the orbit already.
+    """
+    cands = ctx.candidate_lists(reverse, pinned=True)
+    start = bytes(cands[d][i] for d, i in enumerate(start_path))
+    seen: set[bytes] = set()
+    for consts in assignments:
+        if bytes(consts) in seen:
+            continue
+        mul = _full_mul(ctx, consts)
+        orbit = {bytes(row) for block in _relabelings(ctx, mul, fixing_g0=True)
+                 for row in block[:, ctx.const_cells]}
+        seen |= orbit
+        if reverse:
+            emit = max(orbit)[:len(start)] <= start
+        else:
+            emit = min(orbit)[:len(start)] >= start
+        if emit:
+            yield mul, ctx.gens[0]
+
+
 # ---------------------------------------------------------------------------
 # additive isomorphisms, automorphisms, and orbit dedup
 
 
-_AUTOS_CACHE: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
+# factors -> {fixing_g0: (automorphism rows, inverse rows)}; the rows with
+# fixing_g0 True are Stab(g_0), sliced once from the whole group's.
+_AUTOS_CACHE: dict[tuple[int, ...], dict[bool, tuple[np.ndarray, np.ndarray]]] = {}
 
 # Additive maps are built and narrowed in blocks of about this many rows, so
 # no intermediate (a uint8 array, or the index arrays numpy makes for fancy
@@ -444,9 +494,11 @@ def _additive_maps(ctx: _ShapeContext, add):
     yield from extend(0, np.zeros((1, 1), dtype=np.uint8))
 
 
-def _shape_automorphisms(ctx: _ShapeContext) -> tuple[np.ndarray, np.ndarray]:
+def _shape_automorphisms(ctx: _ShapeContext,
+                         fixing_g0: bool = False) -> tuple[np.ndarray, np.ndarray]:
     """The shape's automorphisms as uint8 rows, in image-tuple order, with
-    each row's inverse; both cached read-only."""
+    each row's inverse; both cached read-only.  With `fixing_g0`, only the
+    rows of Stab(g_0), those with phi(g_0) = g_0."""
     if ctx.factors not in _AUTOS_CACHE:
         autos = np.concatenate(list(_additive_maps(ctx, ctx.add_np)))
         expected = abelian_automorphism_count(ctx.factors)
@@ -457,20 +509,25 @@ def _shape_automorphisms(ctx: _ShapeContext) -> tuple[np.ndarray, np.ndarray]:
         inverse = np.concatenate([np.argsort(autos[start:start + _AUTO_BLOCK], axis=1)
                                   .astype(np.uint8)
                                   for start in range(0, len(autos), _AUTO_BLOCK)])
-        autos.setflags(write=False)
-        inverse.setflags(write=False)
-        _AUTOS_CACHE[ctx.factors] = autos, inverse
-    return _AUTOS_CACHE[ctx.factors]
+        g0 = ctx.gens[0]
+        stab = autos[:, g0] == g0
+        pairs = {False: (autos, inverse), True: (autos[stab], inverse[stab])}
+        for rows in pairs.values():
+            for a in rows:
+                a.setflags(write=False)
+        _AUTOS_CACHE[ctx.factors] = pairs
+    return _AUTOS_CACHE[ctx.factors][fixing_g0]
 
 
-def _relabelings(ctx: _ShapeContext, mul):
+def _relabelings(ctx: _ShapeContext, mul, fixing_g0: bool = False):
     """Yield `mul` (flat or square, on the shape's labeling) relabeled by
     every automorphism phi, as uint8 blocks with one flat table per row:
-    rel[phi x, phi y] = phi[mul[x, y]].  Together the rows are the orbit.
+    rel[phi x, phi y] = phi[mul[x, y]].  Together the rows are the orbit,
+    under Stab(g_0) alone with `fixing_g0`.
     """
     n = ctx.order
     mul = np.asarray(mul, dtype=np.uint8).reshape(n, n)
-    autos, inverses = _shape_automorphisms(ctx)
+    autos, inverses = _shape_automorphisms(ctx, fixing_g0)
     for start in range(0, len(autos), _RELABEL_BLOCK):
         phi = autos[start:start + _RELABEL_BLOCK]
         inv = inverses[start:start + _RELABEL_BLOCK]
@@ -483,7 +540,11 @@ def _relabelings(ctx: _ShapeContext, mul):
 
 
 def _parse_resume(token: str, order: int, mode: str, shapes) -> tuple[int, list[int]]:
-    """The shape index and the path, a node of that shape's tree, a token names."""
+    """The shape index and the path, a node of that shape's tree, a token names.
+
+    Raw modes are "f" and "r"; "fi" and "ri" name nodes of the pinned tree
+    that the search up to isomorphism walks.
+    """
     malformed = ConstructionError(f"malformed resume token: {token!r}")
     parts = token.split(":")
     if len(parts) != 5 or parts[0] != _TOKEN_VERSION:
@@ -504,7 +565,7 @@ def _parse_resume(token: str, order: int, mode: str, shapes) -> tuple[int, list[
             f"resume token {token!r} names shape {shape}, but order {order} "
             f"has only {len(shapes)} additive shapes")
     ctx = _shape_context(shapes[shape].invariant_factors)
-    sizes = [len(ctx.K[i][j]) for i, j in ctx.positions]
+    sizes = [len(c) for c in ctx.candidate_lists(False, pinned=mode.endswith("i"))]
     if len(path) > len(sizes) or any(not 0 <= p < size for p, size in zip(path, sizes)):
         raise malformed
     return shape, path
@@ -515,13 +576,18 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = False, *,
                            budget: int | None = None, resume: str | None = None):
     """Stream every unital ring of the order as validated explicit-table rings.
 
-    With `up_to_iso` the stream keeps exactly one representative per
-    isomorphism class (the first found).  `search_order` ("forward" or
-    "reversed") flips the candidate order at every branch point — an
+    The raw stream holds every unital table on each shape's labeling, each
+    leaf's unity found by a scan.  With `up_to_iso` the search walks the
+    pinned tree, where g_0 is the unity (label 1 from order 2 on), and
+    keeps one representative per isomorphism class: the first member of
+    its Stab(g_0)-orbit found in search order.  `search_order` ("forward"
+    or "reversed") flips the candidate order at every branch point — an
     independent traversal whose canonical-form sets must coincide with the
-    forward run.  Orders above 8 require an explicit node `budget`; when it
-    runs out, a BudgetError carries a `resume` token that continues the
-    stream exactly where it stopped.
+    forward run.  Orders above 8 require an explicit node `budget` in both
+    modes; when it runs out, a BudgetError carries a `resume` token that
+    continues the stream exactly where it stopped.  Tokens name nodes of
+    the tree searched, so a raw token ("f", "r") resumes only a raw run,
+    and an up-to-iso token ("fi", "ri") only an up-to-iso run.
     """
     if not isinstance(order, int) or order < 1:
         raise ConstructionError(f"enumeration order must be a positive integer, got {order}")
@@ -532,7 +598,8 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = False, *,
         raise ConstructionError(f"search_order must be 'forward' or 'reversed', got {search_order!r}")
     if budget is not None and (not isinstance(budget, int) or budget < 0):
         raise ConstructionError(f"budget must be a non-negative integer, got {budget}")
-    mode = "f" if search_order == "forward" else "r"
+    reverse = search_order == "reversed"
+    mode = ("r" if reverse else "f") + ("i" if up_to_iso else "")
     if order > MANDATORY_MAX_ORDER and budget is None and resume is None:
         raise BudgetError(
             f"order {order} is best-effort: pass an explicit node budget "
@@ -546,7 +613,6 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = False, *,
             raise BudgetError(
                 f"order {order} is best-effort: pass an explicit node budget along with the token",
                 resume_token=resume)
-    reverse = mode == "r"
     budget_cell = None if budget is None else [int(budget)]
 
     def run():
@@ -556,16 +622,13 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = False, *,
             ctx = _shape_context(shape.invariant_factors)
             token_prefix = f"{_TOKEN_VERSION}:{order}:{mode}:{si}:"
             path = start_path if si == start_shape else []
-            pairs = _unital_tables(
-                ctx, _dfs_stream(ctx, reverse=reverse, budget=budget_cell,
-                                 start_path=path, token_prefix=token_prefix))
-            seen: set[bytes] = set()
+            leaves = _dfs_stream(ctx, reverse=reverse, budget=budget_cell, start_path=path,
+                                 token_prefix=token_prefix, pinned=up_to_iso)
+            if up_to_iso:
+                pairs = _class_tables(ctx, leaves, reverse, path)
+            else:
+                pairs = _unital_tables(ctx, leaves)
             for mul_flat, one in pairs:
-                if up_to_iso:
-                    if bytes(mul_flat) in seen:
-                        continue
-                    for block in _relabelings(ctx, mul_flat):
-                        seen.update(map(bytes, block))
                 n = ctx.order
                 ring = make_table_ring(ctx.add_np, mul_flat.reshape(n, n), one=one,
                                        additive_type=shape.invariant_factors,

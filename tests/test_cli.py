@@ -232,6 +232,34 @@ def test_enumerate_resume_index_out_of_range_is_usage(cli):
     assert "malformed resume token" in err
 
 
+def test_enumerate_resume_token_of_the_other_mode_is_usage(cli):
+    code, doc, _ = run_json(cli, "enumerate", "8", "--up-to-iso", "--budget", "100")
+    assert code == EXIT_RESOURCE
+    iso_token = doc["resume_token"]
+    assert iso_token.startswith("v1:8:fi:")
+    for argv in (["8", "--resume", iso_token],
+                 ["8", "--up-to-iso", "--resume", "v1:8:f:0:"]):
+        code, out, err = cli("enumerate", *argv)
+        assert code == EXIT_USAGE, argv
+        assert out == "" and "does not match" in err
+
+
+def test_enumerate_iso_budget_resumes_to_the_full_stream(cli):
+    _, full, _ = cli("enumerate", "8", "--up-to-iso")
+    code, out, err = cli("enumerate", "8", "--up-to-iso", "--budget", "100")
+    assert code == EXIT_RESOURCE
+    chunks = [out]
+    while code == EXIT_RESOURCE:
+        token = err.split("--resume '")[1].split("'")[0]
+        code, out, err = cli("enumerate", "8", "--up-to-iso", "--budget", "100",
+                             "--resume", token)
+        chunks.append(out)
+    assert code == EXIT_OK
+    blocks = [b.strip() for chunk in chunks for b in chunk.split("\n\n") if b.strip()]
+    assert blocks == [b.strip() for b in full.split("\n\n") if b.strip()]
+    assert len(blocks) == 11 and len(chunks) > 2
+
+
 def test_enumerate_order_out_of_scope(cli):
     code, _, err = cli("enumerate", "17")
     assert code == EXIT_USAGE

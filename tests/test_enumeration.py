@@ -21,6 +21,7 @@ from finring import (
     characteristic,
     enumerate_unital_rings,
     is_boolean,
+    is_commutative,
     make_gf,
     make_matrix_ring,
     make_product,
@@ -35,9 +36,11 @@ from finring import (
 )
 from finring.enumeration import (
     _additive_maps,
+    _dfs_stream,
     _relabelings,
     _shape_automorphisms,
     _shape_context,
+    _unital_tables,
 )
 
 # Isomorphism-class counts of unital rings, pinned by exhaustive search.
@@ -201,6 +204,22 @@ def test_emitted_rings_do_not_share_the_shape_add_table():
     assert len(list(enumerate_unital_rings(4))) == 14
 
 
+def test_stabilizer_rows_fix_the_first_generator():
+    # Stab(g_0) is sliced from the cached Aut(G) array: for (2,2,2,2) the
+    # 20160 automorphisms send g_0 to each of the 15 nonzero elements equally
+    for order in (4, 8, 9, 12, 16):
+        for shape in abelian_group_shapes(order):
+            ctx = _shape_context(shape.invariant_factors)
+            autos, inverses = _shape_automorphisms(ctx)
+            stab, stab_inv = _shape_automorphisms(ctx, fixing_g0=True)
+            g0 = ctx.gens[0]
+            assert (stab == autos[autos[:, g0] == g0]).all(), shape
+            assert (stab_inv == inverses[autos[:, g0] == g0]).all(), shape
+            assert not stab.flags.writeable and not stab_inv.flags.writeable
+    stab, _ = _shape_automorphisms(_shape_context((2, 2, 2, 2)), fixing_g0=True)
+    assert len(stab) == 1344
+
+
 # ---------------------------------------------------------------------------
 # enumeration counts and soundness
 
@@ -240,6 +259,12 @@ def test_every_iso_class_appears_in_raw(enum_raw, enum_iso):
         iso_forms = {canonical_form(r) for r in enum_iso[n]}
         assert raw_forms == iso_forms
         assert len(iso_forms) == ISO_COUNTS[n]
+
+
+def test_iso_representatives_have_unity_one(enum_iso):
+    # the up-to-iso search pins the unity to the first generator, label 1
+    for n, rings in enum_iso.items():
+        assert all(r.one == 1 for r in rings), n
 
 
 def test_dual_search_orders_agree(enum_iso):
@@ -312,6 +337,67 @@ def test_chunked_resume_reproduces_full_stream(enum_raw):
     assert chunks == full
 
 
+def _chunked_stream(order, budget, search_order="forward", up_to_iso=True):
+    """Serialized rings of a run resumed chunk by chunk until it finishes,
+    and the number of chunks."""
+    out, token, rounds = [], None, 0
+    while True:
+        rounds += 1
+        assert rounds < 1000
+        try:
+            for r in enumerate_unital_rings(order, up_to_iso=up_to_iso, budget=budget,
+                                            resume=token, search_order=search_order):
+                out.append(serialize_table_ring(r))
+            return out, rounds
+        except BudgetError as exc:
+            token = exc.resume_token
+
+
+@pytest.mark.parametrize("search_order", ["forward", "reversed"])
+@pytest.mark.parametrize("budget", [50, 500, 5000])
+def test_chunked_iso_resume_reproduces_full_stream(budget, search_order):
+    # a resumed run emits an orbit only if its first member lies at or
+    # after the token's node, so no class is emitted twice
+    full = [serialize_table_ring(r)
+            for r in enumerate_unital_rings(8, up_to_iso=True, search_order=search_order)]
+    chunks, rounds = _chunked_stream(8, budget, search_order)
+    assert len(full) == ISO_COUNTS[8]
+    assert chunks == full
+    if budget < 1000:
+        assert rounds > 1  # the budget actually split the pinned search
+
+
+def test_iso_tokens_name_the_pinned_tree():
+    with pytest.raises(BudgetError) as exc:
+        enumerate_unital_rings(12, up_to_iso=True)
+    assert exc.value.resume_token == "v1:12:fi:0:"
+    with pytest.raises(BudgetError) as exc:
+        enumerate_unital_rings(12, up_to_iso=True, search_order="reversed")
+    assert exc.value.resume_token == "v1:12:ri:0:"
+    with pytest.raises(BudgetError) as exc:
+        list(enumerate_unital_rings(8, up_to_iso=True, budget=100))
+    iso_token = exc.value.resume_token
+    assert iso_token.startswith("v1:8:fi:")
+    with pytest.raises(BudgetError) as exc:
+        list(enumerate_unital_rings(8, budget=100))
+    raw_token = exc.value.resume_token
+    assert raw_token.startswith("v1:8:f:")
+    # a token resumes only a run of its own mode
+    for token in (raw_token, "v1:8:f:0:", "v1:8:r:0:", "v1:8:ri:0:"):
+        with pytest.raises(ConstructionError, match="does not match"):
+            enumerate_unital_rings(8, up_to_iso=True, resume=token)
+    for token in (iso_token, "v1:8:fi:0:", "v1:8:ri:0:"):
+        with pytest.raises(ConstructionError, match="does not match"):
+            enumerate_unital_rings(8, resume=token)
+    # shape 0 of order 8 is Z_8, whose one position (0,0) is pinned; on
+    # (2,2,2) the positions (0,0), (0,1), (1,0), (0,2), (2,0) are pinned
+    for shape, path in ((0, "0"), (2, "0,0,0,3"), (2, "0,0,0,7,0,0,7,7,7")):
+        enumerate_unital_rings(8, up_to_iso=True, resume=f"v1:8:fi:{shape}:{path}")
+    for shape, path in ((0, "1"), (2, "0,1"), (2, "0,0,0,3,1"), (2, "0,0,0,8")):
+        with pytest.raises(ConstructionError, match="malformed resume token"):
+            enumerate_unital_rings(8, up_to_iso=True, resume=f"v1:8:fi:{shape}:{path}")
+
+
 def test_resume_token_validation():
     with pytest.raises(ConstructionError):
         list(enumerate_unital_rings(8, resume="garbage"))
@@ -348,6 +434,73 @@ def test_order_16_partial_stream_and_resume():
         pass
     for r in first + more:
         assert r.order == 16 and r.one != 0
+
+
+# ---------------------------------------------------------------------------
+# order 16 up to isomorphism, and orbit-stabilizer against the raw search
+
+# ample for the pinned order-16 tree (3.83 M nodes, nearly all on (2,2,2,2))
+ORDER_16_BUDGET = 10 ** 7
+
+
+@pytest.fixture(scope="module")
+def order_16_classes():
+    return list(enumerate_unital_rings(16, up_to_iso=True, budget=ORDER_16_BUDGET))
+
+
+def test_order_16_classification(order_16_classes):
+    # 50 unital rings of order 16 (OEIS A127708), 37 commutative (A127707)
+    forward = order_16_classes
+    assert len(forward) == 50
+    assert sum(is_commutative(r) for r in forward) == 37
+    assert all(r.one == 1 for r in forward)
+    forms = {canonical_form(r) for r in forward}
+    assert len(forms) == 50
+    reverse = list(enumerate_unital_rings(16, up_to_iso=True, search_order="reversed",
+                                          budget=ORDER_16_BUDGET))
+    assert {canonical_form(r) for r in reverse} == forms
+    # the theorem at order 16: the only ring whose only unit is 1 is B(4)
+    trivial = [r for r in forward if unit_count(r) == 1]
+    assert len(trivial) == 1
+    assert canonical_form(trivial[0]) == canonical_form(parse_ring("B(4)"))
+
+
+def test_order_16_chunked_iso_resume(order_16_classes):
+    chunks, rounds = _chunked_stream(16, 1_000_000)
+    assert rounds > 1
+    assert chunks == [serialize_table_ring(r) for r in order_16_classes]
+
+
+def _orbit_size(r):
+    """|Aut(G)| / |automorphisms fixing r's table|: r's labeled tables on its shape."""
+    ctx = _shape_context(r.additive_type)
+    mul = r.tables()[1].astype(np.uint8).ravel()
+    fixing = sum(int((block == mul).all(axis=1).sum()) for block in _relabelings(ctx, mul))
+    return abelian_automorphism_count(ctx.factors) // fixing
+
+
+def _raw_unital_leaves(factors):
+    ctx = _shape_context(factors)
+    return sum(1 for _ in _unital_tables(ctx, _dfs_stream(ctx)))
+
+
+@pytest.mark.parametrize("order, raw", [(4, 14), (8, 552), (9, 78), (12, 28)])
+def test_orbit_sizes_of_classes_sum_to_raw_counts(order, raw):
+    budget = None if order <= 8 else 10 ** 6
+    classes = list(enumerate_unital_rings(order, up_to_iso=True, budget=budget))
+    assert sum(_orbit_size(r) for r in classes) == raw
+    assert len(list(enumerate_unital_rings(order, budget=budget))) == raw
+
+
+def test_orbit_sizes_at_order_16_match_raw_leaves(order_16_classes):
+    by_shape = {}
+    for r in order_16_classes:
+        by_shape[r.additive_type] = by_shape.get(r.additive_type, 0) + _orbit_size(r)
+    assert by_shape == {(16,): 8, (8, 2): 32, (4, 4): 192, (4, 2, 2): 992,
+                        (2, 2, 2, 2): 122_760}
+    # the raw search finishes every shape but (2,2,2,2)
+    for factors in ((16,), (8, 2), (4, 4), (4, 2, 2)):
+        assert _raw_unital_leaves(factors) == by_shape[factors], factors
 
 
 # ---------------------------------------------------------------------------

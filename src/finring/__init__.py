@@ -14,7 +14,6 @@ from .rings import (
     DEFAULT_ORDER_CAP,
     TABLE_CAP,
     Elem,
-    FieldSpec,
     GFRing,
     MatrixRing,
     ProductRing,
@@ -98,7 +97,7 @@ __version__ = "1.0.0"
 
 __all__ = [
     "BudgetError", "ConstructionError", "ParseError", "RingMismatchError",
-    "DEFAULT_ORDER_CAP", "TABLE_CAP", "Elem", "FieldSpec", "GFRing",
+    "DEFAULT_ORDER_CAP", "TABLE_CAP", "Elem", "GFRing",
     "MatrixRing", "ProductRing", "QuotientRing", "Ring", "TableRingStructure",
     "ZnRing", "additive_invariant_factors",
     "least_irreducible", "make_boolean", "make_gf", "make_matrix_ring",

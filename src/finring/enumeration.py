@@ -554,7 +554,8 @@ def _parse_resume(token: str, order: int, mode: str, shapes) -> tuple[int, list[
         raise malformed
     if int(t_order) != order or t_mode != mode:
         raise ConstructionError(
-            f"resume token {token!r} does not match order={order}, search_order mode {mode!r}")
+            f"resume token {token!r} (order {t_order}, mode {t_mode!r}) does not match "
+            f"this run (order {order}, mode {mode!r})")
     try:
         path = [int(p) for p in t_path.split(",") if p != ""]
     except ValueError:

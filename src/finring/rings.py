@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,12 +41,9 @@ DEFAULT_ORDER_CAP = 1 << 20
 _BLOCK_ENTRIES = 1 << 20
 
 
-def row_blocks(rows: int, width: int, entries: int | None = None) -> list[slice]:
-    """Slices covering range(rows), each block about entries / width rows.
-
-    entries defaults to _BLOCK_ENTRIES, read at call time.
-    """
-    step = max(1, (entries or _BLOCK_ENTRIES) // max(1, width))
+def row_blocks(rows: int, width: int) -> list[slice]:
+    """Slices covering range(rows), each block about _BLOCK_ENTRIES / width rows."""
+    step = max(1, _BLOCK_ENTRIES // max(1, width))
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
 
 
@@ -186,20 +182,6 @@ def least_irreducible(p: int, s: int) -> tuple[int, ...]:
         else:  # pragma: no cover - an irreducible of every degree exists
             raise ConstructionError(f"no irreducible polynomial of degree {s} over Z_{p}")
     return _IRREDUCIBLE_CACHE[key]
-
-
-@dataclass(frozen=True)
-class FieldSpec:
-    """Parameters of a Galois field: order q = p**s and the fixed modulus.
-
-    `modulus` is little-endian (constant term first) including the leading
-    coefficient, so its length is s + 1.
-    """
-
-    p: int
-    s: int
-    q: int
-    modulus: tuple[int, ...]
 
 
 # ---------------------------------------------------------------------------
@@ -393,7 +375,6 @@ class GFRing(Ring):
         self.s = s
         self.q = q
         self.modulus = least_irreducible(p, s)
-        self.spec = FieldSpec(p=p, s=s, q=q, modulus=self.modulus)
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
 
@@ -697,7 +678,8 @@ class TableRingStructure(Ring):
     The tables are validated on construction by `verify_tables`: index 0
     must be the additive zero, the unity (found by scan unless supplied,
     then an integer in range(order)) a two-sided identity, and every ring
-    axiom is checked exhaustively.
+    axiom must hold, the cubic ones screened on additive generators in
+    O(log(order) * order**2) and checked row by row only to name a witness.
     """
 
     kind = "table"
@@ -849,14 +831,6 @@ class QuotientRing(Ring):
 # axiom verification
 
 
-# Entries per cubic-axiom block: the whole table up to order 40.  Measured at
-# orders 16-128, 2^16 beat both 2^15 and 2^17; blocks of two or three rows
-# (orders 129-181 here) ran up to 2x slower than one row at a time, so where
-# fewer than _AXIOM_BLOCK_MIN_ROWS rows fit a block is one row.
-_AXIOM_BLOCK_ENTRIES = 1 << 16
-_AXIOM_BLOCK_MIN_ROWS = 4
-
-
 def _axiom_fail(axiom: str, witness: str):
     raise ConstructionError(f"ring axiom violated: {axiom} at {witness}")
 
@@ -874,16 +848,15 @@ def _check_table_shapes(add: np.ndarray, mul: np.ndarray) -> None:
 def verify_tables(add, mul, one: int) -> None:
     """Check all eight unital-ring axioms on dense tables.
 
-    Quadratic axioms are checked whole-array; the cubic ones (both
-    associativities, both distributivities) for a block of elements a at a
-    time, a being the fixed factor of each axiom, with about
-    _AXIOM_BLOCK_ENTRIES entries per array.  Only a failing block is then
-    checked a by a, to name the first witness: the failure raises a
-    ConstructionError naming the axiom and the witness, exactly as checking
-    every a in turn would.  Tables that are not two square integer arrays
-    of one order with every entry in range(order), and a `one` that is not
-    an integer in range(order), are rejected first, before numpy could
-    wrap or reject them as indices.
+    Quadratic axioms are checked whole-array, the cubic ones (both
+    associativities and distributivities) by `_cubic_screen_holds` on at
+    most log2(order) additive generators, in O(log(order) * order**2).
+    Only a failing screen checks them a by a, a being the fixed factor of
+    each axiom, to raise a ConstructionError naming the axiom and the first
+    witness, exactly as checking every a in turn would.  Tables that are
+    not two square integer arrays of one order with every entry in
+    range(order), and a `one` that is not an integer in range(order), are
+    rejected first, before numpy could wrap or reject them as indices.
     """
     add = np.asarray(add)
     mul = np.asarray(mul)
@@ -911,56 +884,77 @@ def verify_tables(add, mul, one: int) -> None:
         b = int(np.nonzero(mul[:, one] != arange)[0][0])
         _axiom_fail("multiplicative identity", f"({b},{one})")
 
-    fits = _AXIOM_BLOCK_MIN_ROWS * n * n <= _AXIOM_BLOCK_ENTRIES
-    for rows in row_blocks(n, n * n, _AXIOM_BLOCK_ENTRIES if fits else n * n):
-        if _cubic_axioms_hold(add, mul, rows):
+    if _cubic_screen_holds(add, mul):
+        return
+    for a in range(n):
+        _check_cubic_row(add, mul, a)
+    raise RuntimeError("the cubic screen failed, but no row names a witness")
+
+
+def _additive_generators(add) -> list[int]:
+    """Greedy additive generators S: each the least element not yet reached.
+
+    x is reached when adding members of S on the left to 0 gets to it.  If
+    + is a group, each generator at least doubles the subgroup reached, so
+    |S| <= log2(order).
+    """
+    n = add.shape[0]
+    seen = [True] + [False] * (n - 1)
+    found, gens, rows = [0], [], []
+    for g in range(n):
+        if seen[g]:
             continue
-        for a in range(rows.start, rows.stop):
-            _check_cubic_row(add, mul, a)
-        raise RuntimeError(f"rows {rows.start}..{rows.stop - 1} fail a cubic axiom "
-                           "as a block but name no witness row by row")
+        gens.append(g)
+        rows.append(add[g].tolist())
+        for x in found:  # found grows while it is walked: breadth first
+            for row in rows:
+                y = row[x]
+                if not seen[y]:
+                    seen[y] = True
+                    found.append(y)
+    return gens
 
 
-def _cubic_axioms_hold(add, mul, rows: slice) -> bool:
-    """Both associativities and both distributivities for every a in rows, at once."""
-    def after(x, table):  # [a, b, c] -> x[a, table[b, c]]
-        return np.take(x, table, axis=1)
+def _cubic_screen_holds(add, mul) -> bool:
+    """The four cubic axioms, from checks on the additive generators S.
 
-    def sums(x):  # [a, b, c] -> x[a, b] + x[a, c]
-        return add[x[:, :, None], x[:, None, :]]
-
-    add_rows, mul_rows, mul_cols = add[rows], mul[rows], mul[:, rows].T
-    return bool((add[add_rows] == after(add_rows, add)).all()        # (a+b)+c = a+(b+c)
-                and (mul[mul_rows] == after(mul_rows, mul)).all()    # (ab)c = a(bc)
-                and (after(mul_rows, add) == sums(mul_rows)).all()   # a(b+c) = ab+ac
-                and (after(mul_cols, add) == sums(mul_cols)).all())  # (b+c)a = ba+ca
+    The quadratic axioms are taken as checked.  By Light's test (Clifford &
+    Preston, *The Algebraic Theory of Semigroups* I, section 1.2) + is
+    associative if (x+s)+y = x+(s+y) for all s in S, as the s passing it
+    are closed under + and generate.  Then a(s+b) = as+ab and (s+b)a =
+    sa+ba on S give both distributivities (b = 0 gives a0 = 0a = 0, and
+    the s passing are closed under +), after which both sides of (xy)z =
+    x(yz) are additive in x, y and z, so (st)u = s(tu) on S^3 is enough.
+    Each check is an instance of an axiom.  All of S goes at once, in
+    blocks of rows of the free element (x, a or b) of about _BLOCK_ENTRIES
+    entries; `np.take` gathers columns several times faster than a fancy
+    index at order 4096.
+    """
+    s = np.array(_additive_generators(add), dtype=np.intp)
+    sx, s_mul, mul_s = add[s], mul[s], mul[:, s]  # [s, x] -> s+x, sx, xs
+    for rows in row_blocks(add.shape[0], add.shape[0] * s.size):
+        if not ((add[sx[:, rows].T] == np.take(add[rows], sx, axis=1)).all()  # (x+s)+y = x+(s+y)
+                and (np.take(mul[rows], sx, axis=1)
+                     == add[mul_s[rows, :, None], mul[rows, None, :]]).all()   # a(s+b) = as+ab
+                and (mul[sx[:, rows]]
+                     == add[s_mul[:, None, :], mul[rows]]).all()):             # (s+b)a = sa+ba
+            return False
+    st = s_mul[:, s]
+    return bool((mul[st[:, :, None], s] == s_mul[:, st]).all())               # (st)u = s(tu)
 
 
 def _check_cubic_row(add, mul, a: int) -> None:
     """The cubic axioms for one fixed factor a; raises at the first failure."""
-    arow = add[a]
-    lhs = add[arow]          # (a+b)+c indexed [b, c]
-    rhs = arow[add]          # a+(b+c)
-    if not (lhs == rhs).all():
-        b, c = map(int, np.argwhere(lhs != rhs)[0])
-        _axiom_fail("additive associativity", f"({a},{b},{c})")
-    mrow = mul[a]
-    lhs = mul[mrow]          # (a*b)*c
-    rhs = mrow[mul]          # a*(b*c)
-    if not (lhs == rhs).all():
-        b, c = map(int, np.argwhere(lhs != rhs)[0])
-        _axiom_fail("multiplicative associativity", f"({a},{b},{c})")
-    lhs = mrow[add]                              # a*(b+c)
-    rhs = add[mrow[:, None], mrow[None, :]]      # a*b + a*c
-    if not (lhs == rhs).all():
-        b, c = map(int, np.argwhere(lhs != rhs)[0])
-        _axiom_fail("left distributivity", f"({a},{b},{c})")
-    mcol = mul[:, a]
-    lhs = mcol[add]                              # (b+c)*a
-    rhs = add[mcol[:, None], mcol[None, :]]      # b*a + c*a
-    if not (lhs == rhs).all():
-        b, c = map(int, np.argwhere(lhs != rhs)[0])
-        _axiom_fail("right distributivity", f"({b},{c},{a})")
+    arow, mrow, mcol = add[a], mul[a], mul[:, a]
+    for axiom, lhs, rhs in (
+            ("additive associativity", add[arow], arow[add]),             # (a+b)+c, a+(b+c)
+            ("multiplicative associativity", mul[mrow], mrow[mul]),       # (ab)c, a(bc)
+            ("left distributivity", mrow[add], add[mrow[:, None], mrow]),  # a(b+c), ab+ac
+            ("right distributivity", mcol[add], add[mcol[:, None], mcol])):  # (b+c)a, ba+ca
+        if not (lhs == rhs).all():
+            b, c = map(int, np.argwhere(lhs != rhs)[0])
+            right = axiom == "right distributivity"
+            _axiom_fail(axiom, f"({b},{c},{a})" if right else f"({a},{b},{c})")
 
 
 def verify_ring_axioms(ring: Ring) -> None:

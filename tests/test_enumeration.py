@@ -389,6 +389,13 @@ def test_iso_tokens_name_the_pinned_tree():
     for token in (iso_token, "v1:8:fi:0:", "v1:8:ri:0:"):
         with pytest.raises(ConstructionError, match="does not match"):
             enumerate_unital_rings(8, resume=token)
+    # the message names the token's mode and the run's
+    with pytest.raises(ConstructionError, match=r"'v1:8:fi:0:' \(order 8, mode 'fi'\) "
+                       r"does not match this run \(order 8, mode 'r'\)"):
+        enumerate_unital_rings(8, search_order="reversed", resume="v1:8:fi:0:")
+    with pytest.raises(ConstructionError, match=r"\(order 9, mode 'f'\) does not match "
+                       r"this run \(order 8, mode 'fi'\)"):
+        enumerate_unital_rings(8, up_to_iso=True, resume="v1:9:f:0:")
     # shape 0 of order 8 is Z_8, whose one position (0,0) is pinned; on
     # (2,2,2) the positions (0,0), (0,1), (1,0), (0,2), (2,0) are pinned
     for shape, path in ((0, "0"), (2, "0,0,0,3"), (2, "0,0,0,7,0,0,7,7,7")):

@@ -478,8 +478,8 @@ def _verdict(check, add, mul, one):
 
 
 def _corruptions(ring, count, rng):
-    """Seeded single-entry corruptions of each table, with the entry; for add
-    also the mirrored pair, which keeps it commutative so the cubic axioms
+    """Seeded single-entry corruptions of each table; for add also the
+    mirrored pair, which keeps it commutative so the cubic axioms
     are reached."""
     add, mul = (np.array(t) for t in ring.tables())
     n = ring.order
@@ -491,39 +491,105 @@ def _corruptions(ring, count, rng):
             bad[x, y] = v
             if mirrored:
                 bad[y, x] = v
-            yield ((bad, mul) if table is add else (add, bad)), (x, y)
+            yield (bad, mul) if table is add else (add, bad)
 
 
-def test_verify_tables_messages_match_row_oracle(enum_raw):
+CUBIC_AXIOMS = ("additive associativity", "multiplicative associativity",
+                "left distributivity", "right distributivity")
+
+
+# beside GF(16), rings whose additive groups are not elementary abelian, so
+# that greedy generators of additive order above 2 matter
+SCREEN_RINGS = ("Z(8)", "Z(9)", "Z(4) x Z(2)", "Z(4) x Z(4)", "GF(16)", "UT(2,Z(4))")
+
+
+def test_verify_tables_messages_match_row_oracle(enum_raw, monkeypatch):
+    # blocks of 64 entries: the screen runs in several row blocks from order 8 on
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 64)
     rng = random.Random(20131)
     population = [(r, 4) for n in range(2, 9) for r in enum_raw[n]]
     population += [(parse_ring(e), 30) for e in ("UT(3,Z(2))", "M(2,GF(2))", "GF(4) x Z(4)")]
+    population += [(parse_ring(e), 30) for e in SCREEN_RINGS]
     seen = set()
     for ring, count in population:
-        for (add, mul), entry in _corruptions(ring, count, rng):
+        assert rings._cubic_screen_holds(*(np.array(t) for t in ring.tables()))
+        for add, mul in _corruptions(ring, count, rng):
             got = _verdict(verify_tables, add, mul, ring.one)
             assert got == _verdict(oracle_verify_tables, add, mul, ring.one)
-            seen.add(got.split(" at ")[0] if got else None)
-            # the block screen alone against the oracle, at the corrupted entry's
-            # row and column element (where a failure of the entry shows)
-            for a in entry:
-                assert (rings._cubic_axioms_hold(add, mul, slice(a, a + 1))
-                        == (oracle_cubic_failure(add, mul, a) is None))
+            axiom = got and got.split(" at ")[0].removeprefix("ring axiom violated: ")
+            seen.add(axiom)
+            # the generator screen alone against the row oracle on the whole
+            # table, wherever the quadratic axioms hold, which it takes as given
+            if axiom in CUBIC_AXIOMS:
+                assert rings._cubic_screen_holds(add, mul) == all(
+                    oracle_cubic_failure(add, mul, a) is None for a in range(ring.order))
     # the corruptions reach every cubic axiom, not only the quadratic screens
-    for axiom in ("additive associativity", "multiplicative associativity",
-                  "left distributivity", "right distributivity"):
-        assert f"ring axiom violated: {axiom}" in seen
+    assert set(CUBIC_AXIOMS) <= seen
 
 
-@pytest.mark.parametrize("entries", [4 * 256, 5 * 256, 3 * 256])  # 4-row, 5-row, 1-row blocks
-def test_verify_tables_messages_across_axiom_blocks(entries, monkeypatch):
-    monkeypatch.setattr(rings, "_AXIOM_BLOCK_ENTRIES", entries)
-    rng = random.Random(entries)
-    for expr in ("M(2,GF(2))", "GF(4) x Z(4)"):
-        ring = parse_ring(expr)
-        for (add, mul), _ in _corruptions(ring, 20, rng):
-            assert (_verdict(verify_tables, add, mul, ring.one)
-                    == _verdict(oracle_verify_tables, add, mul, ring.one))
+@pytest.mark.parametrize("expr", ["Z(2)", "B(3)", "Z(12)", "GF(27)", "M(2,GF(2))",
+                                  "UT(3,Z(2))", *SCREEN_RINGS])
+def test_additive_generators_are_greedy_and_reach_every_element(expr):
+    ring = parse_ring(expr)
+    add, _ = ring.tables()
+    gens = rings._additive_generators(add)
+    span = {0}
+    for g in gens:
+        # each generator is the least element outside the subgroup the
+        # earlier ones generate
+        assert g == min(set(range(ring.order)) - span)
+        while (grown := span | {ring.add(g, x) for x in span}) != span:
+            span = grown
+    assert span == set(range(ring.order))
+    assert 2 ** len(gens) <= ring.order
+
+
+def _bit_tables(k, product):
+    """Tables on (Z_2)^k, element bits as coordinates, 1 the unity."""
+    n = 1 << k
+    return (np.array([[a ^ b for b in range(n)] for a in range(n)]),
+            np.array([[product(a, b) for b in range(n)] for a in range(n)]))
+
+
+def _xor_over_bits(a, value):
+    total = 0
+    for i in range(a.bit_length()):
+        if a >> i & 1:
+            total ^= value(i)
+    return total
+
+
+def test_verify_tables_rejects_products_failing_one_screen_check():
+    # each product passes every screen check but one, so dropping that one
+    # from the screen would accept it
+    # basis 1, x, y with x^2 = y, y^2 = x, xy = yx = 0: bilinear, not associative
+    consts = [[1, 2, 4], [2, 4, 0], [4, 0, 2]]
+    bilinear = _bit_tables(3, lambda a, b: _xor_over_bits(
+        a, lambda i: _xor_over_bits(b, lambda j: consts[i][j])))
+    # additive in a but not in b: 1*b = b, x*b = [0, x, 0, 0][b]
+    rows = [lambda b: b, lambda b: [0, 2, 0, 0][b]]
+    left_only = _bit_tables(2, lambda a, b: _xor_over_bits(a, lambda i: rows[i](b)))
+    for (add, mul), axiom in ((bilinear, "multiplicative associativity"),
+                              (left_only, "left distributivity"),
+                              (tuple(t.T for t in left_only), "right distributivity")):
+        got = _verdict(verify_tables, add, mul, 1)
+        assert got == _verdict(oracle_verify_tables, add, mul, 1)
+        assert got.startswith(f"ring axiom violated: {axiom} at ")
+
+
+def test_verify_tables_accepts_large_tables():
+    # the generator screen costs O(log(n) * n^2): at order 1024 the cubic
+    # row loop would take the better part of a minute
+    ut4 = make_triangular_ring(4, make_zn(2))
+    table = make_table_ring(*ut4.tables())
+    assert (table.order, table.one) == (1024, ut4.one)
+    # a corruption whose first failing row is 0 names the row oracle's witness
+    add, mul = (np.array(t) for t in ut4.tables())
+    y = next(y for y in range(1, ut4.order) if y != ut4.one)
+    mul[0, y] = 1
+    got = _verdict(verify_tables, add, mul, ut4.one)
+    assert got is not None and got == _verdict(oracle_verify_tables, add, mul, ut4.one)
+    assert oracle_cubic_failure(add, mul, 0) is not None
 
 
 def test_table_cap_enforced():
@@ -646,7 +712,6 @@ def test_row_blocks_reads_block_size_at_call_time(monkeypatch):
     assert len(rings.row_blocks(64, 64)) == 1
     monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 256)
     assert len(rings.row_blocks(64, 64)) == 16
-    assert len(rings.row_blocks(64, 64, 1024)) == 4
 
 
 @pytest.mark.parametrize("expr", ["B(5)", "GF(4) x Z(6)", "Z(4) x GF(9)", "Z(2) x Z(3) x Z(4)",

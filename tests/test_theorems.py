@@ -238,7 +238,7 @@ def test_recheck_refutes_claims_that_hold():
     # doctored reports naming rings on which each claim holds: the scan-only
     # recheck must not confirm them
     gf4 = make_gf(4)
-    ut2, ut3 = (make_triangular_ring(n, make_zn(2)) for n in (2, 3))
+    ut2, ut3, ut4 = (make_triangular_ring(n, make_zn(2)) for n in (2, 3, 4))
     e12 = ut2.from_entries([0, 1, 0, 0])
     cases = [
         ("T3", make_zn(9), {"unit_count": 7}),
@@ -249,6 +249,7 @@ def test_recheck_refutes_claims_that_hold():
         ("T8", ut2, {"unit_sum": 0, "expected": e12}),
         ("T8", ut3, {"unit_count": 7, "expected": 8}),
         ("T8", ut3, {"unit_sum": 5, "expected": 0}),
+        ("T8", ut4, {"unit_count": 63, "expected": 64}),
     ]
     for cid, r, witness in cases:
         ce = {"ring": r.name, "witness": witness, "serialization": _snapshot(r)}

@@ -31,7 +31,6 @@ from .rings import (
     make_triangular_ring,
     make_zn,
     quotient_ring,
-    verify_ring_axioms,
     verify_tables,
 )
 from .analysis import (
@@ -47,7 +46,6 @@ from .analysis import (
     is_semisimple,
     is_unit,
     jacobson_radical,
-    matrix_inverse_row_reduce,
     multiplicative_order,
     primitive_element,
     unit_census,
@@ -102,11 +100,11 @@ __all__ = [
     "ZnRing", "additive_invariant_factors",
     "least_irreducible", "make_boolean", "make_gf", "make_matrix_ring",
     "make_product", "make_table_ring", "make_triangular_ring", "make_zn",
-    "quotient_ring", "verify_ring_axioms", "verify_tables",
+    "quotient_ring", "verify_tables",
     "RadicalSummary", "UnitGroupSummary", "characteristic", "gl_order",
     "inverse_by_scan", "inverse_index", "is_boolean", "is_commutative",
     "is_division_ring", "is_semisimple", "is_unit", "jacobson_radical",
-    "matrix_inverse_row_reduce", "multiplicative_order", "primitive_element",
+    "multiplicative_order", "primitive_element",
     "unit_census", "unit_count",
     "unit_first_column_classes", "unit_group", "unit_sum",
     "BEST_EFFORT_MAX_ORDER", "MANDATORY_MAX_ORDER", "AdditiveGroupShape",

@@ -41,6 +41,7 @@ from .rings import (
     Ring,
     ZnRing,
     is_commutative,  # re-exported; it also vets matrix-ring bases there
+    is_index,
     is_prime,
     prime_power,
     row_blocks,
@@ -82,10 +83,9 @@ def _as_index(r: Ring, x) -> int:
         if x.ring is not r:
             raise RingMismatchError(f"element of {x.ring.name} does not belong to {r.name}")
         return x.index
-    i = int(x)
-    if not 0 <= i < r.order:
-        raise ValueError(f"index {i} out of range for {r.name}")
-    return i
+    if not (is_index(x) and 0 <= x < r.order):
+        raise ValueError(f"index {x} out of range for {r.name}")
+    return int(x)
 
 
 # ---------------------------------------------------------------------------
@@ -125,40 +125,6 @@ def inverse_by_scan(r: Ring, a: int) -> int | None:
         if r.mul(a, y) == one and r.mul(y, a) == one:
             return y
     return None
-
-
-def matrix_inverse_row_reduce(r, a: int) -> int | None:
-    """Inverse by Gauss-Jordan elimination; requires a field base.
-
-    An independent second route to invertibility: it never consults the
-    determinant, so agreement with `_matrix_inverses` is a real check.
-    """
-    if not isinstance(r, MatrixRing):
-        raise ConstructionError("row reduction applies to matrix and triangular rings")
-    base = r.base
-    if not _field_like(base):
-        raise ConstructionError(f"{r.name}: row reduction needs a field base")
-    n = r.n
-    es = r.entries(a)
-    left = [list(es[i * n:(i + 1) * n]) for i in range(n)]
-    right = [[base.one if i == j else 0 for j in range(n)] for i in range(n)]
-    for col in range(n):
-        pivot = next((row for row in range(col, n) if left[row][col] != 0), None)
-        if pivot is None:
-            return None
-        left[col], left[pivot] = left[pivot], left[col]
-        right[col], right[pivot] = right[pivot], right[col]
-        pinv = inverse_index(base, left[col][col])
-        left[col] = [base.mul(pinv, v) for v in left[col]]
-        right[col] = [base.mul(pinv, v) for v in right[col]]
-        for row in range(n):
-            if row == col or left[row][col] == 0:
-                continue
-            c = left[row][col]
-            left[row] = [base.sub(u, base.mul(c, v)) for u, v in zip(left[row], left[col])]
-            right[row] = [base.sub(u, base.mul(c, v)) for u, v in zip(right[row], right[col])]
-    flat = [v for row in right for v in row]
-    return r.from_entries(flat)
 
 
 def inverse_index(r: Ring, a: int) -> int | None:

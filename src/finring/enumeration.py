@@ -43,9 +43,11 @@ from .rings import (
     Ring,
     TableRingStructure,
     additive_invariant_factors,
+    compose_tables,
     factorize,
     invariant_factor_chain,
     make_table_ring,
+    make_zn,
 )
 from . import analysis as _analysis
 
@@ -80,17 +82,11 @@ class AdditiveGroupShape:
 
     @property
     def order(self) -> int:
-        n = 1
-        for d in self.invariant_factors:
-            n *= d
-        return n
+        return prod(self.invariant_factors)
 
 
 def _partitions(n: int):
     """Integer partitions of n as descending tuples."""
-    if n == 0:
-        yield ()
-        return
     def rec(remaining, largest):
         if remaining == 0:
             yield ()
@@ -125,9 +121,6 @@ def _aut_count_p_group(p: int, exponents) -> int:
 
 def abelian_automorphism_count(factors) -> int:
     """Automorphism count of the abelian group with the given invariant factors."""
-    factors = tuple(factors)
-    if factors in ((), (1,)):
-        return 1
     per_prime: dict[int, list[int]] = {}
     for d in factors:
         for p, e in factorize(d):
@@ -170,44 +163,32 @@ class _ShapeContext:
     """Precomputed additive data for one invariant-factor chain.
 
     Elements are mixed-radix digit vectors over the factors, first factor
-    least significant; `add` and `smul` are dense lookup lists (`add_np`:
-    `add` as a read-only uint8 array), `digits` the nonzero digit support
-    of each element (`digit_array`: all digits, one row per element), and
-    `K[i][j]` the candidate values for the structure constant g_i * g_j
-    (the elements gcd(d_i, d_j) kills, since that scalar kills both
-    generators).  `const_cells` are the flat cells of the products g_i g_j
-    in an n x n table, in position order.
+    least significant, as in the product Z(d_1) x ... x Z(d_r), whose add
+    table is `add_np` (read-only uint8).  `add` and `smul` are dense
+    lookup lists, `digit_array` the digits of each element (one row per
+    element) and `digits` their nonzero support, and `K[i][j]` the
+    candidate values for the structure constant g_i * g_j (the elements
+    gcd(d_i, d_j) kills, since that scalar kills both generators).
     """
 
     def __init__(self, factors: tuple[int, ...]):
         self.factors = factors
         r = len(factors)
         self.r = r
-        strides = []
-        n = 1
-        for d in factors:
-            strides.append(n)
-            n *= d
-        self.order = n
-        self.strides = strides
+        self.strides = [prod(factors[:i]) for i in range(r)]
+        n = self.order = prod(factors)
         self.exponent = factors[0]
-
-        def decode(x):
-            return tuple((x // strides[i]) % factors[i] for i in range(r))
-
-        def encode(t):
-            return sum(a * strides[i] for i, a in enumerate(t))
-
-        self.add = [[encode(tuple((a + b) % d for a, b, d in zip(decode(x), decode(y), factors)))
-                     for y in range(n)] for x in range(n)]
-        self.smul = [[encode(tuple((s * a) % d for a, d in zip(decode(x), factors)))
-                      for x in range(n)] for s in range(self.exponent)]
-        self.digits = [tuple((i, a) for i, a in enumerate(decode(x)) if a) for x in range(n)]
+        self.add_np = compose_tables([make_zn(d).tables()[0] for d in factors]).astype(np.uint8)
+        self.add_np.setflags(write=False)
+        self.add = self.add_np.tolist()
+        self.digit_array = np.arange(n)[:, None] // self.strides % factors
+        self.smul = [(s * self.digit_array % factors @ self.strides).tolist()
+                     for s in range(self.exponent)]
+        self.digits = [tuple((i, a) for i, a in enumerate(row) if a)
+                       for row in self.digit_array.tolist()]
         # x as the sum of a * g_m over its digits, as (m, smul[a]) pairs
         self.terms = [tuple((m, self.smul[a]) for m, a in d) for d in self.digits]
-        self.gens = [strides[i] % n for i in range(r)]
-        self.add_np = np.asarray(self.add, dtype=np.uint8)
-        self.add_np.setflags(write=False)
+        self.gens = [s % n for s in self.strides]
         self.K = [[_killed(self.add_np, gcd(factors[i], factors[j])).tolist()
                    for j in range(r)] for i in range(r)]
 
@@ -222,7 +203,6 @@ class _ShapeContext:
         self.positions = positions
         posidx = {p: k for k, p in enumerate(positions)}
         self.P = [[posidx[(i, j)] for j in range(r)] for i in range(r)]
-        self.const_cells = np.array([self.gens[i] * n + self.gens[j] for i, j in positions])
         # generator triple (i, j, k) as the positions it reads: g_i g_j, g_j g_k,
         # then g_m g_k and g_i g_m for the digits m of those two products; each
         # starts in the watch list of the later of its first two (see _dfs_stream)
@@ -233,7 +213,6 @@ class _ShapeContext:
                     self.watch[max(self.P[i][j], self.P[j][k])].append(
                         (self.P[i][j], self.P[j][k], [self.P[m][k] for m in range(r)],
                          [self.P[i][m] for m in range(r)]))
-        self.digit_array = np.array([decode(x) for x in range(n)], dtype=np.int64)
 
     def candidate_lists(self, reverse: bool, pinned: bool = False) -> list[list[int]]:
         """Candidate values per position; `pinned` makes g_0 the unity, so
@@ -401,30 +380,47 @@ def _unital_tables(ctx: _ShapeContext, assignments):
             yield _full_mul(ctx, consts), e
 
 
-def _class_tables(ctx: _ShapeContext, assignments, reverse: bool, start_path):
-    """Filter a pinned constant stream down to one (flat mul table, unity)
-    pair per isomorphism class: each Stab(g_0)-orbit's first member in
-    search order.
+def _new_orbits(ctx: _ShapeContext, assignments):
+    """Yield (flat mul table, orbit) for each leaf of a pinned constant
+    stream whose constants no earlier orbit holds; the orbit is the set of
+    constant tuples of the leaf's relabelings by Stab(g_0), the rows of
+    `_shape_automorphisms` with phi(g_0) = g_0.
 
-    A leaf whose constants are not yet seen is relabeled by every row of
-    Stab(g_0), and the constants of its whole orbit are marked seen.  The
-    orbit's first member is its least constant tuple (greatest when
-    reversed), since the candidate lists ascend (descend).  A fresh search
-    meets every new orbit at that member.  A search resumed at
-    `start_path` meets only the leaves at or after that node, so it emits
-    a new orbit only if the first member is among them: earlier members
-    belong to the chunks before, which emitted the orbit already.
+    Relabeling by phi puts phi[mul[inv x, inv y]] at (x, y), inv the
+    inverse of phi, so each row of the orbit reads only the r^2 cells at
+    the generator pairs of the positions.
     """
-    cands = ctx.candidate_lists(reverse, pinned=True)
-    start = bytes(cands[d][i] for d, i in enumerate(start_path))
+    autos, inverses = _shape_automorphisms(ctx)
+    g0 = ctx.gens[0]
+    stab = autos[:, g0] == g0
+    phi, inv = autos[stab], inverses[stab]
+    left, right = np.asarray(ctx.gens)[np.transpose(ctx.positions)]
     seen: set[bytes] = set()
     for consts in assignments:
         if bytes(consts) in seen:
             continue
         mul = _full_mul(ctx, consts)
-        orbit = {bytes(row) for block in _relabelings(ctx, mul, fixing_g0=True)
-                 for row in block[:, ctx.const_cells]}
+        cells = mul.reshape(ctx.order, ctx.order)[inv[:, left], inv[:, right]]
+        orbit = set(map(bytes, np.take_along_axis(phi, cells, axis=1)))
         seen |= orbit
+        yield mul, orbit
+
+
+def _class_tables(ctx: _ShapeContext, assignments, reverse: bool, start_path):
+    """Filter a pinned constant stream down to one (flat mul table, unity)
+    pair per isomorphism class: each Stab(g_0)-orbit's first member in
+    search order.
+
+    The orbit's first member is its least constant tuple (greatest when
+    reversed), since the candidate lists ascend (descend).  A fresh search
+    meets every new orbit (`_new_orbits`) at that member.  A search resumed
+    at `start_path` meets only the leaves at or after that node, so it
+    emits a new orbit only if the first member is among them: earlier
+    members belong to the chunks before, which emitted the orbit already.
+    """
+    cands = ctx.candidate_lists(reverse, pinned=True)
+    start = bytes(cands[d][i] for d, i in enumerate(start_path))
+    for mul, orbit in _new_orbits(ctx, assignments):
         if reverse:
             emit = max(orbit)[:len(start)] <= start
         else:
@@ -437,17 +433,13 @@ def _class_tables(ctx: _ShapeContext, assignments, reverse: bool, start_path):
 # additive isomorphisms, automorphisms, and orbit dedup
 
 
-# factors -> {fixing_g0: (automorphism rows, inverse rows)}; the rows with
-# fixing_g0 True are Stab(g_0), sliced once from the whole group's.
-_AUTOS_CACHE: dict[tuple[int, ...], dict[bool, tuple[np.ndarray, np.ndarray]]] = {}
+# factors -> (automorphism rows, inverse rows)
+_AUTOS_CACHE: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
 
 # Additive maps are built and narrowed in blocks of about this many rows, so
 # no intermediate (a uint8 array, or the index arrays numpy makes for fancy
 # indexing) grows with the 20160 automorphisms of shape (2, 2, 2, 2).
 _AUTO_BLOCK = 1024
-# Whole tables are relabeled this many automorphisms at a time: 64 KiB of
-# order-16 tables.
-_RELABEL_BLOCK = 256
 
 
 def _killed(add, d: int) -> np.ndarray:
@@ -494,11 +486,10 @@ def _additive_maps(ctx: _ShapeContext, add):
     yield from extend(0, np.zeros((1, 1), dtype=np.uint8))
 
 
-def _shape_automorphisms(ctx: _ShapeContext,
-                         fixing_g0: bool = False) -> tuple[np.ndarray, np.ndarray]:
+def _shape_automorphisms(ctx: _ShapeContext) -> tuple[np.ndarray, np.ndarray]:
     """The shape's automorphisms as uint8 rows, in image-tuple order, with
-    each row's inverse; both cached read-only.  With `fixing_g0`, only the
-    rows of Stab(g_0), those with phi(g_0) = g_0."""
+    each row's inverse; both cached read-only.  `canonical_form` narrows
+    them row by row, and `_new_orbits` reads Stab(g_0) off them."""
     if ctx.factors not in _AUTOS_CACHE:
         autos = np.concatenate(list(_additive_maps(ctx, ctx.add_np)))
         expected = abelian_automorphism_count(ctx.factors)
@@ -509,30 +500,10 @@ def _shape_automorphisms(ctx: _ShapeContext,
         inverse = np.concatenate([np.argsort(autos[start:start + _AUTO_BLOCK], axis=1)
                                   .astype(np.uint8)
                                   for start in range(0, len(autos), _AUTO_BLOCK)])
-        g0 = ctx.gens[0]
-        stab = autos[:, g0] == g0
-        pairs = {False: (autos, inverse), True: (autos[stab], inverse[stab])}
-        for rows in pairs.values():
-            for a in rows:
-                a.setflags(write=False)
-        _AUTOS_CACHE[ctx.factors] = pairs
-    return _AUTOS_CACHE[ctx.factors][fixing_g0]
-
-
-def _relabelings(ctx: _ShapeContext, mul, fixing_g0: bool = False):
-    """Yield `mul` (flat or square, on the shape's labeling) relabeled by
-    every automorphism phi, as uint8 blocks with one flat table per row:
-    rel[phi x, phi y] = phi[mul[x, y]].  Together the rows are the orbit,
-    under Stab(g_0) alone with `fixing_g0`.
-    """
-    n = ctx.order
-    mul = np.asarray(mul, dtype=np.uint8).reshape(n, n)
-    autos, inverses = _shape_automorphisms(ctx, fixing_g0)
-    for start in range(0, len(autos), _RELABEL_BLOCK):
-        phi = autos[start:start + _RELABEL_BLOCK]
-        inv = inverses[start:start + _RELABEL_BLOCK]
-        pulled = mul[inv[:, :, None], inv[:, None, :]].reshape(len(phi), n * n)
-        yield np.take_along_axis(phi, pulled, axis=1)
+        autos.setflags(write=False)
+        inverse.setflags(write=False)
+        _AUTOS_CACHE[ctx.factors] = autos, inverse
+    return _AUTOS_CACHE[ctx.factors]
 
 
 # ---------------------------------------------------------------------------

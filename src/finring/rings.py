@@ -188,6 +188,11 @@ def least_irreducible(p: int, s: int) -> tuple[int, ...]:
 # elements
 
 
+def is_index(x) -> bool:
+    """Whether x can be an element index: an int or numpy integer, not a bool."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
+
+
 class Elem:
     """One ring element: a ring together with its integer index.
 
@@ -198,7 +203,7 @@ class Elem:
     __slots__ = ("ring", "index")
 
     def __init__(self, ring: "Ring", index: int):
-        if not 0 <= index < ring.order:
+        if not (is_index(index) and 0 <= index < ring.order):
             raise ValueError(f"index {index} out of range for {ring.name}")
         self.ring = ring
         self.index = index
@@ -387,7 +392,7 @@ class GFRing(Ring):
 
     def from_coeffs(self, cs) -> int:
         cs = list(cs)
-        if len(cs) != self.s or any(not 0 <= c < self.p for c in cs):
+        if len(cs) != self.s or any(not (is_index(c) and 0 <= c < self.p) for c in cs):
             raise ConstructionError(
                 f"{self.name} expects {self.s} coefficients in range(0, {self.p})")
         index = 0
@@ -545,7 +550,7 @@ class MatrixRing(Ring):
                 if j < i and e != 0 and self.kind == "triangular":
                     raise ConstructionError(
                         f"{self.name}: entry at ({i},{j}) below the diagonal must be 0")
-                if not 0 <= e < b:
+                if not (is_index(e) and 0 <= e < b):
                     raise ConstructionError(f"{self.name}: entry {e} is outside the base ring")
         return self._pack([es[c] for c in self._flat])
 
@@ -638,7 +643,7 @@ class ProductRing(Ring):
             raise ConstructionError(f"{self.name} expects {len(self.factors)} components")
         index = 0
         for f, c in zip(reversed(self.factors), reversed(cs)):
-            if not 0 <= c < f.order:
+            if not (is_index(c) and 0 <= c < f.order):
                 raise ConstructionError(f"{self.name}: component {c} outside {f.name}")
             index = index * f.order + c
         return index
@@ -755,8 +760,10 @@ class QuotientRing(Ring):
                     raise RingMismatchError(
                         f"ideal element from {a.ring.name} does not belong to {parent.name}")
                 members.add(a.index)
-            else:
+            elif is_index(a):
                 members.add(int(a))
+            else:
+                raise ConstructionError(f"{parent.name}: ideal members must be element indices")
         members = sorted(members)
         if not members or members[0] < 0 or members[-1] >= n:
             raise ConstructionError(f"{parent.name}: ideal members must be element indices")
@@ -955,12 +962,6 @@ def _check_cubic_row(add, mul, a: int) -> None:
             b, c = map(int, np.argwhere(lhs != rhs)[0])
             right = axiom == "right distributivity"
             _axiom_fail(axiom, f"({b},{c},{a})" if right else f"({a},{b},{c})")
-
-
-def verify_ring_axioms(ring: Ring) -> None:
-    """Materialize the ring's tables and check every unital-ring axiom."""
-    add, mul = ring.tables()
-    verify_tables(add, mul, ring.one)
 
 
 # ---------------------------------------------------------------------------

@@ -28,7 +28,6 @@ from finring import (
     make_table_ring,
     make_triangular_ring,
     make_zn,
-    matrix_inverse_row_reduce,
     parse_ring,
     multiplicative_order,
     primitive_element,
@@ -39,6 +38,35 @@ from finring import (
     unit_group,
     unit_sum,
 )
+
+
+def matrix_inverse_row_reduce(r, a):
+    """Oracle: inverse by Gauss-Jordan elimination over a field base.
+
+    An independent second route to invertibility: it never consults the
+    determinant, so agreement with `_matrix_inverses` is a real check.
+    """
+    base, n = r.base, r.n
+    assert isinstance(r, rings.MatrixRing) and analysis._field_like(base)
+    es = r.entries(a)
+    left = [list(es[i * n:(i + 1) * n]) for i in range(n)]
+    right = [[base.one if i == j else 0 for j in range(n)] for i in range(n)]
+    for col in range(n):
+        pivot = next((row for row in range(col, n) if left[row][col] != 0), None)
+        if pivot is None:
+            return None
+        left[col], left[pivot] = left[pivot], left[col]
+        right[col], right[pivot] = right[pivot], right[col]
+        pinv = inverse_index(base, left[col][col])
+        left[col] = [base.mul(pinv, v) for v in left[col]]
+        right[col] = [base.mul(pinv, v) for v in right[col]]
+        for row in range(n):
+            if row == col or left[row][col] == 0:
+                continue
+            c = left[row][col]
+            left[row] = [base.sub(u, base.mul(c, v)) for u, v in zip(left[row], left[col])]
+            right[row] = [base.sub(u, base.mul(c, v)) for u, v in zip(right[row], right[col])]
+    return r.from_entries([v for row in right for v in row])
 
 
 def matrix_determinant(base, entries, n):

@@ -5,7 +5,7 @@ import io
 import itertools
 import json
 import random
-from math import gcd
+from math import gcd, lcm, prod
 
 import numpy as np
 import pytest
@@ -37,7 +37,8 @@ from finring import (
 from finring.enumeration import (
     _additive_maps,
     _dfs_stream,
-    _relabelings,
+    _full_mul,
+    _new_orbits,
     _shape_automorphisms,
     _shape_context,
     _unital_tables,
@@ -84,6 +85,23 @@ def _additive_isomorphisms(ctx, target_add, target_order):
             seen.add(s)
         else:
             yield tuple(phi)
+
+
+def _relabelings(ctx, mul, rows=slice(None)):
+    """Oracle: yield `mul` (flat or square, on the shape's labeling) relabeled
+    by every automorphism phi of the shape (those `rows` selects), as uint8
+    blocks with one flat table per row: rel[phi x, phi y] = phi[mul[x, y]],
+    scattered through phi itself, so the inverse rows are never read.
+    """
+    n = ctx.order
+    flat = np.asarray(mul, dtype=np.uint8).ravel()
+    autos = _shape_automorphisms(ctx)[0][rows]
+    for start in range(0, len(autos), 256):
+        phi = autos[start:start + 256].astype(np.intp)
+        k = np.arange(len(phi))[:, None, None]
+        rel = np.empty((len(phi), n, n), dtype=np.uint8)
+        rel[k, phi[:, :, None], phi[:, None, :]] = phi[:, flat].reshape(-1, n, n)
+        yield rel.reshape(len(phi), n * n)
 
 
 # ---------------------------------------------------------------------------
@@ -204,20 +222,93 @@ def test_emitted_rings_do_not_share_the_shape_add_table():
     assert len(list(enumerate_unital_rings(4))) == 14
 
 
+def _seeded_pinned_leaves(ctx, rng, count):
+    """Up to `count` leaves of the pinned tree: the first leaf at or after
+    each of `count` seeded nodes on the first few positions."""
+    cands = ctx.candidate_lists(False, pinned=True)
+    leaves = set()
+    for _ in range(count):
+        path = [rng.randrange(len(c)) for c in cands[:7]]
+        leaf = next(_dfs_stream(ctx, start_path=path, pinned=True), None)
+        if leaf is not None:
+            leaves.add(leaf)
+    return sorted(leaves)
+
+
+@pytest.mark.parametrize("order", [4, 8, 9, 12, 16])
+def test_constant_orbits_match_whole_table_relabelings(order, order_16_classes):
+    # the r^2-cell gather of _new_orbits against whole n x n tables relabeled
+    # by every automorphism fixing g_0 and sliced at the constant cells, on
+    # seeded leaves and on every class representative; four classes of
+    # order 16 are not isomorphic to their opposite rings, so their orbits
+    # are not closed under transposing the constants
+    rng = random.Random(order)
+    classes = (order_16_classes if order == 16
+               else list(enumerate_unital_rings(order, up_to_iso=True, budget=10 ** 6)))
+    for shape in abelian_group_shapes(order):
+        ctx = _shape_context(shape.invariant_factors)
+        g0 = ctx.gens[0]
+        stab = _shape_automorphisms(ctx)[0][:, g0] == g0
+        cells = [ctx.gens[i] * order + ctx.gens[j] for i, j in ctx.positions]
+        leaves = _seeded_pinned_leaves(ctx, rng, 4)
+        assert leaves, shape
+        leaves += [tuple(map(int, r.tables()[1].ravel()[cells]))
+                   for r in classes if r.additive_type == ctx.factors]
+        for leaf in leaves:
+            [(mul, orbit)] = _new_orbits(ctx, [leaf])
+            assert (mul == _full_mul(ctx, leaf)).all()
+            oracle = {bytes(row) for block in _relabelings(ctx, mul, stab)
+                      for row in block[:, cells]}
+            assert orbit == oracle and bytes(leaf) in orbit, (shape, leaf)
+            # every later member of the orbit is skipped
+            members = [tuple(m) for m in sorted(oracle)]
+            assert len(list(_new_orbits(ctx, [leaf] + members))) == 1
+
+
+def _decode(x, factors):
+    """Oracle: the mixed-radix digits of x, first factor least significant."""
+    out = []
+    for d in factors:
+        x, a = divmod(x, d)
+        out.append(a)
+    return out
+
+
+@pytest.mark.parametrize("order", range(1, 17))
+def test_shape_context_tables_match_the_ring_layer(order):
+    # the shape labeling is the product encoding of Z(d_1) x ... x Z(d_r)
+    for shape in abelian_group_shapes(order):
+        factors = shape.invariant_factors
+        ctx = _shape_context(factors)
+        add = make_product([make_zn(d) for d in factors]).tables()[0]
+        assert ctx.add == add.tolist() and (ctx.add_np == add).all(), shape
+        assert ctx.add_np.dtype == np.uint8 and not ctx.add_np.flags.writeable
+        for x in range(order):
+            digits = _decode(x, factors)
+            assert ctx.digit_array[x].tolist() == digits, (shape, x)
+            assert ctx.digits[x] == tuple((i, a) for i, a in enumerate(digits) if a)
+            for s in range(ctx.exponent):
+                scaled = sum((s * a) % d * prod(factors[:i])
+                             for i, (a, d) in enumerate(zip(digits, factors)))
+                assert ctx.smul[s][x] == scaled, (shape, s, x)
+
+
 def test_stabilizer_rows_fix_the_first_generator():
-    # Stab(g_0) is sliced from the cached Aut(G) array: for (2,2,2,2) the
-    # 20160 automorphisms send g_0 to each of the 15 nonzero elements equally
+    # orbit-stabilizer: Aut(G) moves g_0 onto exactly the elements of order
+    # d_1 (each spans a cyclic direct summand), so |Stab(g_0)| is |Aut(G)|
+    # over their count; for (2,2,2,2) that is 20160 / 15
     for order in (4, 8, 9, 12, 16):
         for shape in abelian_group_shapes(order):
             ctx = _shape_context(shape.invariant_factors)
             autos, inverses = _shape_automorphisms(ctx)
-            stab, stab_inv = _shape_automorphisms(ctx, fixing_g0=True)
+            assert not autos.flags.writeable and not inverses.flags.writeable
             g0 = ctx.gens[0]
-            assert (stab == autos[autos[:, g0] == g0]).all(), shape
-            assert (stab_inv == inverses[autos[:, g0] == g0]).all(), shape
-            assert not stab.flags.writeable and not stab_inv.flags.writeable
-    stab, _ = _shape_automorphisms(_shape_context((2, 2, 2, 2)), fixing_g0=True)
-    assert len(stab) == 1344
+            stab = int((autos[:, g0] == g0).sum())
+            top = sum(1 for row in ctx.digit_array.tolist()
+                      if lcm(*(d // gcd(d, a) for a, d in zip(row, ctx.factors))) == ctx.exponent)
+            assert stab * top == len(autos), shape
+    autos, _ = _shape_automorphisms(_shape_context((2, 2, 2, 2)))
+    assert int((autos[:, 1] == 1).sum()) == 1344
 
 
 # ---------------------------------------------------------------------------

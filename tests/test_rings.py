@@ -23,11 +23,16 @@ from finring import (
     make_zn,
     parse_table_ring,
     quotient_ring,
-    verify_ring_axioms,
     verify_tables,
 )
-from finring import parse_ring, primitive_element, rings
+from finring import is_unit, parse_ring, primitive_element, rings
 from finring.rings import DEFAULT_ORDER_CAP, TABLE_CAP, factorize, is_prime, prime_power
+
+
+def verify_ring_axioms(ring):
+    """Materialize the ring's tables and check every unital-ring axiom."""
+    add, mul = ring.tables()
+    verify_tables(add, mul, ring.one)
 
 
 def per_pair_tables(r):
@@ -737,3 +742,30 @@ def test_every_family_builds_tables_without_the_per_pair_route():
         add, mul = r.tables()
         assert add.shape == mul.shape == (r.order, r.order), r.name
         assert add.dtype == mul.dtype == np.int32, r.name
+
+
+# Each entry point that takes element indices: the call, the exception it
+# raises for a bad index with a pattern of its message, and its result at 3.
+INDEX_SITES = {
+    "element": (lambda x: make_zn(5).element(x).index, ValueError, "out of range", 3),
+    "is_unit": (lambda x: is_unit(make_zn(5), x).index, ValueError, "out of range", 2),
+    "from_entries": (lambda x: make_matrix_ring(2, make_zn(5)).from_entries([1, x, 0, 1]),
+                     ConstructionError, "outside the base ring", 141),
+    "from_coeffs": (lambda x: make_gf(25).from_coeffs([x, 0]),
+                    ConstructionError, "expects 2 coefficients", 3),
+    "from_components": (lambda x: make_product([make_zn(2), make_zn(5)]).from_components([1, x]),
+                        ConstructionError, "outside Z", 7),
+    "quotient_ring": (lambda x: quotient_ring(make_zn(6), [0, x]).order,
+                      ConstructionError, "must be element indices", 3),
+}
+
+
+@pytest.mark.parametrize("site", sorted(INDEX_SITES))
+def test_index_entry_points_reject_non_integers(site):
+    # one predicate (an int or numpy integer, not a bool) at every site; a
+    # float or str was truncated or parsed before, and True read as 1
+    call, error, message, at_3 = INDEX_SITES[site]
+    for bad in (2.5, "3", True):
+        with pytest.raises(error, match=message):
+            call(bad)
+    assert call(3) == call(np.int64(3)) == at_3

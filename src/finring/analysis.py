@@ -40,19 +40,15 @@ from .rings import (
     ProductRing,
     Ring,
     ZnRing,
+    _multiple,
+    digit_array,
+    from_digits,
     is_commutative,  # re-exported; it also vets matrix-ring bases there
-    is_index,
     is_prime,
+    place_values,
     prime_power,
     row_blocks,
 )
-
-# Full unit-group / radical enumeration bound.
-UNIT_SCAN_CAP = TABLE_CAP
-
-# Streaming scans (unit sums of lazy matrix rings) iterate at most this many
-# elements.
-STREAM_CAP = DEFAULT_ORDER_CAP
 
 
 @dataclass
@@ -83,9 +79,7 @@ def _as_index(r: Ring, x) -> int:
         if x.ring is not r:
             raise RingMismatchError(f"element of {x.ring.name} does not belong to {r.name}")
         return x.index
-    if not (is_index(x) and 0 <= x < r.order):
-        raise ValueError(f"index {x} out of range for {r.name}")
-    return int(x)
+    return int(Elem(r, x).index)
 
 
 # ---------------------------------------------------------------------------
@@ -103,8 +97,8 @@ def characteristic(r: Ring) -> int:
 
 def is_boolean(r: Ring) -> bool:
     """True iff x*x = x for every element (scan stops at the first failure)."""
-    if r.order > STREAM_CAP:
-        raise BudgetError(f"{r.name}: booleanness scan needs order <= {STREAM_CAP}")
+    if r.order > DEFAULT_ORDER_CAP:
+        raise BudgetError(f"{r.name}: booleanness scan needs order <= {DEFAULT_ORDER_CAP}")
     return all(r.mul(x, x) == x for x in range(r.order))
 
 
@@ -118,8 +112,8 @@ def _field_like(r: Ring) -> bool:
 
 def inverse_by_scan(r: Ring, a: int) -> int | None:
     """Exhaustive two-sided inverse search; the reference invertibility route."""
-    if r.order > UNIT_SCAN_CAP:
-        raise BudgetError(f"{r.name}: inverse scan needs order <= {UNIT_SCAN_CAP}")
+    if r.order > TABLE_CAP:
+        raise BudgetError(f"{r.name}: inverse scan needs order <= {TABLE_CAP}")
     one = r.one
     for y in range(r.order):
         if r.mul(a, y) == one and r.mul(y, a) == one:
@@ -136,13 +130,8 @@ def inverse_index(r: Ring, a: int) -> int | None:
     if isinstance(r, GFRing):
         return None if a == 0 else (r.element(a) ** (r.q - 2)).index
     if isinstance(r, ProductRing):
-        invs = []
-        for f, c in zip(r.factors, r.components(a)):
-            v = inverse_index(f, c)
-            if v is None:
-                return None
-            invs.append(v)
-        return r.from_components(invs)
+        invs = [inverse_index(f, c) for f, c in zip(r.factors, r.components(a))]
+        return None if None in invs else from_digits(invs, r.radices)
     if isinstance(r, MatrixRing):
         inv = _matrix_inverses(r, [a])[0]
         if inv < 0:
@@ -178,12 +167,12 @@ def unit_group(r: Ring) -> UnitGroupSummary:
     and a two-sided inverse for each unit, which must also agree with an
     independent route: one `_matrix_inverses` batch (det^-1 * adj) on
     matrix rings, `inverse_index` per unit on the others.  Rings larger
-    than UNIT_SCAN_CAP raise BudgetError; use `unit_sum` / `unit_count`
+    than TABLE_CAP raise BudgetError; use `unit_sum` / `unit_count`
     for streaming totals of lazy matrix rings.
     """
-    if r.order > UNIT_SCAN_CAP:
+    if r.order > TABLE_CAP:
         raise BudgetError(
-            f"{r.name}: unit group enumerable only up to order {UNIT_SCAN_CAP}; "
+            f"{r.name}: unit group enumerable only up to order {TABLE_CAP}; "
             "unit_sum/unit_count stream larger matrix rings")
     add, mul = r.tables()
     umask = _unit_mask(r)
@@ -286,21 +275,20 @@ def _matrix_inverses(r: MatrixRing, indices) -> list[int]:
     inverse of the entry, so the base tables are not built.
     """
     base, n = r.base, r.n
-    es = np.array([r.entries(a) for a in indices], dtype=np.intp).reshape(-1, r.cells)
+    es = np.zeros((len(indices), r.cells), dtype=np.intp)
+    es[:, r.flat] = digit_array(indices, r.radices)
     dets, where = np.unique(_determinants(base, es, n), return_inverse=True)
     base_inv = [inverse_index(base, int(d)) for d in dets]
     dinv = np.array([-1 if v is None else v for v in base_inv], dtype=np.intp)[where]
     units = np.flatnonzero(dinv >= 0)
-    out = [-1] * len(es)
-    if not len(units):
-        return out
     if n == 1:
         inv_es = dinv[units, None]
     else:
         inv_es = base.tables()[1][dinv[units, None], _adjugates(base, es[units], n)]
-    for k, row in zip(units.tolist(), inv_es.tolist()):
-        out[k] = r.from_entries(row)
-    return out
+    places = place_values(r.radices)
+    out = np.full(len(es), -1, dtype=places.dtype)
+    out[units] = inv_es[:, r.flat] @ places
+    return out.tolist()
 
 
 def _grid_blocks(r: MatrixRing, outer: list[int], outer_rows: np.ndarray, inner: list[int]):
@@ -351,22 +339,11 @@ def _triangular_unit_blocks(r: MatrixRing):
     diag_units = np.flatnonzero(_base_unit_mask(base))
     uppers = [i * n + j for (i, j) in r.stored if i != j]
     total = len(diag_units) ** n * base.order ** len(uppers)
-    if total > STREAM_CAP:
-        raise BudgetError(f"{r.name}: streaming unit scan needs at most {STREAM_CAP} units")
+    if total > DEFAULT_ORDER_CAP:
+        raise BudgetError(f"{r.name}: streaming unit scan needs at most {DEFAULT_ORDER_CAP} units")
     diagonal = [i * n + i for i in range(n)]
     diags = diag_units[_value_grid(len(diag_units), n)]
     return _grid_blocks(r, diagonal, diags, uppers)
-
-
-def _multiple(add, v: int, k: int) -> int:
-    """k*v in an additive group, by doubling."""
-    total = 0
-    while k:
-        if k & 1:
-            total = add(total, v)
-        v = add(v, v)
-        k >>= 1
-    return total
 
 
 def _stream_units(r: MatrixRing) -> tuple[int, int]:
@@ -379,8 +356,8 @@ def _stream_units(r: MatrixRing) -> tuple[int, int]:
     if r.kind == "triangular":
         blocks = _triangular_unit_blocks(r)
     else:
-        if r.order > STREAM_CAP:
-            raise BudgetError(f"{r.name}: streaming unit scan needs order <= {STREAM_CAP}")
+        if r.order > DEFAULT_ORDER_CAP:
+            raise BudgetError(f"{r.name}: streaming unit scan needs order <= {DEFAULT_ORDER_CAP}")
         blocks = _invertible_blocks(r)
     m, badd = r.base.order, r.base.add
     offsets = np.arange(r.cells) * m
@@ -399,7 +376,7 @@ def _stream_units(r: MatrixRing) -> tuple[int, int]:
 
 
 def _unit_census(r: Ring) -> tuple[int, int]:
-    if r.order <= UNIT_SCAN_CAP:
+    if r.order <= TABLE_CAP:
         summary = unit_group(r)
         return summary.count, summary.sum.index
     if isinstance(r, MatrixRing):
@@ -433,8 +410,8 @@ def unit_first_column_classes(r: MatrixRing) -> dict[tuple[int, ...], int]:
     """
     if not isinstance(r, MatrixRing) or r.kind != "matrix":
         raise ConstructionError("first-column classes are defined for full matrix rings")
-    if r.order > STREAM_CAP:
-        raise BudgetError(f"{r.name}: class scan needs order <= {STREAM_CAP}")
+    if r.order > DEFAULT_ORDER_CAP:
+        raise BudgetError(f"{r.name}: class scan needs order <= {DEFAULT_ORDER_CAP}")
     first = [i * r.n for i in range(r.n)]
     classes = {}
     for units in _invertible_blocks(r):
@@ -456,9 +433,9 @@ def is_division_ring(r: Ring) -> bool:
 
 def gl_order(n: int, q: int) -> int:
     """|GL_n(GF(q))| = prod_{k=1..n} (q^n - q^(n-k)), exact integers."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ConstructionError(f"gl_order: matrix size must be a positive integer, got {n}")
-    if not isinstance(q, int) or prime_power(q) is None:
+    if type(q) is not int or prime_power(q) is None:
         raise ConstructionError(f"gl_order: field size must be a prime power, got {q}")
     qn = q ** n
     total = 1

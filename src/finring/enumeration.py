@@ -44,10 +44,12 @@ from .rings import (
     TableRingStructure,
     additive_invariant_factors,
     compose_tables,
+    digit_array,
     factorize,
     invariant_factor_chain,
     make_table_ring,
     make_zn,
+    place_values,
 )
 from . import analysis as _analysis
 
@@ -137,7 +139,7 @@ def abelian_group_shapes(order: int) -> list[AdditiveGroupShape]:
     Largest group first by factor tuple, e.g. order 8 gives
     [8], [4, 2], [2, 2, 2].
     """
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:
         raise ConstructionError(f"group order must be a positive integer, got {order}")
     if order == 1:
         return [AdditiveGroupShape((1,), (0,), 1)]
@@ -149,8 +151,8 @@ def abelian_group_shapes(order: int) -> list[AdditiveGroupShape]:
     chains.sort(reverse=True)
     shapes = []
     for fs in chains:
-        # e_i is labeled by the product of the factors before it
-        gens = tuple(prod(fs[:i]) for i in range(len(fs)))
+        # e_i is labeled by its place value
+        gens = tuple(place_values(fs).tolist())
         shapes.append(AdditiveGroupShape(fs, gens, abelian_automorphism_count(fs)))
     return shapes
 
@@ -175,13 +177,13 @@ class _ShapeContext:
         self.factors = factors
         r = len(factors)
         self.r = r
-        self.strides = [prod(factors[:i]) for i in range(r)]
+        self.strides = place_values(factors).tolist()
         n = self.order = prod(factors)
         self.exponent = factors[0]
         self.add_np = compose_tables([make_zn(d).tables()[0] for d in factors]).astype(np.uint8)
         self.add_np.setflags(write=False)
         self.add = self.add_np.tolist()
-        self.digit_array = np.arange(n)[:, None] // self.strides % factors
+        self.digit_array = digit_array(np.arange(n), factors)
         self.smul = [(s * self.digit_array % factors @ self.strides).tolist()
                      for s in range(self.exponent)]
         self.digits = [tuple((i, a) for i, a in enumerate(row) if a)
@@ -561,14 +563,14 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = False, *,
     the tree searched, so a raw token ("f", "r") resumes only a raw run,
     and an up-to-iso token ("fi", "ri") only an up-to-iso run.
     """
-    if not isinstance(order, int) or order < 1:
+    if type(order) is not int or order < 1:
         raise ConstructionError(f"enumeration order must be a positive integer, got {order}")
     if order > BEST_EFFORT_MAX_ORDER:
         raise ConstructionError(
             f"enumeration is scoped to orders <= {BEST_EFFORT_MAX_ORDER}, got {order}")
     if search_order not in ("forward", "reversed"):
         raise ConstructionError(f"search_order must be 'forward' or 'reversed', got {search_order!r}")
-    if budget is not None and (not isinstance(budget, int) or budget < 0):
+    if budget is not None and (type(budget) is not int or budget < 0):
         raise ConstructionError(f"budget must be a non-negative integer, got {budget}")
     reverse = search_order == "reversed"
     mode = ("r" if reverse else "f") + ("i" if up_to_iso else "")

@@ -67,6 +67,49 @@ def compose_tables(tables) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
+# the mixed-radix index codec: digits (d_0, ..., d_k) over radices (m_0, ...,
+# m_k) stand for sum(d_i * m_0 * ... * m_{i-1}), first digit least
+# significant.  GF coefficients, stored matrix cells, product components and
+# search shapes all encode this way.
+
+
+def to_digits(index: int, radices) -> list[int]:
+    """The digits of index over the radices, first digit least significant."""
+    out = []
+    for m in radices:  # % and //= run faster here than divmod
+        out.append(index % m)
+        index //= m
+    return out
+
+
+def from_digits(digits, radices) -> int:
+    """The index of a digit sequence over a radix sequence; inverse of to_digits."""
+    index, k = 0, len(radices)
+    while k:  # faster than iterating reversed sequences
+        k -= 1
+        index = index * radices[k] + digits[k]
+    return index
+
+
+def place_values(radices) -> np.ndarray:
+    """The place value of each digit, the product of the radices before it.
+
+    intp while every index fits it; above that, an object array of Python
+    ints, so lazy rings of any order encode exactly.  A digit array times
+    the place values (`digits @ place_values(radices)`) encodes its rows.
+    """
+    places = np.cumprod([1, *radices], dtype=object)
+    return places[:-1] if places[-1] > np.iinfo(np.intp).max else places[:-1].astype(np.intp)
+
+
+def digit_array(indices, radices) -> np.ndarray:
+    """to_digits of every index at once: one intp row of digits per index."""
+    places = place_values(radices)
+    indices = np.asarray(indices, dtype=places.dtype)
+    return (indices[..., None] // places % np.asarray(radices, dtype=places.dtype)).astype(np.intp)
+
+
+# ---------------------------------------------------------------------------
 # small number theory helpers
 
 
@@ -193,6 +236,11 @@ def is_index(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool)
 
 
+def _index_text(noun: str, x) -> str:
+    """`noun x` in an error message, naming x a non-integer when it is not an index."""
+    return f"{noun} {x}" if is_index(x) else f"non-integer {noun} {x!r} ({type(x).__name__})"
+
+
 class Elem:
     """One ring element: a ring together with its integer index.
 
@@ -204,7 +252,7 @@ class Elem:
 
     def __init__(self, ring: "Ring", index: int):
         if not (is_index(index) and 0 <= index < ring.order):
-            raise ValueError(f"index {index} out of range for {ring.name}")
+            raise ValueError(f"{_index_text('index', index)} out of range for {ring.name}")
         self.ring = ring
         self.index = index
 
@@ -233,15 +281,9 @@ class Elem:
         return Elem(self.ring, self.ring.neg(self.index))
 
     def __pow__(self, k: int):
-        if not isinstance(k, int) or k < 0:
+        if type(k) is not int or k < 0:
             raise ValueError("element exponents must be non-negative integers")
-        acc, base = self.ring.one, self.index
-        while k:
-            if k & 1:
-                acc = self.ring.mul(acc, base)
-            base = self.ring.mul(base, base)
-            k >>= 1
-        return Elem(self.ring, acc)
+        return Elem(self.ring, _multiple(self.ring.mul, self.index, k) if k else self.ring.one)
 
     def __eq__(self, other):
         return isinstance(other, Elem) and other.ring is self.ring and other.index == self.index
@@ -380,25 +422,19 @@ class GFRing(Ring):
         self.s = s
         self.q = q
         self.modulus = least_irreducible(p, s)
+        self.radices = (p,) * s
         self._exp: list[int] | None = None
         self._log: list[int] | None = None
 
     def coeffs(self, index: int) -> tuple[int, ...]:
-        out = []
-        for _ in range(self.s):
-            index, c = divmod(index, self.p)
-            out.append(c)
-        return tuple(out)
+        return tuple(to_digits(index, self.radices))
 
     def from_coeffs(self, cs) -> int:
         cs = list(cs)
         if len(cs) != self.s or any(not (is_index(c) and 0 <= c < self.p) for c in cs):
             raise ConstructionError(
                 f"{self.name} expects {self.s} coefficients in range(0, {self.p})")
-        index = 0
-        for c in reversed(cs):
-            index = index * self.p + c
-        return index
+        return from_digits(cs, self.radices)
 
     def add(self, a, b):
         p = self.p
@@ -427,11 +463,9 @@ class GFRing(Ring):
         return self._exp[self._log[a] + self._log[b]]
 
     def _mul_poly(self, a, b):
-        rem = _poly_rem(_poly_mul(self.coeffs(a), self.coeffs(b), self.p), self.modulus, self.p)
-        index = 0
-        for c in reversed(rem):
-            index = index * self.p + c
-        return index
+        p, rad = self.p, self.radices
+        prod = _poly_mul(to_digits(a, rad), to_digits(b, rad), p)
+        return from_digits(_poly_rem(prod, self.modulus, p), rad)
 
     def _build_exp_log(self):
         """exp[k] = g^k for the least primitive g, and log inverting it.
@@ -503,7 +537,8 @@ class MatrixRing(Ring):
         self.cells = n * n
         self.kind = "triangular" if upper else "matrix"
         self.stored = [(i, j) for i in range(n) for j in range(i if upper else 0, n)]
-        self._flat = [i * n + j for (i, j) in self.stored]  # offsets in `entries`
+        self.flat = [i * n + j for (i, j) in self.stored]  # offsets in `entries`
+        self.radices = (base.order,) * len(self.stored)
         pos = {cell: c for c, cell in enumerate(self.stored)}
         # One term list per stored output cell (i, j): the stored positions
         # (pos(i,k), pos(k,j)) over every k with both cells stored, which
@@ -511,32 +546,15 @@ class MatrixRing(Ring):
         self._terms = [[(pos[i, k], pos[k, j]) for k in range(n)
                         if (i, k) in pos and (k, j) in pos]
                        for (i, j) in self.stored]
-        one = self._pack([base.one if i == j else 0 for (i, j) in self.stored])
+        one = from_digits([base.one if i == j else 0 for (i, j) in self.stored], self.radices)
         super().__init__(base.order ** len(self.stored), one,
                          f"{'UT' if upper else 'M'}({n},{base.name})")
 
-    def _digits(self, index) -> list[int]:
-        """Base-ring indices of the stored cells, in `stored` order."""
-        b = self.base.order
-        out = []
-        for _ in self.stored:
-            index, e = divmod(index, b)
-            out.append(e)
-        return out
-
-    def _pack(self, digits) -> int:
-        b = self.base.order
-        index = 0
-        for e in reversed(digits):
-            index = index * b + e
-        return index
-
     def entries(self, index) -> tuple[int, ...]:
         """Row-major base-ring indices of the matrix stored at `index`."""
-        b = self.base.order
         full = [0] * self.cells
-        for c in self._flat:
-            index, full[c] = divmod(index, b)
+        for c, e in zip(self.flat, to_digits(index, self.radices)):
+            full[c] = e
         return tuple(full)
 
     def from_entries(self, entries) -> int:
@@ -551,27 +569,28 @@ class MatrixRing(Ring):
                     raise ConstructionError(
                         f"{self.name}: entry at ({i},{j}) below the diagonal must be 0")
                 if not (is_index(e) and 0 <= e < b):
-                    raise ConstructionError(f"{self.name}: entry {e} is outside the base ring")
-        return self._pack([es[c] for c in self._flat])
+                    raise ConstructionError(
+                        f"{self.name}: {_index_text('entry', e)} is outside the base ring")
+        return from_digits([es[c] for c in self.flat], self.radices)
 
     def add(self, x, y):
-        ba = self.base.add
-        return self._pack([ba(u, v) for u, v in zip(self._digits(x), self._digits(y))])
+        ba, rad = self.base.add, self.radices
+        return from_digits([ba(u, v) for u, v in zip(to_digits(x, rad), to_digits(y, rad))], rad)
 
     def neg(self, x):
-        bn = self.base.neg
-        return self._pack([bn(e) for e in self._digits(x)])
+        bn, rad = self.base.neg, self.radices
+        return from_digits([bn(e) for e in to_digits(x, rad)], rad)
 
     def mul(self, x, y):
-        badd, bmul = self.base.add, self.base.mul
-        dx, dy = self._digits(x), self._digits(y)
+        badd, bmul, rad = self.base.add, self.base.mul, self.radices
+        dx, dy = to_digits(x, rad), to_digits(y, rad)
         out = []
         for terms in self._terms:
             acc = 0
             for p, q in terms:
                 acc = badd(acc, bmul(dx[p], dy[q]))
             out.append(acc)
-        return self._pack(out)
+        return from_digits(out, rad)
 
     def pretty(self, index):
         es = self.entries(index)
@@ -590,8 +609,8 @@ class MatrixRing(Ring):
         badd, bmul = self.base.tables()
         m, N = self.base.order, self.order
         add = compose_tables([badd] * len(self.stored))
-        powers = m ** np.arange(len(self.stored), dtype=np.intp)
-        digits = (np.arange(N, dtype=np.intp)[:, None] // powers[None, :]) % m
+        powers = place_values(self.radices)
+        digits = digit_array(np.arange(N), self.radices)
         cells = []
         for c, terms in enumerate(self._terms):
             t = len(terms)
@@ -621,52 +640,37 @@ class ProductRing(Ring):
     def __init__(self, factors, name: str | None = None):
         factors = tuple(factors)
         self.factors = factors
-        order = 1
-        for f in factors:
-            order *= f.order
-        one = 0
-        for f in reversed(factors):
-            one = one * f.order + f.one
-        super().__init__(order, one,
+        self.radices = tuple(f.order for f in factors)
+        one = from_digits([f.one for f in factors], self.radices)
+        super().__init__(math.prod(self.radices), one,
                          name or "Prod(" + ",".join(f.name for f in factors) + ")")
 
     def components(self, index) -> tuple[int, ...]:
-        out = []
-        for f in self.factors:
-            index, c = divmod(index, f.order)
-            out.append(c)
-        return tuple(out)
+        return tuple(to_digits(index, self.radices))
 
     def from_components(self, cs) -> int:
         cs = list(cs)
         if len(cs) != len(self.factors):
             raise ConstructionError(f"{self.name} expects {len(self.factors)} components")
-        index = 0
         for f, c in zip(reversed(self.factors), reversed(cs)):
             if not (is_index(c) and 0 <= c < f.order):
-                raise ConstructionError(f"{self.name}: component {c} outside {f.name}")
-            index = index * f.order + c
-        return index
+                raise ConstructionError(
+                    f"{self.name}: {_index_text('component', c)} outside {f.name}")
+        return from_digits(cs, self.radices)
 
     def add(self, x, y):
-        index = 0
-        for f, u, v in zip(reversed(self.factors),
-                           reversed(self.components(x)), reversed(self.components(y))):
-            index = index * f.order + f.add(u, v)
-        return index
+        rad = self.radices
+        return from_digits([f.add(u, v) for f, u, v in
+                            zip(self.factors, to_digits(x, rad), to_digits(y, rad))], rad)
 
     def neg(self, x):
-        index = 0
-        for f, u in zip(reversed(self.factors), reversed(self.components(x))):
-            index = index * f.order + f.neg(u)
-        return index
+        rad = self.radices
+        return from_digits([f.neg(u) for f, u in zip(self.factors, to_digits(x, rad))], rad)
 
     def mul(self, x, y):
-        index = 0
-        for f, u, v in zip(reversed(self.factors),
-                           reversed(self.components(x)), reversed(self.components(y))):
-            index = index * f.order + f.mul(u, v)
-        return index
+        rad = self.radices
+        return from_digits([f.mul(u, v) for f, u, v in
+                            zip(self.factors, to_digits(x, rad), to_digits(y, rad))], rad)
 
     def pretty(self, index):
         return "(" + ",".join(f.pretty(c) for f, c in zip(self.factors, self.components(index))) + ")"
@@ -869,7 +873,7 @@ def verify_tables(add, mul, one: int) -> None:
     mul = np.asarray(mul)
     _check_table_shapes(add, mul)
     n = add.shape[0]
-    if not (isinstance(one, (int, np.integer)) and 0 <= one < n):
+    if not (is_index(one) and 0 <= one < n):
         raise ConstructionError(f"declared unity {one!r} is not an element index in range(0, {n})")
     arange = np.arange(n, dtype=add.dtype)
 
@@ -968,6 +972,18 @@ def _check_cubic_row(add, mul, a: int) -> None:
 # additive structure
 
 
+def _multiple(op, v: int, k: int) -> int:
+    """v op ... op v with k terms, by doubling; 0 (the additive zero) when k = 0."""
+    if not k:
+        return 0
+    total = v
+    for bit in bin(k)[3:]:  # after the leading 1, most significant first
+        total = op(total, total)
+        if bit == "1":
+            total = op(total, v)
+    return total
+
+
 def _exact_log(m: int, p: int) -> int:
     e = 0
     while m > 1:
@@ -984,43 +1000,24 @@ def additive_invariant_factors(ring: Ring) -> tuple[int, ...]:
     Largest factor first, each divisible by the next; the product equals
     the order.  Recovered by counting p-power torsion: within the
     p-primary part, |{x : p^k x = 0}| = p^{c_k} and the differences
-    c_k - c_{k-1} are the conjugate partition of the p-exponents.
+    c_k - c_{k-1} are the conjugate partition of the p-exponents.  Round k
+    multiplies the nonzero p^(k-1) x by p with scalar adds only, so lazy
+    rings build no tables.
     """
-    n = ring.order
+    n, add = ring.order, ring.add
     if n == 1:
         return (1,)
     if n > TABLE_CAP:
         raise ConstructionError(
             f"{ring.name}: additive type computed only up to order {TABLE_CAP}")
-    ords = [1] * n
-    for x in range(1, n):
-        acc, k = x, 1
-        while acc != 0:
-            acc = ring.add(acc, x)
-            k += 1
-        ords[x] = k
     per_prime = []
     for p, e in factorize(n):
-        target = p ** e
-        conj = []
-        c_prev, pk = 0, 1
-        while True:
-            pk *= p
-            cnt = sum(1 for o in ords if pk % o == 0)
-            ck = _exact_log(cnt, p)
-            conj.append(ck - c_prev)
-            c_prev = ck
-            if cnt == target:
-                break
-        lam = []
-        i = 1
-        while True:
-            parts = sum(1 for c in conj if c >= i)
-            if not parts:
-                break
-            lam.append(parts)
-            i += 1
-        per_prime.append((p, lam))
+        cs, multiples = [0], range(1, n)  # the c_k so far, and the nonzero p^k x
+        while cs[-1] != e:
+            multiples = [y for x in multiples if (y := _multiple(add, x, p))]
+            cs.append(_exact_log(n - len(multiples), p))
+        conj = [b - a for a, b in zip(cs, cs[1:])]
+        per_prime.append((p, [sum(1 for c in conj if c >= i) for i in range(1, max(conj) + 1)]))
     return invariant_factor_chain(per_prime)
 
 
@@ -1069,7 +1066,7 @@ def is_commutative(r: Ring) -> bool:
 
 def make_zn(n: int) -> ZnRing:
     """The ring of integers modulo n (n = 1 gives the zero ring)."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ConstructionError(f"Z({n}): the modulus must be a positive integer")
     if n > DEFAULT_ORDER_CAP:
         raise ConstructionError(f"Z({n}): order exceeds the cap {DEFAULT_ORDER_CAP}")
@@ -1078,7 +1075,7 @@ def make_zn(n: int) -> ZnRing:
 
 def make_gf(q: int) -> GFRing:
     """The Galois field of prime-power order q."""
-    if not isinstance(q, int) or q < 2:
+    if type(q) is not int or q < 2:
         raise ConstructionError(f"GF({q}): order must be a prime power >= 2")
     if q > DEFAULT_ORDER_CAP:
         raise ConstructionError(f"GF({q}): order exceeds the cap {DEFAULT_ORDER_CAP}")
@@ -1087,7 +1084,7 @@ def make_gf(q: int) -> GFRing:
 
 def make_matrix_ring(n: int, base: Ring) -> MatrixRing:
     """Full n-by-n matrices over a commutative base ring."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ConstructionError(f"M({n},...): the size must be a positive integer")
     if not isinstance(base, Ring):
         raise ConstructionError("matrix rings need a base ring instance")
@@ -1100,7 +1097,7 @@ def make_matrix_ring(n: int, base: Ring) -> MatrixRing:
 
 def make_triangular_ring(n: int, base: Ring) -> MatrixRing:
     """Upper-triangular n-by-n matrices over a commutative base ring."""
-    if not isinstance(n, int) or n < 1:
+    if type(n) is not int or n < 1:
         raise ConstructionError(f"UT({n},...): the size must be a positive integer")
     if not isinstance(base, Ring):
         raise ConstructionError("triangular rings need a base ring instance")
@@ -1119,9 +1116,7 @@ def make_product(factors, name: str | None = None) -> ProductRing:
     for f in factors:
         if not isinstance(f, Ring):
             raise ConstructionError("product factors must be ring instances")
-    order = 1
-    for f in factors:
-        order *= f.order
+    order = math.prod(f.order for f in factors)
     if order > DEFAULT_ORDER_CAP:
         raise ConstructionError(f"product order {order} exceeds the cap {DEFAULT_ORDER_CAP}")
     return ProductRing(factors, name=name)
@@ -1129,7 +1124,7 @@ def make_product(factors, name: str | None = None) -> ProductRing:
 
 def make_boolean(k: int) -> ProductRing:
     """The boolean ring Z_2 x ... x Z_2 with k factors."""
-    if not isinstance(k, int) or k < 1:
+    if type(k) is not int or k < 1:
         raise ConstructionError(f"B({k}): the factor count must be a positive integer")
     if 2 ** k > DEFAULT_ORDER_CAP:
         raise ConstructionError(f"B({k}): order exceeds the cap {DEFAULT_ORDER_CAP}")

@@ -524,7 +524,7 @@ def run_check(check_id: str, *, max_order: int = DEFAULT_MAX_ORDER,
               budget: int | None = None, cache: dict | None = None) -> TheoremReport:
     """Run one check; `cache` shares enumerated populations across checks."""
     spec = CHECKS[normalize_check_id(check_id)]
-    if not isinstance(max_order, int) or max_order < 1:
+    if type(max_order) is not int or max_order < 1:
         raise ConstructionError(f"max_order must be a positive integer, got {max_order}")
     if cache is None:
         cache = {}

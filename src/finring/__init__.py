@@ -43,7 +43,6 @@ from .analysis import (
     is_boolean,
     is_commutative,
     is_division_ring,
-    is_semisimple,
     is_unit,
     jacobson_radical,
     multiplicative_order,
@@ -103,7 +102,7 @@ __all__ = [
     "quotient_ring", "verify_tables",
     "RadicalSummary", "UnitGroupSummary", "characteristic", "gl_order",
     "inverse_by_scan", "inverse_index", "is_boolean", "is_commutative",
-    "is_division_ring", "is_semisimple", "is_unit", "jacobson_radical",
+    "is_division_ring", "is_unit", "jacobson_radical",
     "multiplicative_order", "primitive_element",
     "unit_census", "unit_count",
     "unit_first_column_classes", "unit_group", "unit_sum",

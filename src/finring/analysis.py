@@ -1,8 +1,8 @@
 """Structural invariants of finite rings.
 
 Characteristic, commutativity, booleanness, the unit group and its sum,
-the Jacobson radical, semisimplicity, general linear group orders, and
-primitive elements of finite fields.
+the Jacobson radical (R is semisimple iff it is zero), general linear
+group orders, and primitive elements of finite fields.
 
 The radical uses the one-sided criterion J(R) = {a : 1 - x*a is a unit for
 every x} (Lam, *A First Course in Noncommutative Rings*, section 4, where
@@ -476,11 +476,6 @@ def jacobson_radical(r: Ring) -> RadicalSummary:
     if not (mmask[mul[:, midx]].all() and mmask[mul[midx, :]].all()):
         raise ConstructionError(f"{r.name}: radical members do not absorb multiplication")
     return RadicalSummary(members=[Elem(r, a) for a in members], is_zero=(members == [0]))
-
-
-def is_semisimple(r: Ring) -> bool:
-    """True iff the Jacobson radical is {zero} (finite rings are artinian)."""
-    return jacobson_radical(r).is_zero
 
 
 # ---------------------------------------------------------------------------

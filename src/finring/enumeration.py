@@ -710,18 +710,11 @@ def are_isomorphic(r1: Ring, r2: Ring) -> bool:
 # text serialization
 
 
-def serialize_table_ring(r: TableRingStructure) -> str:
-    """Text form: header `order zero one factors...`, add rows, mul rows."""
-    if not isinstance(r, TableRingStructure):
-        raise ConstructionError("only explicit-table rings serialize to the text format")
-    return table_text(r, r.additive_type)
-
-
-def table_text(r: Ring, factors) -> str:
-    """The text form of any ring's dense tables, `factors` its additive type."""
+def serialize_table_ring(r: Ring) -> str:
+    """Text form of any ring up to TABLE_CAP: header `order zero one factors...`,
+    add rows, mul rows; `factors` is the additive type."""
     add, mul = r.tables()
-    head = " ".join(map(str, [r.order, r.zero, r.one, *factors]))
-    lines = [head]
+    lines = [" ".join(map(str, [r.order, r.zero, r.one, *r.additive_type]))]
     for row in add:
         lines.append(" ".join(str(int(v)) for v in row))
     for row in mul:
@@ -742,7 +735,10 @@ def parse_table_ring(text: str, name: str | None = None) -> TableRingStructure:
     if len(head) < 4:
         raise ConstructionError(f"table-ring header needs order, zero, one, factors: {lines[0]!r}")
     order, zero, one = head[:3]
-    factors = tuple(head[3:])
+    if order < 1:
+        raise ConstructionError(f"table-ring header order must be at least 1: {lines[0]!r}")
+    if zero != 0:
+        raise ConstructionError("tables must be indexed so that 0 is the additive zero")
     if len(lines) != 1 + 2 * order:
         raise ConstructionError(
             f"expected {2 * order} table rows after the header, found {len(lines) - 1}")
@@ -750,8 +746,8 @@ def parse_table_ring(text: str, name: str | None = None) -> TableRingStructure:
     for ln, row in zip(lines[1:], rows):
         if len(row) != order:
             raise ConstructionError(f"table row needs {order} entries: {ln!r}")
-    return make_table_ring(rows[:order], rows[order:], one=one, zero=zero,
-                           additive_type=factors, name=name)
+    return make_table_ring(rows[:order], rows[order:], one=one,
+                           additive_type=head[3:], name=name)
 
 
 def write_ring_file(stream, rings) -> int:

@@ -14,9 +14,11 @@ filled idempotently and never change observable behaviour.
 Every family builds its dense tables from small pieces with numpy: Z_n
 and GF(q) from outer sums and exp/log lists, products and the additive
 group of GF(p^s) by mixed-radix composition of the factor (digit) tables,
-matrix rings by one small table per output cell, quotients through the
-coset map.  The tests compare each against a per-pair build through
-`add` and `mul`.
+matrix rings by one small table per output cell.  The tests compare each
+against a per-pair build through `add` and `mul`.  Explicit-table rings
+and quotients (whose tables map the parent's through the cosets, once, at
+construction) are held as their tables, and their scalar arithmetic
+reads them.
 """
 
 from __future__ import annotations
@@ -320,6 +322,7 @@ class Ring:
         self.one = one
         self.name = name
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
+        self._additive_type: tuple[int, ...] | None = None
 
     # -- index arithmetic ---------------------------------------------------
 
@@ -347,6 +350,14 @@ class Ring:
 
     def pretty(self, index: int) -> str:
         return str(index)
+
+    @property
+    def additive_type(self) -> tuple[int, ...]:
+        """Invariant factors of the additive group (largest first), found once
+        (see `additive_invariant_factors`)."""
+        if self._additive_type is None:
+            self._additive_type = additive_invariant_factors(self)
+        return self._additive_type
 
     # -- dense tables -------------------------------------------------------
 
@@ -681,7 +692,29 @@ class ProductRing(Ring):
                 compose_tables([mul for _, mul in tables]))
 
 
-class TableRingStructure(Ring):
+class _TableArithmetic(Ring):
+    """A ring held as its dense tables: add/neg/mul are direct array reads.
+
+    The negation row is read once off the add table, where each row has
+    exactly one 0.
+    """
+
+    def __init__(self, add: np.ndarray, mul: np.ndarray, one: int, name: str):
+        super().__init__(add.shape[0], one, name)
+        self._tables = (add, mul)
+        self._neg = np.argmax(add == 0, axis=1).astype(np.int32)
+
+    def add(self, a, b):
+        return int(self._tables[0][a, b])
+
+    def neg(self, a):
+        return int(self._neg[a])
+
+    def mul(self, a, b):
+        return int(self._tables[1][a, b])
+
+
+class TableRingStructure(_TableArithmetic):
     """A ring given by explicit addition and multiplication tables.
 
     The tables are validated on construction by `verify_tables`: index 0
@@ -689,66 +722,45 @@ class TableRingStructure(Ring):
     then an integer in range(order)) a two-sided identity, and every ring
     axiom must hold, the cubic ones screened on additive generators in
     O(log(order) * order**2) and checked row by row only to name a witness.
+    A declared `additive_type` must hold integers equal to the add table's
+    invariant factors.
     """
 
     kind = "table"
 
-    def __init__(self, add_table, mul_table, one: int | None = None, *, zero: int = 0,
+    def __init__(self, add_table, mul_table, one: int | None = None, *,
                  additive_type=None, name: str | None = None):
         add = np.ascontiguousarray(np.asarray(add_table, dtype=np.int32))
         mul = np.ascontiguousarray(np.asarray(mul_table, dtype=np.int32))
-        _check_table_shapes(add, mul)
-        n = add.shape[0]
-        if zero != 0:
-            raise ConstructionError("tables must be indexed so that 0 is the additive zero")
         if one is None:
-            arange = np.arange(n, dtype=np.int32)
-            for e in range(n):
-                if (mul[e] == arange).all() and (mul[:, e] == arange).all():
-                    one = e
-                    break
-            else:
+            _check_table_shapes(add, mul)  # before the scan reads rows and columns
+            arange = np.arange(add.shape[0], dtype=np.int32)
+            one = next((e for e in range(add.shape[0])
+                        if (mul[e] == arange).all() and (mul[:, e] == arange).all()), None)
+            if one is None:
                 raise ConstructionError("multiplication table has no unity element")
         verify_tables(add, mul, one)
-        super().__init__(n, int(one), name or f"table({n})")
-        self._add = add
-        self._mul = mul
-        self._neg = np.argmax(add == 0, axis=1).astype(np.int32)
-        self._tables = (add, mul)
-        self._additive_type = None
+        super().__init__(add, mul, int(one), name or f"table({add.shape[0]})")
         if additive_type is not None:
-            declared = tuple(int(d) for d in additive_type)
-            actual = additive_invariant_factors(self)
-            if declared != actual:
+            declared = tuple(additive_type)
+            if not all(map(is_index, declared)):
                 raise ConstructionError(
-                    f"declared additive type {list(declared)} does not match the "
-                    f"add table's invariant factors {list(actual)}")
-            self._additive_type = declared
-
-    @property
-    def additive_type(self) -> tuple[int, ...]:
-        """Invariant factors of the additive group (largest first)."""
-        if self._additive_type is None:
-            self._additive_type = additive_invariant_factors(self)
-        return self._additive_type
-
-    def add(self, a, b):
-        return int(self._add[a, b])
-
-    def neg(self, a):
-        return int(self._neg[a])
-
-    def mul(self, a, b):
-        return int(self._mul[a, b])
+                    f"declared additive type {list(declared)!r} must hold integers")
+            declared = [int(d) for d in declared]
+            if tuple(declared) != self.additive_type:
+                raise ConstructionError(
+                    f"declared additive type {declared} does not match the "
+                    f"add table's invariant factors {list(self.additive_type)}")
 
 
-class QuotientRing(Ring):
+class QuotientRing(_TableArithmetic):
     """Quotient of a ring by a two-sided ideal, elements as cosets.
 
-    Coset k is represented by reps[k], the least parent index it contains.
-    The zero coset is the ideal itself, so index 0 again names the zero.
-    The ideal is checked and the cosets found on the parent's dense tables,
-    so parents above TABLE_CAP raise BudgetError.
+    Coset k is represented by reps[k], the least parent index it contains,
+    and cosets are labelled in the order of their reps.  The zero coset is
+    the ideal itself, so index 0 again names the zero.  The ideal is
+    checked, and the cosets and the quotient's tables found, on the
+    parent's dense tables, so parents above TABLE_CAP raise BudgetError.
     """
 
     kind = "quotient"
@@ -773,10 +785,8 @@ class QuotientRing(Ring):
             raise ConstructionError(f"{parent.name}: ideal members must be element indices")
         if 0 not in members:
             raise ConstructionError(f"{parent.name}: an ideal must contain 0")
-        mset = set(members)
-        for a in members:
-            if parent.neg(a) not in mset:
-                raise ConstructionError(f"{parent.name}: ideal not closed under negation at {a}")
+        # A finite set holding 0 and closed under + is an additive subgroup,
+        # so it is closed under negation and its cosets tile the ring.
         padd, pmul = parent.tables()
         marr = np.asarray(members)
         mmask = np.zeros(n, dtype=bool)
@@ -796,43 +806,16 @@ class QuotientRing(Ring):
             i, r = bad[0]
             raise ConstructionError(
                 f"{parent.name}: ideal not absorbing on the right at ({members[i]},{r})")
-        coset_of = {}
-        reps = []
-        for x in range(n):
-            if x in coset_of:
-                continue
-            k = len(reps)
-            for y in padd[x, marr]:
-                coset_of[int(y)] = k
-            reps.append(x)
-        if len(reps) * len(members) != n:  # cosets of a subgroup tile the ring
-            raise ConstructionError(f"{parent.name}: ideal cosets do not partition the ring")
+        # x's coset is x + ideal, the row padd[x, members]; it is named by its
+        # least member, and np.unique labels the names in increasing order.
+        reps, coset = np.unique(padd[:, marr].min(axis=1), return_inverse=True)
+        coset = coset.astype(np.int32)
+        grid = np.ix_(reps, reps)
         self.parent = parent
         self.ideal = tuple(members)
-        self.reps = tuple(reps)
-        self._coset_of = coset_of
-        super().__init__(len(reps), coset_of[parent.one], name or f"{parent.name}/I")
-
-    def add(self, a, b):
-        return self._coset_of[self.parent.add(self.reps[a], self.reps[b])]
-
-    def neg(self, a):
-        return self._coset_of[self.parent.neg(self.reps[a])]
-
-    def mul(self, a, b):
-        return self._coset_of[self.parent.mul(self.reps[a], self.reps[b])]
-
-    def _build_tables(self):
-        # The coset map turns the parent's dense tables into the quotient's
-        # with two fancy-indexing passes; the generic per-pair loop would
-        # re-dispatch through parent.mul for every entry.
-        padd, pmul = self.parent.tables()
-        coset = np.empty(self.parent.order, dtype=np.int32)
-        for x, k in self._coset_of.items():
-            coset[x] = k
-        grid = np.ix_(np.asarray(self.reps), np.asarray(self.reps))
-        return (np.ascontiguousarray(coset[padd[grid]]),
-                np.ascontiguousarray(coset[pmul[grid]]))
+        self.reps = tuple(reps.tolist())
+        super().__init__(coset[padd[grid]], coset[pmul[grid]], int(coset[parent.one]),
+                         name or f"{parent.name}/I")
 
     def pretty(self, index):
         return self.parent.pretty(self.reps[index])
@@ -1131,10 +1114,10 @@ def make_boolean(k: int) -> ProductRing:
     return ProductRing(tuple(ZnRing(2) for _ in range(k)), name=f"B({k})")
 
 
-def make_table_ring(add_table, mul_table, one: int | None = None, *, zero: int = 0,
+def make_table_ring(add_table, mul_table, one: int | None = None, *,
                     additive_type=None, name: str | None = None) -> TableRingStructure:
     """A ring from explicit tables; all axioms are verified before acceptance."""
-    return TableRingStructure(add_table, mul_table, one, zero=zero,
+    return TableRingStructure(add_table, mul_table, one,
                               additive_type=additive_type, name=name)
 
 

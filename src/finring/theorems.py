@@ -24,7 +24,6 @@ from .rings import (
     TABLE_CAP,
     Ring,
     TableRingStructure,
-    additive_invariant_factors,
     make_boolean,
     make_gf,
     make_matrix_ring,
@@ -48,7 +47,6 @@ from .enumeration import (
     enumerate_unital_rings,
     parse_table_ring,
     serialize_table_ring,
-    table_text,
 )
 
 ALIASES = {"main": "T7"}
@@ -173,19 +171,9 @@ def _t7_population(max_order, budget, cache):
     return items, complete_r and complete_i, note
 
 
-def _serialize_any(r: Ring) -> str | None:
-    if isinstance(r, TableRingStructure):
-        return serialize_table_ring(r)
-    if r.order <= TABLE_CAP:
-        return table_text(r, additive_invariant_factors(r))
-    return None
-
-
-def _counterexample(name: str, r: Ring | None, witness: dict) -> dict:
-    out = {"ring": name, "witness": witness}
-    if r is not None:
-        out["serialization"] = _serialize_any(r)
-    return out
+def _counterexample(name: str, r: Ring, witness: dict) -> dict:
+    serialization = serialize_table_ring(r) if r.order <= TABLE_CAP else None
+    return {"ring": name, "witness": witness, "serialization": serialization}
 
 
 # ---------------------------------------------------------------------------
@@ -223,12 +211,12 @@ class CheckSpec:
     (None: every item) and returns None when the claim holds, else a
     counterexample dict; the first one stops the scan.  `direct(ring,
     witness)` re-tests premise and claim on a counterexample's parsed
-    serialization with elementary scans only, True when the claim holds;
-    with `from_witness` it needs no ring.  If the population is non-empty,
-    `premise_sanity(premise)` first returns a counterexample when a known
-    non-example satisfies the premise.  Claims and premises look analysis
-    functions up by module-level name when they run, so rebinding those
-    names (as tracing does) reaches every call.
+    serialization with elementary scans only, True when the claim holds.
+    If the population is non-empty, `premise_sanity(premise)` first
+    returns a counterexample when a known non-example satisfies the
+    premise.  Claims and premises look analysis functions up by
+    module-level name when they run, so rebinding those names (as tracing
+    does) reaches every call.
     """
 
     check_id: str
@@ -238,7 +226,6 @@ class CheckSpec:
     premise: Callable | None
     claim: Callable
     direct: Callable
-    from_witness: bool = False
     premise_sanity: Callable | None = None
 
 
@@ -341,16 +328,16 @@ def _t4_direct(f, w):
 
 def _t5_claim(name, inst):
     n, q = inst
+    r = make_matrix_ring(n, make_gf(q))
     formula = gl_order(n, q)
-    brute = unit_count(make_matrix_ring(n, make_gf(q)))
+    brute = unit_count(r)
     if formula != brute:
-        return _counterexample(name, None, {"n": n, "q": q,
-                                            "formula": formula, "brute": brute})
+        return _counterexample(name, r, {"n": n, "q": q, "formula": formula, "brute": brute})
     return None
 
 
-def _t5_direct(_, w):
-    return gl_order(w["n"], w["q"]) == unit_count(make_matrix_ring(w["n"], make_gf(w["q"])))
+def _t5_direct(r, w):
+    return gl_order(w["n"], w["q"]) == len(_units_by_scan(r))
 
 
 def _t6_claim(name, inst):
@@ -481,7 +468,7 @@ CHECKS = {spec.check_id: spec for spec in (
         "over GF(q) matches a brute-force count.",
         f"(n, q) instances {list(GL_INSTANCES)}",
         _fixed(lambda: [(f"GL({n},{q})", (n, q)) for n, q in GL_INSTANCES]), None,
-        _t5_claim, _t5_direct, from_witness=True),
+        _t5_claim, _t5_direct),
     CheckSpec(
         "T6",
         "Over a characteristic-2 field, the invertible n-by-n matrices (n >= 2) are "
@@ -564,23 +551,18 @@ def run_all(max_order: int = DEFAULT_MAX_ORDER, *,
             for cid in CHECK_IDS]
 
 
-def recheck_counterexample(report: TheoremReport, direct=None) -> bool:
+def recheck_counterexample(report: TheoremReport) -> bool:
     """True iff the report's counterexample still violates the claim.
 
     The serialized ring is re-evaluated by the check's own direct
-    (scan-based) recheck.  `direct` overrides it for any check: a callable
-    taking the reconstructed ring (None for a check that rechecks from its
-    witness alone) and returning True when the claim holds.  Without a
-    serialization, only such a witness-only check can be refuted.
+    (scan-based) recheck.  A counterexample without a serialization (its
+    ring was above TABLE_CAP) cannot be refuted.
     """
     if report.counterexample is None:
         raise ConstructionError(f"report {report.check_id} carries no counterexample")
     ce = report.counterexample
     spec = CHECKS[normalize_check_id(report.check_id)]
     text = ce.get("serialization")
-    if text is None and not spec.from_witness:
+    if text is None:
         return True
-    r = None if text is None else parse_table_ring(text)
-    if direct is not None:
-        return not direct(r)
-    return not spec.direct(r, ce.get("witness", {}))
+    return not spec.direct(parse_table_ring(text), ce.get("witness", {}))

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from finring import (
+    TABLE_CAP,
     BudgetError,
     ConstructionError,
     abelian_automorphism_count,
@@ -771,9 +772,16 @@ def test_serialization_header_format():
     assert lines[1] == "0 1 2 3"
 
 
-def test_serialize_rejects_non_table_rings():
-    with pytest.raises(ConstructionError):
-        serialize_table_ring(make_zn(4))
+def test_serialize_round_trips_constructed_rings():
+    # any ring up to the table cap serializes, with its computed additive type
+    for r in (make_zn(4), make_product([make_zn(2), make_gf(4)]), make_matrix_ring(2, make_gf(2))):
+        text = serialize_table_ring(r)
+        back = parse_table_ring(text)
+        assert serialize_table_ring(back) == text, r.name
+        assert back.one == r.one and back.additive_type == r.additive_type, r.name
+        assert all(np.array_equal(a, b) for a, b in zip(back.tables(), r.tables())), r.name
+    with pytest.raises(ConstructionError, match="cap"):
+        serialize_table_ring(make_zn(TABLE_CAP + 1))
 
 
 def test_parse_validates_contents():
@@ -792,6 +800,12 @@ def test_parse_validates_contents():
         parse_table_ring(good.replace("2 0 1", "2 0", 1))  # ragged row
     with pytest.raises(ConstructionError):
         parse_table_ring(good.replace("2 0 1", "2 0 1 2", 1))  # over-long row
+
+
+def test_parse_rejects_header_order_below_one():
+    for head in ("-1 0 0 1", "0 0 0 1"):
+        with pytest.raises(ConstructionError, match="header order must be at least 1"):
+            parse_table_ring(head)
 
 
 def test_ring_file_round_trip(enum_iso):

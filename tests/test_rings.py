@@ -13,6 +13,7 @@ from finring import (
     RingMismatchError,
     Elem,
     additive_invariant_factors,
+    jacobson_radical,
     least_irreducible,
     make_boolean,
     make_gf,
@@ -380,9 +381,12 @@ def test_table_ring_rejects_axiom_violations():
 
 
 def test_table_ring_zero_must_be_index_zero():
-    add, mul = _zn_tables(4)
-    with pytest.raises(ConstructionError):
-        make_table_ring(add, mul, zero=1)
+    # tables carry no zero of their own; a serialization header naming
+    # another index as the zero is refused
+    text = "2 1 1 2\n0 1\n1 0\n0 0\n0 1\n"
+    with pytest.raises(ConstructionError, match="0 is the additive zero"):
+        parse_table_ring(text)
+    assert parse_table_ring(text.replace("2 1 1 2", "2 0 1 2", 1)).one == 1
 
 
 def test_table_ring_additive_type_checked():
@@ -390,6 +394,14 @@ def test_table_ring_additive_type_checked():
     assert make_table_ring(add, mul, additive_type=(4,)).additive_type == (4,)
     with pytest.raises(ConstructionError):
         make_table_ring(add, mul, additive_type=(2, 2))
+
+
+def test_table_ring_additive_type_must_hold_integers():
+    add, mul = make_zn(2).tables()
+    assert make_table_ring(add, mul, one=1, additive_type=(np.int64(2),)).additive_type == (2,)
+    for declared in ((2.7,), ("2",), (True,), (2.0,)):
+        with pytest.raises(ConstructionError, match="must hold integers"):
+            make_table_ring(add, mul, one=1, additive_type=declared)
 
 
 def test_verify_tables_reports_witness():
@@ -636,6 +648,12 @@ def test_quotient_rejects_non_ideals():
         quotient_ring(z6, [0, 3, 2])  # not additively closed (3+2=5 missing)
 
 
+def test_quotient_rejects_a_set_not_closed_under_negation():
+    # {0, 2} in Z(6) misses -2 = 4; closure under + already fails at 2+2
+    with pytest.raises(ConstructionError, match=r"not closed under addition at \(2,2\)"):
+        quotient_ring(make_zn(6), [0, 2])
+
+
 def test_quotient_rejects_foreign_elements():
     z4, z6 = make_zn(4), make_zn(6)
     with pytest.raises(RingMismatchError):
@@ -647,12 +665,38 @@ def test_quotient_above_table_cap_is_a_budget_error():
         quotient_ring(make_zn(2 * TABLE_CAP), [0, TABLE_CAP])
 
 
+def _quotient_oracle(parent, ideal):
+    """(reps, one, add, mul, neg) of parent/ideal through the parent's scalar
+    ops: reps are the least members of the cosets met scanning upward, and
+    y lies in coset k when y - reps[k] is in the ideal."""
+    ideal = set(ideal)
+    reps = []
+    for x in range(parent.order):
+        if not any(parent.sub(x, r) in ideal for r in reps):
+            reps.append(x)
+
+    def coset(y):
+        return next(k for k, r in enumerate(reps) if parent.sub(y, r) in ideal)
+    m = len(reps)
+    add = [[coset(parent.add(reps[a], reps[b])) for b in range(m)] for a in range(m)]
+    mul = [[coset(parent.mul(reps[a], reps[b])) for b in range(m)] for a in range(m)]
+    neg = [coset(parent.neg(r)) for r in reps]
+    return reps, coset(parent.one), add, mul, neg
+
+
 def test_quotient_tables_match_generic():
-    z12 = make_zn(12)
-    q = quotient_ring(z12, [0, 6])
-    fast = q._build_tables()
-    slow = per_pair_tables(q)
-    assert np.array_equal(fast[0], slow[0]) and np.array_equal(fast[1], slow[1])
+    ut2, ut3 = (make_triangular_ring(n, make_zn(2)) for n in (2, 3))
+    m24 = make_matrix_ring(2, make_zn(4))
+    twice = sorted({m24.add(x, x) for x in range(m24.order)})  # 2 M(2,Z(4))
+    cases = [(make_zn(12), [0, 6]), (make_zn(12), [0, 4, 8]), (ut2, [0, 2]),
+             (ut3, [e.index for e in jacobson_radical(ut3).members]), (m24, twice),
+             (make_gf(4), [0]), (make_gf(4), range(4))]
+    for parent, ideal in cases:
+        q = quotient_ring(parent, ideal)
+        reps, one, add, mul, neg = _quotient_oracle(parent, ideal)
+        assert list(q.reps) == reps and q.one == one, parent.name
+        assert q.tables()[0].tolist() == add and q.tables()[1].tolist() == mul, parent.name
+        assert [q.neg(a) for a in range(q.order)] == neg, parent.name
 
 
 # ---------------------------------------------------------------------------

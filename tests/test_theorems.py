@@ -136,7 +136,7 @@ def test_serialize_any_writes_constructed_rings_without_validating(monkeypatch):
     def refuse(*_):
         raise AssertionError("verify_tables called while serializing")
     monkeypatch.setattr(rings, "verify_tables", refuse)
-    assert [theorems._serialize_any(r) for r in subjects] == round_trips
+    assert [serialize_table_ring(r) for r in subjects] == round_trips
 
 
 def test_recheck_requires_a_counterexample(reports):
@@ -152,18 +152,24 @@ def test_recheck_refutes_a_doctored_claim():
     assert recheck_counterexample(_fake_report("T1", ce)) is False
 
 
-def test_recheck_direct_override_controls_the_verdict():
-    ce = {"ring": "B(2)", "witness": {},
-          "serialization": _snapshot(make_boolean(2))}
-    report = _fake_report("T9", ce)
-    assert recheck_counterexample(report, direct=lambda r: False) is True
-    assert recheck_counterexample(report, direct=lambda r: True) is False
-
-
 def test_recheck_t5_recomputes_from_witness():
+    # the formula for the witness's (n, q) against a scan of the serialized ring
     for n, q in ((1, 5), (2, 2), (2, 3)):
-        ce = {"ring": f"M({n},GF({q}))", "witness": {"n": n, "q": q}}
+        r = make_matrix_ring(n, make_gf(q))
+        ce = {"ring": r.name, "witness": {"n": n, "q": q}, "serialization": _snapshot(r)}
         assert recheck_counterexample(_fake_report("T5", ce)) is False
+    ce = {"ring": "M(2,GF(3))", "witness": {"n": 2, "q": 3},
+          "serialization": _snapshot(make_matrix_ring(2, make_gf(2)))}
+    assert recheck_counterexample(_fake_report("T5", ce)) is True
+
+
+def test_t5_counterexample_carries_its_ring(monkeypatch):
+    monkeypatch.setattr(theorems, "gl_order", lambda n, q: 0)
+    report = run_check("T5")
+    assert not report.passed
+    ce = report.counterexample
+    assert ce["serialization"] == serialize_table_ring(make_matrix_ring(1, make_gf(5)))
+    assert recheck_counterexample(report) is True
 
 
 def test_recheck_without_serialization_cannot_be_refuted():
@@ -171,9 +177,8 @@ def test_recheck_without_serialization_cannot_be_refuted():
     assert recheck_counterexample(_fake_report("T2", ce)) is True
 
 
-def test_recheck_direct_override_applies_to_every_check():
-    # the override replaces the check's own recheck even where that recheck
-    # would refute the report (each of these claims holds on its ring)
+def test_recheck_refutes_reports_whose_witness_agrees():
+    # each of these claims holds on its ring, so its own recheck refutes the report
     ut2 = make_triangular_ring(2, make_zn(2))
     cases = [
         ("T8", ut2, {"unit_count": 2, "expected": 2}),
@@ -184,7 +189,6 @@ def test_recheck_direct_override_applies_to_every_check():
         ce = {"ring": r.name, "witness": witness, "serialization": _snapshot(r)}
         report = _fake_report(cid, ce)
         assert recheck_counterexample(report) is False, cid
-        assert recheck_counterexample(report, direct=lambda r: False) is True, cid
 
 
 # Every check's printed description and population text, frozen.

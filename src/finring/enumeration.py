@@ -258,6 +258,16 @@ def _dfs_stream(ctx: _ShapeContext, reverse: bool = False, budget=None,
     every node would: the tree, its node counts and the stream are those
     of that exhaustive check (kept in the tests as the oracle).
 
+    The checks run fail-first: when a triple from the list's static prefix
+    (the entries copied from `ctx.watch`, ahead of those ancestors
+    re-filed there) prunes a node, it swaps places with the front entry of
+    this run's copy, so later nodes at that depth test it first.  The
+    order cannot change the tree: a node is pruned exactly when some
+    triple decidable there is false, whichever is tested first, and the
+    re-filings made before the false one are popped at that same node.
+    Re-filed entries stay at the tail, where backtracking pops them last
+    in, first out.
+
     `budget` is a single-element list of remaining node visits shared
     across shapes (None = unbounded); exhausting it raises BudgetError
     whose resume token is `token_prefix` plus the candidate-index path of
@@ -283,6 +293,7 @@ def _dfs_stream(ctx: _ShapeContext, reverse: bool = False, budget=None,
         else:
             index_range = range(len(clist))
         waiting = watch[depth]
+        nstatic = len(ctx.watch[depth])
         for ci in index_range:
             replayed = (on_spine and depth < len(spine) - 1 and ci == spine[depth])
             if not replayed and budget is not None:
@@ -294,7 +305,6 @@ def _dfs_stream(ctx: _ShapeContext, reverse: bool = False, budget=None,
                 budget[0] -= 1
             C[depth] = clist[ci]
             moved = []
-            ok = True
             for triple in waiting:
                 pij, pjk, col_k, row_i = triple
                 # q: the first unplaced position read, or -1 once decided
@@ -318,12 +328,15 @@ def _dfs_stream(ctx: _ShapeContext, reverse: bool = False, budget=None,
                         rhs = add[rhs][scale[v]]
                     if q < 0:
                         if lhs != rhs:
-                            ok = False
+                            if waiting[0] is not triple:
+                                i = waiting.index(triple)
+                                if i < nstatic:
+                                    waiting[0], waiting[i] = triple, waiting[0]
                             break
                         continue
                 watch[q].append(triple)
                 moved.append(q)
-            if ok:
+            else:
                 yield from rec(depth + 1, replayed)
             for q in moved:
                 watch[q].pop()

@@ -11,14 +11,15 @@ counts, and the same resume tokens.
 import pytest
 
 from finring import BudgetError, abelian_group_shapes, enumerate_unital_rings
-from finring.enumeration import _dfs_stream, _full_mul, _shape_context
+from finring.enumeration import _dfs_stream, _full_mul, _shape_context, _ShapeContext
 
 
-def oracle_dfs_stream(ctx, reverse=False, budget=None, start_path=None, token_prefix=""):
+def oracle_dfs_stream(ctx, reverse=False, budget=None, start_path=None, token_prefix="",
+                      pinned=False):
     """Every associative constant assignment, checking all open triples at each node."""
     positions = ctx.positions
     npos = len(positions)
-    cands = ctx.candidate_lists(reverse)
+    cands = ctx.candidate_lists(reverse, pinned)
     r = ctx.r
     triples = [(i, j, k) for i in range(r) for j in range(r) for k in range(r)]
     digits, add, smul, P = ctx.digits, ctx.add, ctx.smul, ctx.P
@@ -109,45 +110,56 @@ def _shapes(orders):
 
 
 def _run(stream, budget=10 ** 7):
-    """(nodes consumed, assignments yielded) of a budgeted stream run to the end."""
+    """(nodes consumed, assignments yielded, stop token or None) of a budgeted stream."""
     cell = [budget]
-    leaves = list(stream(cell))
-    return budget - cell[0], leaves
+    leaves, token = [], None
+    try:
+        for leaf in stream(cell):
+            leaves.append(leaf)
+    except BudgetError as exc:
+        token = exc.resume_token
+    return budget - cell[0], leaves, token
 
 
 # ---------------------------------------------------------------------------
 # the kernel against the oracle
 
 
+TREES = [(False, False), (True, False), (False, True), (True, True)]
+TREE_IDS = ["forward", "reversed", "forward-pinned", "reversed-pinned"]
+
+
 @pytest.mark.parametrize("factors", _shapes(range(2, 13)), ids=str)
-@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
-def test_kernel_stream_matches_oracle(factors, reverse):
+@pytest.mark.parametrize("reverse, pinned", TREES, ids=TREE_IDS)
+def test_kernel_stream_matches_oracle(factors, reverse, pinned):
     ctx = _shape_context(factors)
-    assert (_run(lambda cell: _dfs_stream(ctx, reverse, cell))
-            == _run(lambda cell: oracle_dfs_stream(ctx, reverse, cell)))
+    assert (_run(lambda cell: _dfs_stream(ctx, reverse, cell, pinned=pinned))
+            == _run(lambda cell: oracle_dfs_stream(ctx, reverse, cell, pinned=pinned)))
 
 
-def _order16_token(stream, budget):
-    """Run every order-16 shape in turn on one shared budget; the stop token."""
+def _order16_run(stream, budget, mode):
+    """Run every order-16 shape in turn on one shared budget: (leaves, stop token)."""
     cell = [budget]
+    leaves = []
     for si, s in enumerate(abelian_group_shapes(16)):
         ctx = _shape_context(s.invariant_factors)
         try:
-            for _ in stream(ctx, cell, f"v1:16:f:{si}:"):
-                pass
+            leaves.extend(stream(ctx, cell, f"v1:16:{mode}:{si}:"))
         except BudgetError as exc:
-            return exc.resume_token
-    return None
+            return leaves, exc.resume_token
+    return leaves, None
 
 
 @pytest.mark.parametrize("budget", [1, 999, 50_000])
 def test_kernel_order_16_tokens_match_oracle(budget):
-    new = _order16_token(lambda ctx, cell, prefix: _dfs_stream(
-        ctx, budget=cell, token_prefix=prefix), budget)
-    old = _order16_token(lambda ctx, cell, prefix: oracle_dfs_stream(
-        ctx, budget=cell, token_prefix=prefix), budget)
-    assert new == old
-    assert new is not None
+    for reverse, pinned in TREES:
+        mode = ("r" if reverse else "f") + ("i" if pinned else "")
+        new = _order16_run(lambda ctx, cell, prefix: _dfs_stream(
+            ctx, reverse, cell, token_prefix=prefix, pinned=pinned), budget, mode)
+        old = _order16_run(lambda ctx, cell, prefix: oracle_dfs_stream(
+            ctx, reverse, cell, token_prefix=prefix, pinned=pinned), budget, mode)
+        assert new == old
+        assert new[1] is not None
 
 
 def test_kernel_resume_matches_oracle():
@@ -157,6 +169,29 @@ def test_kernel_resume_matches_oracle():
     path = [int(p) for p in exc.value.resume_token.split(",")]
     assert (_run(lambda cell: _dfs_stream(ctx, budget=cell, start_path=path))
             == _run(lambda cell: oracle_dfs_stream(ctx, budget=cell, start_path=path)))
+
+
+def test_kernel_order_16_resume_matches_oracle():
+    # the stop token of the 800 000-node raw prefix, deep inside (2,2,2,2)
+    ctx = _shape_context((2, 2, 2, 2))
+    path = [0, 0, 0, 0, 0, 0, 1, 1, 3, 1, 1, 2, 2, 5, 2]
+    new = _run(lambda cell: _dfs_stream(ctx, budget=cell, start_path=path), 20_000)
+    old = _run(lambda cell: oracle_dfs_stream(ctx, budget=cell, start_path=path), 20_000)
+    assert new == old
+    assert new[1] and new[2] is not None
+
+
+def test_budget_stop_leaves_shared_context_intact():
+    # the kernel reorders only its own copy of the watch lists, so a stopped
+    # run leaves the cached context as built and a rerun repeats itself
+    def stopped_run():
+        return _order16_run(lambda ctx, cell, prefix: _dfs_stream(
+            ctx, budget=cell, token_prefix=prefix, pinned=True), 50_000, "fi")
+
+    first = stopped_run()
+    assert first[1].startswith("v1:16:fi:4:")
+    assert _shape_context((2, 2, 2, 2)).watch == _ShapeContext((2, 2, 2, 2)).watch
+    assert stopped_run() == first
 
 
 @pytest.mark.parametrize("factors", _shapes(range(2, 13)), ids=str)
@@ -179,7 +214,18 @@ def test_full_mul_matches_bilinear_loop(factors):
 ])
 def test_pinned_node_counts(factors, nodes, leaves):
     ctx = _shape_context(factors)
-    consumed, stream = _run(lambda cell: _dfs_stream(ctx, budget=cell))
+    consumed, stream, _ = _run(lambda cell: _dfs_stream(ctx, budget=cell))
+    assert (consumed, len(stream)) == (nodes, leaves)
+
+
+@pytest.mark.parametrize("factors, nodes, leaves", [
+    ((4, 2), 7, 4),
+    ((2, 2, 2), 827, 76),
+])
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_pinned_tree_node_counts(factors, nodes, leaves, reverse):
+    ctx = _shape_context(factors)
+    consumed, stream, _ = _run(lambda cell: _dfs_stream(ctx, reverse, cell, pinned=True))
     assert (consumed, len(stream)) == (nodes, leaves)
 
 

@@ -4,14 +4,18 @@ Characteristic, commutativity, booleanness, the unit group and its sum,
 the Jacobson radical (R is semisimple iff it is zero), general linear
 group orders, and primitive elements of finite fields.
 
-The radical uses the one-sided criterion J(R) = {a : 1 - x*a is a unit for
-every x} (Lam, *A First Course in Noncommutative Rings*, section 4, where
-"unit" reads "left-invertible").  In a finite ring a left inverse is
-two-sided: if y*z = 1, then z*t = 0 forces t = y*z*t = 0, so t -> z*t is
-injective, hence onto, and z*w = 1 for some w, with y = y*z*w = w.  The
-criterion is one pass over the multiplication table, O(n^2), against
-O(n^3) for the two-sided 1 - x*a*y scan, which the tests keep as the
-reference.
+The radical reads no units: in a finite ring, a is in J(R) iff every
+element of R*a is nilpotent.  If a is in J, then R*a lies in J, and every
+j in J is nilpotent: its powers repeat, j^i = j^(i+p), so j^i*(1 - j^p) = 0
+with 1 - j^p a unit, and j^i = 0.  Conversely R*a is then a nil left
+ideal, so each 1 - x*a has the inverse 1 + x*a + (x*a)^2 + ..., which puts
+a in J by the one-sided criterion {a : 1 - x*a is a unit for every x}
+(Lam, *A First Course in Noncommutative Rings*, section 4).  An element of
+a ring of order n is nilpotent iff its 2^k-th power is 0 for 2^k >= n,
+because the nonzero powers of a nilpotent element are distinct.  So the
+test is k squarings of the table's diagonal and one pass over the table,
+O(n^2), against O(n^3) for the two-sided 1 - x*a*y scan, which the tests
+keep as the reference.
 
 Dense routes (unit group, radical) read the numpy tables of
 `finring.rings`; the streaming census of matrix rings above the table cap
@@ -150,15 +154,6 @@ def is_unit(r: Ring, x) -> Elem | None:
     return None if inv is None else Elem(r, inv)
 
 
-def _unit_mask(r: Ring) -> np.ndarray:
-    """Membership mask of the units, read from the dense multiplication table."""
-    is_one = r.tables()[1] == r.one
-    right = is_one.any(axis=1)
-    if not (right == is_one.any(axis=0)).all():
-        raise ConstructionError(f"{r.name}: one-sided and two-sided units disagree")
-    return right
-
-
 def unit_group(r: Ring) -> UnitGroupSummary:
     """Every unit of the ring, with count and elementwise sum.
 
@@ -175,7 +170,10 @@ def unit_group(r: Ring) -> UnitGroupSummary:
             f"{r.name}: unit group enumerable only up to order {TABLE_CAP}; "
             "unit_sum/unit_count stream larger matrix rings")
     add, mul = r.tables()
-    umask = _unit_mask(r)
+    is_one = mul == r.one
+    umask = is_one.any(axis=1)
+    if not (umask == is_one.any(axis=0)).all():
+        raise ConstructionError(f"{r.name}: one-sided and two-sided units disagree")
     if not umask[r.one]:
         raise ConstructionError(f"{r.name}: one is missing from the unit set")
     units = np.flatnonzero(umask)
@@ -449,26 +447,27 @@ def gl_order(n: int, q: int) -> int:
 
 
 def jacobson_radical(r: Ring) -> RadicalSummary:
-    """J(R) = { a : 1 - x*a is a unit for all x }.
+    """J(R) = { a : every element of R*a is nilpotent }.
 
-    This one-sided criterion (Lam, section 4) equals the two-sided
-    { a : 1 - x*a*y is a unit for all x, y } because in a finite ring a
-    one-sided inverse is two-sided (see the module docstring).  The unit
-    set is read once from the multiplication table as a membership
-    bitmap, and a is a member iff the column `umask[one_minus[mul[:, a]]]`
-    is all true; the columns go in blocks.  The ideal property of the
-    result is verified before returning.
+    In a finite ring this equals the one-sided { a : 1 - x*a is a unit for
+    all x } and the two-sided { a : 1 - x*a*y is a unit for all x, y }
+    (Lam, section 4, and the module docstring), yet it reads no units.  The nilpotent elements
+    are those whose 2^k-th power is zero, 2^k >= order, found by k gathers
+    through the table's diagonal; a is a member iff the column
+    `nil[mul[:, a]]` is all true, and the columns go in blocks.  The ideal
+    property of the result is verified before returning.
     """
     n = r.order
     if n > TABLE_CAP:
         raise BudgetError(f"{r.name}: radical computed only up to order {TABLE_CAP}")
     add, mul = r.tables()
-    umask = _unit_mask(r)
-    neg = np.argmax(add == 0, axis=1)
-    one_minus = add[r.one][neg]          # one_minus[t] = 1 - t
+    square, power = np.diagonal(mul), np.arange(n)
+    for _ in range((n - 1).bit_length()):
+        power = square[power]
+    nil = power == r.zero
     mmask = np.empty(n, dtype=bool)
     for cols in row_blocks(n, n):
-        mmask[cols] = umask[one_minus[mul[:, cols]]].all(axis=0)
+        mmask[cols] = nil[mul[:, cols]].all(axis=0)
     midx = np.flatnonzero(mmask)
     members = midx.tolist()
     if not mmask[add[np.ix_(midx, midx)]].all():

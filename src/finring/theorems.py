@@ -30,6 +30,7 @@ from .rings import (
     make_triangular_ring,
     make_zn,
     quotient_ring,
+    row_blocks,
 )
 from .analysis import (
     characteristic,
@@ -186,6 +187,26 @@ def _units_by_scan(r: Ring) -> list[int]:
         raise BudgetError(f"{r.name}: unit scan needs order <= {TABLE_CAP}")
     is_one = r.tables()[1] == r.one
     return np.flatnonzero((is_one & is_one.T).any(axis=1)).tolist()
+
+
+def _radical_by_scan(r: Ring) -> list[int]:
+    """J(R) = {a : 1 - x*a is a unit for every x}, read from the dense tables.
+
+    The one-sided criterion of Lam (*A First Course in Noncommutative
+    Rings*, section 4) reads "unit" as "left-invertible".  In a finite ring
+    a left inverse is two-sided: if y*z = 1, then z*t = 0 forces
+    t = y*z*t = 0, so t -> z*t is injective, hence onto, and z*w = 1 for
+    some w, with y = y*z*w = w.  So the two-sided units of
+    `_units_by_scan` serve; a is a member iff the column
+    `unit[one_minus[mul[:, a]]]` is all true, and the columns go in blocks.
+    """
+    unit = np.zeros(r.order, dtype=bool)
+    unit[_units_by_scan(r)] = True
+    add, mul = r.tables()
+    one_minus = add[r.one][np.argmax(add == 0, axis=1)]  # one_minus[t] = 1 - t
+    member = np.concatenate([unit[one_minus[mul[:, cols]]].all(axis=0)
+                             for cols in row_blocks(r.order, r.order)])
+    return np.flatnonzero(member).tolist()
 
 
 def _unit_total_by_scan(r: Ring) -> tuple[list[int], int]:
@@ -378,9 +399,9 @@ def _t7_claim(name, r):
         return _counterexample(name, r, {"characteristic": ch})
     if not is_commutative(r):
         return _counterexample(name, r, {"commutative": False})
-    if not jacobson_radical(r).is_zero:
-        return _counterexample(
-            name, r, {"radical": [e.index for e in jacobson_radical(r).members]})
+    rad = jacobson_radical(r)
+    if not rad.is_zero:
+        return _counterexample(name, r, {"radical": [e.index for e in rad.members]})
     return None
 
 
@@ -430,8 +451,7 @@ def _t9_claim(name, r):
 
 
 def _t9_direct(r, w):
-    members = [e.index for e in jacobson_radical(r).members]
-    return jacobson_radical(quotient_ring(r, members)).is_zero
+    return _radical_by_scan(quotient_ring(r, _radical_by_scan(r))) == [0]
 
 
 _ENUMERATED = ("standard families and all enumerated rings of order <= {max_order}, "

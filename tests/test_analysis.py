@@ -206,8 +206,8 @@ def test_unit_group_m2_gf2():
 
 
 def test_matrix_unit_group_takes_one_kernel_batch(monkeypatch):
-    # the radical and the unit group read their units from the table; the
-    # unit group cross-checks every table inverse in one kernel batch, and
+    # the radical reads no units; the unit group reads its units from the
+    # table, cross-checks every table inverse in one kernel batch, and
     # never calls inverse_index on the matrix ring itself
     batches, singles = [], []
     kernel, single = analysis._matrix_inverses, analysis.inverse_index
@@ -484,23 +484,48 @@ def test_odd_characteristic_unit_pairing(n):
 
 def _two_sided_radical(r):
     """{a : 1 - x*a*y is a unit for all x, y}, one candidate at a time
-    (after the x = y = 1 prefilter)."""
+    (after the x = y = 1 prefilter), with the units of the theorem scans."""
     add, mul = r.tables()
-    umask = analysis._unit_mask(r)
+    umask = np.zeros(r.order, dtype=bool)
+    umask[theorems._units_by_scan(r)] = True
     one_minus = add[r.one][np.argmax(add == 0, axis=1)]
     return [a for a in range(r.order)
             if umask[one_minus[a]] and umask[one_minus[mul[mul[:, a]]]].all()]
 
 
-def test_one_sided_radical_matches_two_sided_scan(enum_raw, monkeypatch):
-    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 16)  # several column blocks per ring
-    # every ring of the T9 population (families and the rings of order <= 8)
+def _radical_oracle_population(enum_raw):
+    """Every ring of the T9 population (families and the rings of order <= 8),
+    plus three larger matrix and triangular rings."""
     population = [r for _, r in theorems._family_population()]
     population += [r for n in sorted(enum_raw) for r in enum_raw[n]]
-    population += [parse_ring(e) for e in ("UT(4,Z(2))", "M(2,Z(4))", "M(3,GF(2))")]
-    for r in population:
+    return population + [parse_ring(e) for e in ("UT(4,Z(2))", "M(2,Z(4))", "M(3,GF(2))")]
+
+
+def test_nilpotency_radical_matches_two_sided_scan(enum_raw, monkeypatch):
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 16)  # several column blocks per ring
+    for r in _radical_oracle_population(enum_raw):
         got = [e.index for e in jacobson_radical(r).members]
         assert got == _two_sided_radical(r), r.name
+
+
+def test_unit_count_factors_through_the_radical(enum_raw):
+    # units lift modulo J and 1 + J lies in U, so |U(R)| = |J| * |U(R/J)|;
+    # the radical reads no units, so the two sides are computed independently
+    for r in _radical_oracle_population(enum_raw):
+        members = [e.index for e in jacobson_radical(r).members]
+        assert unit_count(r) == len(members) * unit_count(quotient_ring(r, members)), r.name
+
+
+@pytest.mark.parametrize("expr, size", [("GF(4096)", 1), ("M(2,GF(8))", 1),
+                                        ("UT(3,GF(4))", 64)])
+def test_radical_at_the_table_cap_matches_the_one_sided_scan(expr, size):
+    r = parse_ring(expr)
+    assert r.order == rings.TABLE_CAP
+    got = [e.index for e in jacobson_radical(r).members]
+    assert got == theorems._radical_by_scan(r)
+    assert len(got) == size
+    if expr.startswith("UT"):  # J(UT(3,GF(4))) is the strictly upper part
+        assert got == [x for x in range(r.order) if not any(r.entries(x)[::r.n + 1])]
 
 
 def _scalar_census(r):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from finring import inverse_by_scan, rings, theorems
+from finring import analysis, inverse_by_scan, rings, theorems
 from finring import (
     CHECK_IDS,
     TABLE_CAP,
@@ -254,10 +254,28 @@ def test_recheck_refutes_claims_that_hold():
         ("T8", ut3, {"unit_count": 7, "expected": 8}),
         ("T8", ut3, {"unit_sum": 5, "expected": 0}),
         ("T8", ut4, {"unit_count": 63, "expected": 64}),
+        ("T9", ut2, {"radical": [0, e12], "quotient_radical": [0, 1]}),
     ]
     for cid, r, witness in cases:
         ce = {"ring": r.name, "witness": witness, "serialization": _snapshot(r)}
         assert recheck_counterexample(_fake_report(cid, ce)) is False, (cid, witness)
+
+
+def test_t9_recheck_does_not_call_the_radical_it_rechecks(monkeypatch):
+    # the recheck must stand on its own scans, or it could never refute a
+    # fault in the production radical
+    cases = [make_zn(4), make_triangular_ring(2, make_zn(2)),
+             make_matrix_ring(2, make_zn(4))]
+    snapshots = [(r.name, _snapshot(r)) for r in cases]
+
+    def refuse(r):
+        raise AssertionError(f"jacobson_radical({r.name}) called by the T9 recheck")
+    monkeypatch.setattr(theorems, "jacobson_radical", refuse)
+    monkeypatch.setattr(analysis, "jacobson_radical", refuse)
+    for name, text in snapshots:
+        ce = {"ring": name, "witness": {"radical": [0], "quotient_radical": [0, 1]},
+              "serialization": text}
+        assert recheck_counterexample(_fake_report("T9", ce)) is False, name
 
 
 def test_t8_recheck_ignores_the_witness():

@@ -10,9 +10,11 @@ j in J is nilpotent: its powers repeat, j^i = j^(i+p), so j^i*(1 - j^p) = 0
 with 1 - j^p a unit, and j^i = 0.  Conversely R*a is then a nil left
 ideal, so each 1 - x*a has the inverse 1 + x*a + (x*a)^2 + ..., which puts
 a in J by the one-sided criterion {a : 1 - x*a is a unit for every x}
-(Lam, *A First Course in Noncommutative Rings*, section 4).  An element of
-a ring of order n is nilpotent iff its 2^k-th power is 0 for 2^k >= n,
-because the nonzero powers of a nilpotent element are distinct.  So the
+(Lam, *A First Course in Noncommutative Rings*, section 4).  A nilpotent a
+of index t gives a strictly falling chain R > aR > ... > a^t R = 0 of
+additive subgroups (if a^i R = a^(i+1) R, then a^i R = a^t R = 0), each at
+most half the one before, so t <= log2 n in a ring of order n, and a is
+nilpotent iff its 2^k-th power is 0 for 2^k >= floor(log2 n).  So the
 test is k squarings of the table's diagonal and one pass over the table,
 O(n^2), against O(n^3) for the two-sided 1 - x*a*y scan, which the tests
 keep as the reference.
@@ -451,18 +453,20 @@ def jacobson_radical(r: Ring) -> RadicalSummary:
 
     In a finite ring this equals the one-sided { a : 1 - x*a is a unit for
     all x } and the two-sided { a : 1 - x*a*y is a unit for all x, y }
-    (Lam, section 4, and the module docstring), yet it reads no units.  The nilpotent elements
-    are those whose 2^k-th power is zero, 2^k >= order, found by k gathers
-    through the table's diagonal; a is a member iff the column
-    `nil[mul[:, a]]` is all true, and the columns go in blocks.  The ideal
-    property of the result is verified before returning.
+    (Lam, section 4, and the module docstring), yet it reads no units.  A
+    nilpotent index is at most floor(log2 order) (module docstring), so the
+    nilpotent elements are those whose 2^k-th power is zero for the least k
+    with 2^k >= floor(log2 order), found by k gathers through the table's
+    diagonal; a is a member iff the column `nil[mul[:, a]]` is all true, and
+    the columns go in blocks.  The ideal property of the result is verified
+    before returning.
     """
     n = r.order
     if n > TABLE_CAP:
         raise BudgetError(f"{r.name}: radical computed only up to order {TABLE_CAP}")
     add, mul = r.tables()
     square, power = np.diagonal(mul), np.arange(n)
-    for _ in range((n - 1).bit_length()):
+    for _ in range((n.bit_length() - 2).bit_length()):
         power = square[power]
     nil = power == r.zero
     mmask = np.empty(n, dtype=bool)

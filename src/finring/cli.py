@@ -31,7 +31,7 @@ from .analysis import (
 )
 from .enumeration import enumerate_unital_rings, serialize_table_ring, write_ring_file
 from .expr import parse_ring
-from .theorems import CHECK_IDS, GL_INSTANCES, run_check
+from .theorems import CHECK_IDS, DEFAULT_MAX_ORDER, GL_INSTANCES, run_check
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -254,8 +254,9 @@ def build_parser() -> argparse.ArgumentParser:
     which.add_argument("--theorem", metavar="ID",
                        help="one of T1..T9, or 'main' for the headline theorem")
     which.add_argument("--all", action="store_true", help="run every check")
-    ver.add_argument("--max-order", type=int, default=8, metavar="K",
-                     help="enumerate populations up to this order (default 8)")
+    ver.add_argument("--max-order", type=int, default=DEFAULT_MAX_ORDER, metavar="K",
+                     help="enumerate populations up to this order "
+                          f"(default {DEFAULT_MAX_ORDER})")
     ver.add_argument("--budget", type=int, default=None, metavar="NODES")
     ver.add_argument("--json", action="store_true")
     ver.set_defaults(func=cmd_verify)

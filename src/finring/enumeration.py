@@ -51,7 +51,6 @@ from .rings import (
     make_zn,
     place_values,
 )
-from . import analysis as _analysis
 
 # Orders enumerable with no explicit budget.
 MANDATORY_MAX_ORDER = 8
@@ -396,10 +395,10 @@ def _unital_tables(ctx: _ShapeContext, assignments):
 
 
 def _new_orbits(ctx: _ShapeContext, assignments):
-    """Yield (flat mul table, orbit) for each leaf of a pinned constant
-    stream whose constants no earlier orbit holds; the orbit is the set of
-    constant tuples of the leaf's relabelings by Stab(g_0), the rows of
-    `_shape_automorphisms` with phi(g_0) = g_0.
+    """Yield (constants, flat mul table, orbit) for each leaf of a pinned
+    constant stream whose constants no earlier orbit holds; the orbit is the
+    set of constant tuples of the leaf's relabelings by Stab(g_0), the rows
+    of `_shape_automorphisms` with phi(g_0) = g_0.
 
     Relabeling by phi puts phi[mul[inv x, inv y]] at (x, y), inv the
     inverse of phi, so each row of the orbit reads only the r^2 cells at
@@ -418,29 +417,22 @@ def _new_orbits(ctx: _ShapeContext, assignments):
         cells = mul.reshape(ctx.order, ctx.order)[inv[:, left], inv[:, right]]
         orbit = set(map(bytes, np.take_along_axis(phi, cells, axis=1)))
         seen |= orbit
-        yield mul, orbit
+        yield consts, mul, orbit
 
 
-def _class_tables(ctx: _ShapeContext, assignments, reverse: bool, start_path):
+def _class_tables(ctx: _ShapeContext, assignments, reverse: bool):
     """Filter a pinned constant stream down to one (flat mul table, unity)
-    pair per isomorphism class: each Stab(g_0)-orbit's first member in
-    search order.
+    pair per isomorphism class: the leaf whose constant tuple is the least
+    of its Stab(g_0)-orbit (the greatest when reversed).
 
-    The orbit's first member is its least constant tuple (greatest when
-    reversed), since the candidate lists ascend (descend).  A fresh search
-    meets every new orbit (`_new_orbits`) at that member.  A search resumed
-    at `start_path` meets only the leaves at or after that node, so it
-    emits a new orbit only if the first member is among them: earlier
-    members belong to the chunks before, which emitted the orbit already.
+    Every orbit member is a leaf of the pinned tree and the candidate lists
+    ascend (descend), so a search meets each orbit (`_new_orbits`) first at
+    that member, or, resumed at a node, exactly when the member lies at or
+    after the node; otherwise a chunk before emitted the orbit already.
     """
-    cands = ctx.candidate_lists(reverse, pinned=True)
-    start = bytes(cands[d][i] for d, i in enumerate(start_path))
-    for mul, orbit in _new_orbits(ctx, assignments):
-        if reverse:
-            emit = max(orbit)[:len(start)] <= start
-        else:
-            emit = min(orbit)[:len(start)] >= start
-        if emit:
+    extreme = max if reverse else min
+    for consts, mul, orbit in _new_orbits(ctx, assignments):
+        if bytes(consts) == extreme(orbit):
             yield mul, ctx.gens[0]
 
 
@@ -612,7 +604,7 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = False, *,
             leaves = _dfs_stream(ctx, reverse=reverse, budget=budget_cell, start_path=path,
                                  token_prefix=token_prefix, pinned=up_to_iso)
             if up_to_iso:
-                pairs = _class_tables(ctx, leaves, reverse, path)
+                pairs = _class_tables(ctx, leaves, reverse)
             else:
                 pairs = _unital_tables(ctx, leaves)
             for mul_flat, one in pairs:
@@ -667,37 +659,31 @@ def canonical_form(r: Ring) -> CanonicalForm:
     # automorphisms that gave that row 0, and so on: row x of a relabeling
     # is phi[pulled[inv x, inv y]] over y, computed only for the
     # automorphisms still in play.  Row 0 is zero in every relabeling.
+    # Entries are below 16, so a row packs into one uint64 key whose order
+    # is the row's lexicographic order.
     alive = np.arange(len(autos))
-    rows = [bytes(n)]
     shifts = np.arange(4 * (n - 1), -1, -4, dtype=np.uint64)
     for x in range(1, n):
-        best_key, keep = None, []
+        keys = []
         for start in range(0, len(alive), _AUTO_BLOCK):
             ids = alive[start:start + _AUTO_BLOCK]
             inv = inverses[ids]
             row = np.take_along_axis(autos[ids], pulled[inv[:, x:x + 1], inv], axis=1)
-            # entries are below 16, so a row packs into one uint64 whose
-            # order is the row's lexicographic order
-            key = (row.astype(np.uint64) << shifts).sum(axis=1)
-            low = key.min()
-            if best_key is None or low < best_key:
-                best_key, keep, least = low, [], row[key.argmin()]
-            if low == best_key:
-                keep.append(ids[key == low])
-        alive = np.concatenate(keep)
-        rows.append(least.tobytes())
-    best = b"".join(rows)
+            keys.append((row.astype(np.uint64) << shifts).sum(axis=1))
+        key = np.concatenate(keys)
+        alive = alive[key == key.min()]
+    inv = inverses[alive[0]]
+    best = autos[alive[0]][pulled[np.ix_(inv, inv)]]
     # A table has one unity, so minimizing (mul, one) minimizes mul alone;
     # the unity is the row of the minimal table that fixes every element.
-    identity = bytes(range(n))
-    one = rows.index(identity)
+    one = int(np.flatnonzero((best == np.arange(n)).all(axis=1))[0])
     add_flat = tuple(v for row in ctx.add for v in row)
     return CanonicalForm(invariant_factors=factors, add_table=add_flat,
-                         mul_table=tuple(best), one=one)
+                         mul_table=tuple(best.ravel().tolist()), one=one)
 
 
 def are_isomorphic(r1: Ring, r2: Ring) -> bool:
-    """Ring isomorphism test: cheap invariant screen, then canonical forms."""
+    """Ring isomorphism test: equal canonical forms."""
     if r1 is r2:
         return True
     if r1.order != r2.order:
@@ -705,17 +691,6 @@ def are_isomorphic(r1: Ring, r2: Ring) -> bool:
     if max(r1.order, r2.order) > CANONICAL_CAP:
         raise ConstructionError(
             f"isomorphism testing is scoped to orders <= {CANONICAL_CAP}")
-    screens = (
-        additive_invariant_factors,
-        _analysis.characteristic,
-        lambda r: _analysis.unit_group(r).count,
-        _analysis.is_boolean,
-        _analysis.is_commutative,
-        lambda r: len(_analysis.jacobson_radical(r).members),
-    )
-    for screen in screens:
-        if screen(r1) != screen(r2):
-            return False
     return canonical_form(r1) == canonical_form(r2)
 
 

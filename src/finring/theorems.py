@@ -96,7 +96,6 @@ class TheoremReport:
 
 def normalize_check_id(check_id: str) -> str:
     cid = ALIASES.get(check_id.strip().lower(), check_id.strip().upper())
-    cid = ALIASES.get(cid, cid)
     if cid not in CHECK_IDS:
         raise ConstructionError(
             f"unknown check {check_id!r}; expected one of {', '.join(CHECK_IDS)} or 'main'")
@@ -501,8 +500,8 @@ CHECKS = {spec.check_id: spec for spec in (
         "A finite ring with 1 whose only unit is 1 is boolean — hence of "
         "characteristic 2 and commutative — and its radical is zero.",
         "all enumerated rings of order <= {max_order} (raw and one per isomorphism "
-        "class) plus the boolean products B(k), k <= 6, restricted to trivial unit "
-        "group ({scanned} rings scanned)",
+        f"class) plus the boolean products B(k), k <= {max(BOOLEAN_EXPONENTS)}, "
+        "restricted to trivial unit group ({scanned} rings scanned)",
         _t7_population, lambda r: unit_count(r) == 1, _t7_claim, _t7_direct,
         premise_sanity=_t7_premise_sanity),
     CheckSpec(

@@ -368,6 +368,14 @@ def test_radical_zn():
     assert jacobson_radical(make_zn(6)).is_zero
 
 
+def test_radical_squarings_reach_the_longest_nilpotent_index():
+    # 2 has index 5 = log2 32 in Z(32), the bound's worst case: 2^3 >= 5
+    # squarings find every even residue, while 2^2 would keep only the
+    # multiples of 4
+    members = sorted(e.index for e in jacobson_radical(make_zn(32)).members)
+    assert members == list(range(0, 32, 2))
+
+
 def test_radical_fields_and_matrices():
     for q in (2, 4, 9, 27):
         assert jacobson_radical(make_gf(q)).is_zero

@@ -1,4 +1,8 @@
-"""The public API: `finring.__all__`, frozen."""
+"""The public API and the package layering: `finring.__all__` and the
+intra-package import graph, frozen."""
+
+import ast
+from pathlib import Path
 
 import finring
 
@@ -34,3 +38,35 @@ PUBLIC_NAMES = {
 def test_public_names_frozen():
     assert sorted(finring.__all__) == sorted(PUBLIC_NAMES)
     assert all(hasattr(finring, name) for name in finring.__all__)
+
+
+# Each module's imports from the package itself, read from its `from .x
+# import` lines.  Adding an edge is a deliberate edit of this map: the
+# search and canonical forms (`enumeration`) stand on the ring layer alone.
+IMPORT_GRAPH = {
+    "__init__": {"analysis", "enumeration", "errors", "expr", "rings", "theorems"},
+    "analysis": {"errors", "rings"},
+    "cli": {"analysis", "enumeration", "errors", "expr", "rings", "theorems"},
+    "enumeration": {"errors", "rings"},
+    "errors": set(),
+    "expr": {"errors", "rings"},
+    "rings": {"errors"},
+    "theorems": {"analysis", "enumeration", "errors", "rings"},
+}
+
+
+def _package_imports(path):
+    imported = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module:  # from .x import ...
+                imported.add(node.module.split(".")[0])
+            else:  # from . import x
+                imported.update(alias.name for alias in node.names)
+    return imported
+
+
+def test_import_graph_frozen():
+    package = Path(finring.__file__).parent
+    graph = {path.stem: _package_imports(path) for path in package.glob("*.py")}
+    assert graph == IMPORT_GRAPH

@@ -23,6 +23,7 @@ from finring import (
     enumerate_unital_rings,
     is_boolean,
     is_commutative,
+    jacobson_radical,
     make_gf,
     make_matrix_ring,
     make_product,
@@ -37,6 +38,7 @@ from finring import (
 )
 from finring.enumeration import (
     _additive_maps,
+    _class_tables,
     _dfs_stream,
     _full_mul,
     _new_orbits,
@@ -256,7 +258,7 @@ def test_constant_orbits_match_whole_table_relabelings(order, order_16_classes):
         leaves += [tuple(map(int, r.tables()[1].ravel()[cells]))
                    for r in classes if r.additive_type == ctx.factors]
         for leaf in leaves:
-            [(mul, orbit)] = _new_orbits(ctx, [leaf])
+            [(_, mul, orbit)] = _new_orbits(ctx, [leaf])
             assert (mul == _full_mul(ctx, leaf)).all()
             oracle = {bytes(row) for block in _relabelings(ctx, mul, stab)
                       for row in block[:, cells]}
@@ -264,6 +266,33 @@ def test_constant_orbits_match_whole_table_relabelings(order, order_16_classes):
             # every later member of the orbit is skipped
             members = [tuple(m) for m in sorted(oracle)]
             assert len(list(_new_orbits(ctx, [leaf] + members))) == 1
+
+
+@pytest.mark.parametrize("reverse", [False, True])
+@pytest.mark.parametrize("factors", [(2, 2, 2), (4, 2, 2)])
+def test_class_tables_emit_rule_is_leaf_local(factors, reverse):
+    # a search resumed at a node hands _class_tables only the leaves from
+    # that node on; it must emit exactly the orbits whose first leaf in
+    # search order, the least constant tuple (the greatest when reversed),
+    # is among them; the orbits come from whole-table relabelings
+    ctx = _shape_context(factors)
+    g0 = ctx.gens[0]
+    stab = _shape_automorphisms(ctx)[0][:, g0] == g0
+    cells = [ctx.gens[i] * ctx.order + ctx.gens[j] for i, j in ctx.positions]
+    leaves = list(_dfs_stream(ctx, reverse=reverse, pinned=True))
+    index = {bytes(leaf): k for k, leaf in enumerate(leaves)}
+    firsts = set()
+    for leaf in leaves:
+        orbit = {bytes(row) for block in _relabelings(ctx, _full_mul(ctx, leaf), stab)
+                 for row in block[:, cells]}
+        first = min(index[m] for m in orbit)
+        assert first == index[max(orbit) if reverse else min(orbit)], leaf
+        firsts.add(first)
+    assert 1 < len(firsts) < len(leaves)
+    for k in range(len(leaves) + 1):
+        emitted = [mul.tobytes() for mul, _ in _class_tables(ctx, leaves[k:], reverse)]
+        assert emitted == [_full_mul(ctx, leaves[i]).tobytes()
+                           for i in sorted(firsts) if i >= k], k
 
 
 def _decode(x, factors):
@@ -747,6 +776,21 @@ def test_are_isomorphic_distinguishes_enumerated_classes(enum_iso):
     for i, a in enumerate(reps):
         for j, b in enumerate(reps):
             assert are_isomorphic(a, b) == (i == j)
+
+
+def test_are_isomorphic_separates_classes_the_invariants_do_not(order_16_classes):
+    # canonical forms alone decide isomorphism: 47 pairs of the order-16
+    # classes agree on the additive type, characteristic, unit count,
+    # booleanness, commutativity and radical size
+    def invariants(r):
+        return (additive_invariant_factors(r), characteristic(r), unit_count(r),
+                is_boolean(r), is_commutative(r), len(jacobson_radical(r).members))
+    twins = [(a, b) for a, b in itertools.combinations(order_16_classes, 2)
+             if invariants(a) == invariants(b)]
+    assert len(twins) == 47
+    assert not any(are_isomorphic(a, b) for a, b in twins)
+    rng = random.Random(47)
+    assert all(are_isomorphic(r, _relabeled_table_copy(r, rng)) for r in order_16_classes)
 
 
 # ---------------------------------------------------------------------------

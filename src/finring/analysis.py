@@ -501,21 +501,13 @@ def primitive_element(f: Ring) -> Elem:
     """The least-encoded generator of a finite field's unit group.
 
     Scans indices upward for the first element of multiplicative order
-    q - 1 and asserts the geometric-sum identity on the way out:
+    q - 1.  Check T4 tests the geometric-sum identity on it:
     sum_{k=0}^{q-2} alpha^k equals 0 for q > 2 and equals 1 for q = 2.
     """
     if not _field_like(f):
         raise ConstructionError(f"{f.name} is not a field")
     q = f.order
     for a in range(1, q):
-        if multiplicative_order(f, a) != q - 1:
-            continue
-        s, acc = 0, f.one
-        for _ in range(q - 1):
-            s = f.add(s, acc)
-            acc = f.mul(acc, a)
-        expected = f.one if q == 2 else 0
-        if s != expected:
-            raise ConstructionError(f"{f.name}: geometric-sum identity failed at alpha={a}")
-        return Elem(f, a)
+        if multiplicative_order(f, a) == q - 1:
+            return Elem(f, a)
     raise ConstructionError(f"{f.name}: no primitive element found")  # pragma: no cover

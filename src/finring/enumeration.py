@@ -32,7 +32,9 @@ g_0: the pinned classes are the orbits of Stab(g_0) in Aut(G).
 
 from __future__ import annotations
 
+import functools
 import itertools
+import re
 from dataclasses import dataclass
 from math import gcd, prod
 
@@ -60,6 +62,11 @@ BEST_EFFORT_MAX_ORDER = 16
 CANONICAL_CAP = 16
 
 _TOKEN_VERSION = "v1"
+# The one token form a stopped search writes, version:order:mode:shape:path,
+# every number ASCII decimal with no sign and no leading zero.
+_NUMBER = "(?:0|[1-9][0-9]*)"
+_TOKEN_FORM = re.compile(
+    rf"{_TOKEN_VERSION}:({_NUMBER}):([fr]i?):({_NUMBER}):((?:{_NUMBER}(?:,{_NUMBER})*)?)")
 
 
 # ---------------------------------------------------------------------------
@@ -225,14 +232,9 @@ class _ShapeContext:
         return out
 
 
-_CTX_CACHE: dict[tuple[int, ...], _ShapeContext] = {}
-
-
-def _shape_context(factors) -> _ShapeContext:
-    factors = tuple(factors)
-    if factors not in _CTX_CACHE:
-        _CTX_CACHE[factors] = _ShapeContext(factors)
-    return _CTX_CACHE[factors]
+@functools.cache
+def _shape_context(factors: tuple[int, ...]) -> _ShapeContext:
+    return _ShapeContext(factors)
 
 
 # ---------------------------------------------------------------------------
@@ -440,9 +442,6 @@ def _class_tables(ctx: _ShapeContext, assignments, reverse: bool):
 # additive isomorphisms, automorphisms, and orbit dedup
 
 
-# factors -> (automorphism rows, inverse rows)
-_AUTOS_CACHE: dict[tuple[int, ...], tuple[np.ndarray, np.ndarray]] = {}
-
 # Additive maps are built and narrowed in blocks of about this many rows, so
 # no intermediate (a uint8 array, or the index arrays numpy makes for fancy
 # indexing) grows with the 20160 automorphisms of shape (2, 2, 2, 2).
@@ -493,24 +492,23 @@ def _additive_maps(ctx: _ShapeContext, add):
     yield from extend(0, np.zeros((1, 1), dtype=np.uint8))
 
 
+@functools.cache
 def _shape_automorphisms(ctx: _ShapeContext) -> tuple[np.ndarray, np.ndarray]:
     """The shape's automorphisms as uint8 rows, in image-tuple order, with
     each row's inverse; both cached read-only.  `canonical_form` narrows
     them row by row, and `_new_orbits` reads Stab(g_0) off them."""
-    if ctx.factors not in _AUTOS_CACHE:
-        autos = np.concatenate(list(_additive_maps(ctx, ctx.add_np)))
-        expected = abelian_automorphism_count(ctx.factors)
-        if len(autos) != expected:
-            raise ConstructionError(
-                f"automorphism count mismatch for {list(ctx.factors)}: "
-                f"enumerated {len(autos)}, formula {expected}")
-        inverse = np.concatenate([np.argsort(autos[start:start + _AUTO_BLOCK], axis=1)
-                                  .astype(np.uint8)
-                                  for start in range(0, len(autos), _AUTO_BLOCK)])
-        autos.setflags(write=False)
-        inverse.setflags(write=False)
-        _AUTOS_CACHE[ctx.factors] = autos, inverse
-    return _AUTOS_CACHE[ctx.factors]
+    autos = np.concatenate(list(_additive_maps(ctx, ctx.add_np)))
+    expected = abelian_automorphism_count(ctx.factors)
+    if len(autos) != expected:
+        raise ConstructionError(
+            f"automorphism count mismatch for {list(ctx.factors)}: "
+            f"enumerated {len(autos)}, formula {expected}")
+    inverse = np.concatenate([np.argsort(autos[start:start + _AUTO_BLOCK], axis=1)
+                              .astype(np.uint8)
+                              for start in range(0, len(autos), _AUTO_BLOCK)])
+    autos.setflags(write=False)
+    inverse.setflags(write=False)
+    return autos, inverse
 
 
 # ---------------------------------------------------------------------------
@@ -524,28 +522,25 @@ def _parse_resume(token: str, order: int, mode: str, shapes) -> tuple[int, list[
     that the search up to isomorphism walks.
     """
     malformed = ConstructionError(f"malformed resume token: {token!r}")
-    parts = token.split(":")
-    if len(parts) != 5 or parts[0] != _TOKEN_VERSION:
+    form = _TOKEN_FORM.fullmatch(token)
+    if form is None:
         raise malformed
-    _, t_order, t_mode, t_shape, t_path = parts
-    if not (t_order.isdigit() and t_shape.isdigit()):
-        raise malformed
-    if int(t_order) != order or t_mode != mode:
+    t_order, t_mode, t_shape, t_path = form.groups()
+    if t_order != str(order) or t_mode != mode:
         raise ConstructionError(
             f"resume token {token!r} (order {t_order}, mode {t_mode!r}) does not match "
             f"this run (order {order}, mode {mode!r})")
     try:
-        path = [int(p) for p in t_path.split(",") if p != ""]
-    except ValueError:
+        shape, path = int(t_shape), [int(p) for p in t_path.split(",")] if t_path else []
+    except ValueError:  # a number longer than int() converts
         raise malformed from None
-    shape = int(t_shape)
     if shape >= len(shapes):
         raise ConstructionError(
             f"resume token {token!r} names shape {shape}, but order {order} "
             f"has only {len(shapes)} additive shapes")
     ctx = _shape_context(shapes[shape].invariant_factors)
     sizes = [len(c) for c in ctx.candidate_lists(False, pinned=mode.endswith("i"))]
-    if len(path) > len(sizes) or any(not 0 <= p < size for p, size in zip(path, sizes)):
+    if len(path) > len(sizes) or any(p >= size for p, size in zip(path, sizes)):
         raise malformed
     return shape, path
 
@@ -579,19 +574,16 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = False, *,
         raise ConstructionError(f"budget must be a non-negative integer, got {budget}")
     reverse = search_order == "reversed"
     mode = ("r" if reverse else "f") + ("i" if up_to_iso else "")
-    if order > MANDATORY_MAX_ORDER and budget is None and resume is None:
-        raise BudgetError(
-            f"order {order} is best-effort: pass an explicit node budget "
-            "(the token restarts from the beginning)",
-            resume_token=f"{_TOKEN_VERSION}:{order}:{mode}:0:")
     shapes = abelian_group_shapes(order)
     start_shape, start_path = 0, []
     if resume is not None:
         start_shape, start_path = _parse_resume(resume, order, mode, shapes)
-        if budget is None and order > MANDATORY_MAX_ORDER:
-            raise BudgetError(
-                f"order {order} is best-effort: pass an explicit node budget along with the token",
-                resume_token=resume)
+    if order > MANDATORY_MAX_ORDER and budget is None:
+        raise BudgetError(
+            f"order {order} is best-effort: pass an explicit node budget "
+            + ("(the token restarts from the beginning)" if resume is None
+               else "along with the token"),
+            resume_token=resume or f"{_TOKEN_VERSION}:{order}:{mode}:0:")
     budget_cell = None if budget is None else [int(budget)]
 
     def run():

@@ -8,8 +8,11 @@ interface, so analysis and search code can stay representation-agnostic.
 
 Rings are immutable after construction and all operations are pure functions
 of (ring, element indices), so instances are safe to share between threads
-and processes.  Internal caches (dense tables, field exp/log lists) are
-filled idempotently and never change observable behaviour.
+and processes.  Internal caches are filled idempotently and never change
+observable behaviour.  Memoized functions and per-ring values use one idiom,
+`functools.cache` and `functools.cached_property`; the dense tables
+(`Ring._tables`, which the benchmark's tracer reads) and the field exp/log
+lists (read by every scalar `mul`) stay plain attributes.
 
 Every family builds its dense tables from small pieces with numpy: Z_n
 and GF(q) from outer sums and exp/log lists, products and the additive
@@ -23,6 +26,7 @@ reads them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 
@@ -207,9 +211,7 @@ def poly_is_irreducible(f, p: int) -> bool:
     return True
 
 
-_IRREDUCIBLE_CACHE: dict[tuple[int, int], tuple[int, ...]] = {}
-
-
+@functools.cache
 def least_irreducible(p: int, s: int) -> tuple[int, ...]:
     """Lexicographically least monic irreducible of degree s over Z_p.
 
@@ -217,16 +219,12 @@ def least_irreducible(p: int, s: int) -> tuple[int, ...]:
     constant term compared first.  The result is little-endian and includes
     the leading 1, e.g. (1, 1, 1) for 1 + x + x^2 over Z_2.
     """
-    key = (p, s)
-    if key not in _IRREDUCIBLE_CACHE:
-        for tail in itertools.product(range(p), repeat=s):
-            f = list(tail) + [1]
-            if poly_is_irreducible(f, p):
-                _IRREDUCIBLE_CACHE[key] = tuple(f)
-                break
-        else:  # pragma: no cover - an irreducible of every degree exists
-            raise ConstructionError(f"no irreducible polynomial of degree {s} over Z_{p}")
-    return _IRREDUCIBLE_CACHE[key]
+    for tail in itertools.product(range(p), repeat=s):
+        f = list(tail) + [1]
+        if poly_is_irreducible(f, p):
+            return tuple(f)
+    raise ConstructionError(  # pragma: no cover - an irreducible of every degree exists
+        f"no irreducible polynomial of degree {s} over Z_{p}")
 
 
 # ---------------------------------------------------------------------------
@@ -322,7 +320,6 @@ class Ring:
         self.one = one
         self.name = name
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
-        self._additive_type: tuple[int, ...] | None = None
 
     # -- index arithmetic ---------------------------------------------------
 
@@ -351,13 +348,11 @@ class Ring:
     def pretty(self, index: int) -> str:
         return str(index)
 
-    @property
+    @functools.cached_property
     def additive_type(self) -> tuple[int, ...]:
         """Invariant factors of the additive group (largest first), found once
         (see `additive_invariant_factors`)."""
-        if self._additive_type is None:
-            self._additive_type = additive_invariant_factors(self)
-        return self._additive_type
+        return additive_invariant_factors(self)
 
     # -- dense tables -------------------------------------------------------
 

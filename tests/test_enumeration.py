@@ -422,6 +422,10 @@ def test_orders_above_eight_need_budget():
     with pytest.raises(BudgetError) as exc:
         enumerate_unital_rings(12)
     assert exc.value.resume_token == "v1:12:f:0:"
+    # the restart token itself still needs a budget, and is handed back
+    with pytest.raises(BudgetError, match="along with the token") as exc:
+        enumerate_unital_rings(12, resume="v1:12:f:0:")
+    assert exc.value.resume_token == "v1:12:f:0:"
 
 
 def test_budgeted_order_12_completes():
@@ -542,6 +546,15 @@ def test_resume_token_validation():
     # shape 2 of order 8 is (2,2,2): nine positions, each with 8 candidates
     with pytest.raises(ConstructionError, match="malformed resume token"):
         list(enumerate_unital_rings(8, resume="v1:8:f:2:" + ",".join(["0"] * 10)))
+    # only the form the search writes: ASCII decimals with no sign, space,
+    # leading zero or empty path entry, and no number too long to convert
+    big = "1" * 5000
+    for token in ("v1:8:f:2:0,,1", "v1:8:f:2:,0", "v1:8:f:2:0,1,", "v1:8:f:2: 1",
+                  "v1:8:f:2:+1", "v1:8:f:2:-0", "v1:08:f:2:0", "v1:\u0668:f:2:0",
+                  "v1:8:f:02:0", "v1:8:x:2:0", "v1:8:f:2:0\n", f"v1:8:f:{big}:",
+                  f"v1:8:f:2:{big}"):
+        with pytest.raises(ConstructionError, match="malformed resume token"):
+            enumerate_unital_rings(8, resume=token)
     # the last index of every position is still a node of the tree
     assert len(list(enumerate_unital_rings(9, budget=10 ** 6, resume="v1:9:f:0:8"))) == 73
     assert list(enumerate_unital_rings(8, resume="v1:8:f:2:" + ",".join(["7"] * 9))) == []

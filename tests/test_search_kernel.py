@@ -11,7 +11,8 @@ counts, and the same resume tokens.
 import pytest
 
 from finring import BudgetError, abelian_group_shapes, enumerate_unital_rings
-from finring.enumeration import _dfs_stream, _full_mul, _shape_context, _ShapeContext
+from finring.enumeration import (
+    _dfs_stream, _full_mul, _shape_automorphisms, _shape_context, _ShapeContext)
 
 
 def oracle_dfs_stream(ctx, reverse=False, budget=None, start_path=None, token_prefix="",
@@ -190,8 +191,15 @@ def test_budget_stop_leaves_shared_context_intact():
 
     first = stopped_run()
     assert first[1].startswith("v1:16:fi:4:")
-    assert _shape_context((2, 2, 2, 2)).watch == _ShapeContext((2, 2, 2, 2)).watch
+    ctx = _shape_context((2, 2, 2, 2))
+    assert ctx.watch == _ShapeContext((2, 2, 2, 2)).watch
     assert stopped_run() == first
+    # one context per shape, and one read-only automorphism pair per context
+    assert _shape_context((2, 2, 2, 2)) is ctx
+    autos, inverses = _shape_automorphisms(ctx)
+    again = _shape_automorphisms(ctx)
+    assert again[0] is autos and again[1] is inverses
+    assert not autos.flags.writeable and not inverses.flags.writeable
 
 
 @pytest.mark.parametrize("factors", _shapes(range(2, 13)), ids=str)

@@ -172,6 +172,19 @@ def test_t5_counterexample_carries_its_ring(monkeypatch):
     assert recheck_counterexample(report) is True
 
 
+def test_t4_reports_a_failed_geometric_sum(monkeypatch):
+    # every element passes for primitive, so alpha = 1: in GF(3) the sum
+    # 1 + 1 is 2, not 0.  T4 reports that with its witness, and the
+    # recheck, which finds the real generator, refutes it.
+    monkeypatch.setattr(analysis, "multiplicative_order", lambda f, a: f.order - 1)
+    report = run_check("T4")
+    assert not report.passed
+    ce = report.counterexample
+    assert ce["ring"] == "GF(3)"
+    assert ce["witness"] == {"geometric_sum": 2, "expected": 0}
+    assert recheck_counterexample(report) is False
+
+
 def test_recheck_without_serialization_cannot_be_refuted():
     ce = {"ring": "lost", "witness": {}}
     assert recheck_counterexample(_fake_report("T2", ce)) is True

@@ -160,12 +160,12 @@ def unit_group(r: Ring) -> UnitGroupSummary:
     """Every unit of the ring, with count and elementwise sum.
 
     Units, their inverses and the group laws are read from the dense
-    multiplication table: closure under multiplication, one in the set,
-    and a two-sided inverse for each unit, which must also agree with an
-    independent route: one `_matrix_inverses` batch (det^-1 * adj) on
-    matrix rings, `inverse_index` per unit on the others.  Rings larger
-    than TABLE_CAP raise BudgetError; use `unit_sum` / `unit_count`
-    for streaming totals of lazy matrix rings.
+    multiplication table alone: one-sided and two-sided units agree, one
+    is in the set, the set is closed under multiplication, and each
+    unit's table inverse is two-sided.  The tests compare the inverses
+    with `_matrix_inverses` and `inverse_index`.  Rings larger than
+    TABLE_CAP raise BudgetError; use `unit_sum` / `unit_count` for
+    streaming totals of lazy matrix rings.
     """
     if r.order > TABLE_CAP:
         raise BudgetError(
@@ -192,15 +192,8 @@ def unit_group(r: Ring) -> UnitGroupSummary:
     if len(one_sided):
         raise ConstructionError(
             f"{r.name}: unit {units[one_sided[0]]} lacks a two-sided inverse in the set")
-    if isinstance(r, MatrixRing):
-        checked = _matrix_inverses(r, units.tolist())
-    else:
-        checked = [inverse_index(r, u) for u in units.tolist()]
     total = r.zero
-    for u, inv, got in zip(units.tolist(), inverses.tolist(), checked):
-        if got != inv:
-            raise ConstructionError(
-                f"{r.name}: inverse_index disagrees with the table inverse {inv} of unit {u}")
+    for u in units.tolist():
         total = int(add[total, u])
     return UnitGroupSummary(units=[Elem(r, u) for u in units.tolist()], count=len(units),
                             sum=Elem(r, total), closure_verified=True)

@@ -6,11 +6,12 @@ families (integers mod n, Galois fields, matrix and upper-triangular rings,
 direct products, explicit-table rings, quotient rings) all share the `Ring`
 interface, so analysis and search code can stay representation-agnostic.
 
-Rings are immutable after construction and all operations are pure functions
+Rings are immutable after construction, and all operations are pure functions
 of (ring, element indices), so instances are safe to share between threads
-and processes.  Internal caches are filled idempotently and never change
-observable behaviour.  Memoized functions and per-ring values use one idiom,
-`functools.cache` and `functools.cached_property`; the dense tables
+and processes; the dense tables are read-only arrays, and a table ring copies
+the arrays it is given.  Internal caches are filled idempotently and never
+change observable behaviour.  Memoized functions and per-ring values use one
+idiom, `functools.cache` and `functools.cached_property`; the dense tables
 (`Ring._tables`, which the benchmark's tracer reads) and the field exp/log
 lists (read by every scalar `mul`) stay plain attributes.
 
@@ -51,6 +52,13 @@ def row_blocks(rows: int, width: int) -> list[slice]:
     """Slices covering range(rows), each block about _BLOCK_ENTRIES / width rows."""
     step = max(1, _BLOCK_ENTRIES // max(1, width))
     return [slice(i, min(i + step, rows)) for i in range(0, rows, step)]
+
+
+def _read_only(*tables: np.ndarray) -> tuple[np.ndarray, ...]:
+    """The arrays, each marked read-only in place."""
+    for t in tables:
+        t.setflags(write=False)
+    return tables
 
 
 def compose_tables(tables) -> np.ndarray:
@@ -357,12 +365,12 @@ class Ring:
     # -- dense tables -------------------------------------------------------
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (add, mul) index tables as int32 arrays, cached after first use."""
+        """Dense (add, mul) index tables as read-only int32 arrays, cached after first use."""
         if self._tables is None:
             if self.order > TABLE_CAP:
                 raise ConstructionError(
                     f"{self.name} has order {self.order}, above the dense-table cap {TABLE_CAP}")
-            self._tables = self._build_tables()
+            self._tables = _read_only(*self._build_tables())
         return self._tables
 
     def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
@@ -696,7 +704,7 @@ class _TableArithmetic(Ring):
 
     def __init__(self, add: np.ndarray, mul: np.ndarray, one: int, name: str):
         super().__init__(add.shape[0], one, name)
-        self._tables = (add, mul)
+        self._tables = _read_only(add, mul)
         self._neg = np.argmax(add == 0, axis=1).astype(np.int32)
 
     def add(self, a, b):
@@ -712,7 +720,7 @@ class _TableArithmetic(Ring):
 class TableRingStructure(_TableArithmetic):
     """A ring given by explicit addition and multiplication tables.
 
-    The tables are validated on construction by `verify_tables`: index 0
+    The tables are copied, then validated by `verify_tables`: index 0
     must be the additive zero, the unity (found by scan unless supplied,
     then an integer in range(order)) a two-sided identity, and every ring
     axiom must hold, the cubic ones screened on additive generators in
@@ -725,8 +733,8 @@ class TableRingStructure(_TableArithmetic):
 
     def __init__(self, add_table, mul_table, one: int | None = None, *,
                  additive_type=None, name: str | None = None):
-        add = np.ascontiguousarray(np.asarray(add_table, dtype=np.int32))
-        mul = np.ascontiguousarray(np.asarray(mul_table, dtype=np.int32))
+        add = np.array(add_table, dtype=np.int32, order="C")
+        mul = np.array(mul_table, dtype=np.int32, order="C")
         if one is None:
             _check_table_shapes(add, mul)  # before the scan reads rows and columns
             arange = np.arange(add.shape[0], dtype=np.int32)
@@ -1030,8 +1038,6 @@ def is_commutative(r: Ring) -> bool:
     if isinstance(r, MatrixRing):
         # n >= 2 over a nontrivial base: E11*E12 != E12*E11
         return r.order == 1 or (r.n == 1 and is_commutative(r.base))
-    if isinstance(r, QuotientRing) and is_commutative(r.parent):
-        return True
     if r.order > TABLE_CAP and r._tables is None:
         raise BudgetError(f"{r.name}: commutativity scan needs order <= {TABLE_CAP}")
     _, mul = r.tables()

@@ -205,51 +205,19 @@ def test_unit_group_m2_gf2():
     assert ug.sum.index == m.zero
 
 
-def test_matrix_unit_group_takes_one_kernel_batch(monkeypatch):
-    # the radical reads no units; the unit group reads its units from the
-    # table, cross-checks every table inverse in one kernel batch, and
-    # never calls inverse_index on the matrix ring itself
-    batches, singles = [], []
-    kernel, single = analysis._matrix_inverses, analysis.inverse_index
-
-    def counting_kernel(r, indices):
-        batches.append(list(indices))
-        return kernel(r, indices)
-
-    def counting_single(r, a):
-        singles.append(r)
-        return single(r, a)
-
-    monkeypatch.setattr(analysis, "_matrix_inverses", counting_kernel)
-    monkeypatch.setattr(analysis, "inverse_index", counting_single)
+def test_unit_group_calls_no_inverse_route(monkeypatch):
+    # the radical reads no units, and the unit group reads its units and
+    # their inverses from the table alone: neither the kernel batch nor
+    # inverse_index runs, on a matrix ring or on the others
+    calls = []
+    monkeypatch.setattr(analysis, "_matrix_inverses", lambda r, indices: calls.append(r))
+    monkeypatch.setattr(analysis, "inverse_index", lambda r, a: calls.append(r))
     m = make_matrix_ring(2, make_gf(2))
     assert jacobson_radical(m).is_zero
-    assert batches == [] and singles == []
-    ug = unit_group(m)
-    assert ug.count == 6
-    assert batches == [[u.index for u in ug.units]]
-    assert m not in singles
-
-
-def test_unit_group_cross_checks_table_inverses(monkeypatch):
-    # a unit whose independent inverse disagrees with its table inverse
-    # must stop unit_group, on the kernel batch and on the modular route
-    m, z = make_matrix_ring(2, make_gf(2)), make_zn(12)
-    kernel, single = analysis._matrix_inverses, analysis.inverse_index
-    bad_m, bad_z = unit_group(m).units[-1].index, unit_group(z).units[-1].index
-
-    def wrong_kernel(r, indices):
-        return [r.one if a == bad_m else v for a, v in zip(indices, kernel(r, indices))]
-
-    def wrong_single(r, a):
-        return r.one if r is z and a == bad_z else single(r, a)
-
-    for name, wrong, ring in (("_matrix_inverses", wrong_kernel, m),
-                              ("inverse_index", wrong_single, z)):
-        monkeypatch.setattr(analysis, name, wrong)
-        with pytest.raises(ConstructionError, match="inverse_index disagrees"):
-            unit_group(ring)
-        monkeypatch.undo()
+    assert unit_group(m).count == 6
+    assert unit_group(make_zn(12)).count == 4
+    assert unit_group(parse_ring("Z(4) x GF(4)")).count == 6
+    assert calls == []
 
 
 def _scan_inverses(r):
@@ -507,6 +475,22 @@ def _radical_oracle_population(enum_raw):
     population = [r for _, r in theorems._family_population()]
     population += [r for n in sorted(enum_raw) for r in enum_raw[n]]
     return population + [parse_ring(e) for e in ("UT(4,Z(2))", "M(2,Z(4))", "M(3,GF(2))")]
+
+
+def test_unit_group_inverses_match_the_independent_routes(enum_raw):
+    # _matrix_inverses (det^-1 * adj) on matrix rings and inverse_index on
+    # the others invert exactly the units unit_group reads off the table,
+    # and each inverse they give is two-sided in the table
+    for r in _radical_oracle_population(enum_raw):
+        if isinstance(r, rings.MatrixRing):
+            inverses = analysis._matrix_inverses(r, range(r.order))
+        else:
+            inverses = [-1 if v is None else v
+                        for v in (inverse_index(r, a) for a in range(r.order))]
+        pairs = [(a, v) for a, v in enumerate(inverses) if v >= 0]
+        assert [a for a, _ in pairs] == [u.index for u in unit_group(r).units], r.name
+        mul = r.tables()[1]
+        assert all(mul[a, v] == mul[v, a] == r.one for a, v in pairs), r.name
 
 
 def test_nilpotency_radical_matches_two_sided_scan(enum_raw, monkeypatch):

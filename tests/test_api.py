@@ -4,6 +4,9 @@ wraps."""
 
 import ast
 import importlib
+import importlib.util
+import random
+import sys
 from pathlib import Path
 
 import finring
@@ -74,6 +77,24 @@ def test_import_graph_frozen():
     package = Path(finring.__file__).parent
     graph = {path.stem: _package_imports(path) for path in package.glob("*.py")}
     assert graph == IMPORT_GRAPH
+
+
+def test_benchmark_ops_answer_their_golden_checks():
+    # every op of every perfbench workload, run once and judged by its own
+    # golden check, so a pin the library breaks fails here first; the module
+    # is loaded by path, and registered before it runs for its dataclasses
+    path = Path(__file__).parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads
+    try:
+        spec.loader.exec_module(workloads)
+        ops = [op for build in workloads.WORKLOADS.values() for op in build(random.Random(1))]
+        assert ops
+        for op in ops:
+            assert op.check(op.run()) == [], op.id
+    finally:
+        del sys.modules[spec.name]
 
 
 def test_tracer_entry_points_resolve():

@@ -152,10 +152,11 @@ def test_automorphism_count_formula(factors, count):
     assert abelian_automorphism_count(factors) == count
 
 
-@pytest.mark.parametrize("factors", [(2,), (4,), (2, 2), (4, 2), (2, 2, 2), (6,), (12,), (6, 2)])
+@pytest.mark.parametrize("factors", [s.invariant_factors for order in range(1, 17)
+                                     for s in abelian_group_shapes(order)])
 def test_automorphism_formula_matches_brute_enumeration(factors):
-    # _shape_automorphisms raises internally if the enumerated group size
-    # disagrees with the closed formula
+    # the enumerated automorphisms of every shape of order <= 16 are
+    # distinct, and as many as the closed formula counts
     autos, _ = _shape_automorphisms(_shape_context(factors))
     assert len(autos) == abelian_automorphism_count(factors)
     assert len(np.unique(autos, axis=0)) == len(autos)
@@ -220,9 +221,31 @@ def test_candidate_lists_match_digit_annihilators(order):
 
 def test_emitted_rings_do_not_share_the_shape_add_table():
     r = next(enumerate_unital_rings(4))
-    r.tables()[0][1, 1] = 3
-    assert not _shape_context(r.additive_type).add_np.flags.writeable
+    shape_add = _shape_context(r.additive_type).add_np
+    before = shape_add.copy()
+    with pytest.raises(ValueError):
+        r.tables()[0][1, 1] = 3
+    assert not shape_add.flags.writeable
+    assert (shape_add == before).all() and not np.shares_memory(r.tables()[0], shape_add)
     assert len(list(enumerate_unital_rings(4))) == 14
+
+
+def test_shape_add_tables_carry_their_additive_type(enum_raw, enum_iso):
+    # emitted rings declare no additive type: every shape's add table
+    # computes to the shape's factors, and every emitted ring has the add
+    # table of the shape its computed type names
+    for order in range(1, 17):
+        for shape in abelian_group_shapes(order):
+            ctx = _shape_context(shape.invariant_factors)
+            model = make_product([make_zn(d) for d in shape.invariant_factors])
+            assert (model.tables()[0] == ctx.add_np).all(), shape
+            r = make_table_ring(ctx.add_np, model.tables()[1], one=model.one)
+            assert r.additive_type == shape.invariant_factors, shape
+    for population in (enum_raw, enum_iso):
+        for order in range(2, 9):
+            for r in population[order]:
+                add = _shape_context(r.additive_type).add_np
+                assert (r.tables()[0] == add).all(), r.name
 
 
 def _seeded_pinned_leaves(ctx, rng, count):

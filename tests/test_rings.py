@@ -363,6 +363,36 @@ def test_table_ring_round_trip():
             assert t.add(a, b) == z.add(a, b) and t.mul(a, b) == z.mul(a, b)
 
 
+def test_table_ring_keeps_its_values_after_the_input_is_edited():
+    # a validated table ring owns copies of its tables, whatever dtype or
+    # layout the caller passed, and never aliases another ring's tables
+    z = make_zn(4)
+    for add, mul in (tuple(t.copy() for t in z.tables()),
+                     tuple(t.astype(np.int64) for t in z.tables()),
+                     tuple(np.asfortranarray(t) for t in z.tables())):
+        t = make_table_ring(add, mul, one=1)
+        mul[2, 2], add[1, 1] = 1, 3
+        assert t.mul(2, 2) == 0 and t.add(1, 1) == 2
+        assert t.tables()[1][2, 2] == 0 and t.tables()[0][1, 1] == 2
+    assert not np.shares_memory(make_table_ring(*z.tables(), one=1).tables()[1], z.tables()[1])
+
+
+@pytest.mark.parametrize("expr", ["Z(6)", "GF(8)", "M(2,Z(2))", "UT(3,Z(2))", "Z(2) x GF(4)",
+                                  "table", "quotient"])
+def test_tables_are_read_only(expr):
+    if expr == "table":
+        r = make_table_ring(*make_zn(6).tables(), one=1)
+    elif expr == "quotient":
+        r = quotient_ring(make_zn(8), [0, 4])
+    else:
+        r = parse_ring(expr)
+    for table in r.tables():
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[1, 1] = 0
+    assert r.mul(1, 1) == r.tables()[1][1, 1]
+
+
 def test_table_ring_finds_unity():
     add, mul = _zn_tables(5)
     t = make_table_ring(add, mul)  # unity located by scan

@@ -185,6 +185,18 @@ def test_t4_reports_a_failed_geometric_sum(monkeypatch):
     assert recheck_counterexample(report) is False
 
 
+def test_t7_premise_sanity_stops_a_premise_that_admits_ut2(monkeypatch):
+    # a unit count that reads 1 everywhere lets UT(2,Z(2)) through the
+    # trivial-unit premise; T7 then fails on that one ring before scanning
+    # its population, and the recheck, which scans the units, refutes it
+    monkeypatch.setattr(theorems, "unit_count", lambda r: 1)
+    report = run_check("T7", max_order=4)
+    assert not report.passed
+    assert report.population == "premise sanity" and report.population_count == 1
+    assert report.counterexample["ring"] == "UT(2,Z(2))"
+    assert recheck_counterexample(report) is False
+
+
 def test_recheck_without_serialization_cannot_be_refuted():
     ce = {"ring": "lost", "witness": {}}
     assert recheck_counterexample(_fake_report("T2", ce)) is True

@@ -177,6 +177,17 @@ class _ShapeContext:
     element) and `digits` their nonzero support, and `K[i][j]` the
     candidate values for the structure constant g_i * g_j (the elements
     gcd(d_i, d_j) kills, since that scalar kills both generators).
+
+    Position d of the wavefront order `positions` holds g_i g_j for
+    (i, j) = positions[d], and P[i][j] = d.  The read plans say which
+    constants a product of an element with a generator reads: x g_k is
+    the sum of a (g_m g_k) over the digits (m, a) of x, so `right[k][x]`
+    lists (P[m][k], smul[a]) for those digits in digit order, and
+    `right_last[k][x]` is the latest of those positions (-1 for x = 0).
+    `left[i][y]` and `left_last[i][y]` plan g_i y the same way.
+    `triples[d]` lists the generator triples (i, j, k) whose first two
+    reads, g_i g_j and g_j g_k, end at position d, each as
+    (P[i][j], P[j][k], right[k], right_last[k], left[i], left_last[i]).
     """
 
     def __init__(self, factors: tuple[int, ...]):
@@ -194,8 +205,6 @@ class _ShapeContext:
                      for s in range(self.exponent)]
         self.digits = [tuple((i, a) for i, a in enumerate(row) if a)
                        for row in self.digit_array.tolist()]
-        # x as the sum of a * g_m over its digits, as (m, smul[a]) pairs
-        self.terms = [tuple((m, self.smul[a]) for m, a in d) for d in self.digits]
         self.gens = [s % n for s in self.strides]
         self.K = [[_killed(self.add_np, gcd(factors[i], factors[j])).tolist()
                    for j in range(r)] for i in range(r)]
@@ -210,17 +219,22 @@ class _ShapeContext:
             positions.append((t, t))
         self.positions = positions
         posidx = {p: k for k, p in enumerate(positions)}
-        self.P = [[posidx[(i, j)] for j in range(r)] for i in range(r)]
-        # generator triple (i, j, k) as the positions it reads: g_i g_j, g_j g_k,
-        # then g_m g_k and g_i g_m for the digits m of those two products; each
-        # starts in the watch list of the later of its first two (see _dfs_stream)
-        self.watch = [[] for _ in positions]
-        for i in range(r):
-            for j in range(r):
-                for k in range(r):
-                    self.watch[max(self.P[i][j], self.P[j][k])].append(
-                        (self.P[i][j], self.P[j][k], [self.P[m][k] for m in range(r)],
-                         [self.P[i][m] for m in range(r)]))
+        P = self.P = [[posidx[(i, j)] for j in range(r)] for i in range(r)]
+
+        self.right = [[tuple((P[m][k], self.smul[a]) for m, a in d) for d in self.digits]
+                      for k in range(r)]
+        self.left = [[tuple((P[i][m], self.smul[a]) for m, a in d) for d in self.digits]
+                     for i in range(r)]
+
+        def last_reads(plans):
+            return [[max((p for p, _ in plan), default=-1) for plan in row] for row in plans]
+
+        self.right_last, self.left_last = last_reads(self.right), last_reads(self.left)
+        self.triples = [[] for _ in positions]
+        for i, j, k in itertools.product(range(r), repeat=3):
+            self.triples[max(P[i][j], P[j][k])].append(
+                (P[i][j], P[j][k], self.right[k], self.right_last[k],
+                 self.left[i], self.left_last[i]))
 
     def candidate_lists(self, reverse: bool, pinned: bool = False) -> list[list[int]]:
         """Candidate values per position; `pinned` makes g_0 the unity, so
@@ -246,28 +260,27 @@ def _dfs_stream(ctx: _ShapeContext, reverse: bool = False, budget=None,
     """Yield every structure-constant assignment that stays associative.
 
     Position d of the wavefront order is filled at depth d.  A generator
-    triple (i, j, k) asks (g_i g_j) g_k == g_i (g_j g_k); it reads
-    constants position by position and is undecided while one it needs is
-    unplaced.  Each undecided triple waits in the watch list of the first
-    unplaced position it read (at the start, the later of P[i][j] and
-    P[j][k], the two it reads first), so at depth d only the triples
-    waiting on d are evaluated: a false one prunes the node, a true one is
-    dropped, and one still undecided moves to the list of the later
-    position it now stops at.  Backtracking pops those moves.  A triple
-    cannot resolve before every position it reads is placed, so each node
-    resolves exactly the triples that re-checking every open triple at
-    every node would: the tree, its node counts and the stream are those
-    of that exhaustive check (kept in the tests as the oracle).
+    triple (i, j, k) asks (g_i g_j) g_k == g_i (g_j g_k).  It first reads
+    x = g_i g_j and y = g_j g_k, so it starts in `ctx.triples` at the later
+    of their two positions.  Once they are placed, the read plans
+    `right[k][x]` and `left[i][y]` name every other constant it reads, and
+    the later of their last positions is the depth where it becomes
+    decidable.  A triple reached at depth d whose last read is still
+    unplaced is filed once, as its pair of plans, under that last read;
+    every other triple, and every pair filed under d, is evaluated in full
+    there: a false one prunes the node, a true one is done.  Backtracking
+    pops the filings.  Positions are placed in depth order, so each triple
+    is decided at the node where its last read is placed, which is where
+    re-checking every open triple at every node would decide it: the tree,
+    its node counts and the stream are those of that exhaustive check
+    (kept in the tests as the oracle).
 
-    The checks run fail-first: when a triple from the list's static prefix
-    (the entries copied from `ctx.watch`, ahead of those ancestors
-    re-filed there) prunes a node, it swaps places with the front entry of
-    this run's copy, so later nodes at that depth test it first.  The
-    order cannot change the tree: a node is pruned exactly when some
-    triple decidable there is false, whichever is tested first, and the
-    re-filings made before the false one are popped at that same node.
-    Re-filed entries stay at the tail, where backtracking pops them last
-    in, first out.
+    The filed pairs are checked first, then the static triples, fail-first:
+    when a static triple prunes a node, it swaps places with the front
+    entry of this run's copy of the list, so later nodes at that depth test
+    it first.  The order cannot change the tree: a node is pruned exactly
+    when some triple decidable there is false, whichever is tested first,
+    and the filings made before the false one are popped at that same node.
 
     `budget` is a single-element list of remaining node visits shared
     across shapes (None = unbounded); exhausting it raises BudgetError
@@ -279,8 +292,9 @@ def _dfs_stream(ctx: _ShapeContext, reverse: bool = False, budget=None,
     """
     npos = len(ctx.positions)
     cands = ctx.candidate_lists(reverse, pinned)
-    add, terms = ctx.add, ctx.terms
-    watch = [list(w) for w in ctx.watch]
+    add = ctx.add
+    triples = [list(t) for t in ctx.triples]
+    filed = [[] for _ in range(npos)]
     C = [-1] * npos
     spine = list(start_path) if start_path else []
 
@@ -293,8 +307,7 @@ def _dfs_stream(ctx: _ShapeContext, reverse: bool = False, budget=None,
             index_range = range(spine[depth], len(clist))
         else:
             index_range = range(len(clist))
-        waiting = watch[depth]
-        nstatic = len(ctx.watch[depth])
+        static, waiting = triples[depth], filed[depth]
         for ci in index_range:
             replayed = (on_spine and depth < len(spine) - 1 and ci == spine[depth])
             if not replayed and budget is not None:
@@ -305,71 +318,61 @@ def _dfs_stream(ctx: _ShapeContext, reverse: bool = False, budget=None,
                         resume_token=token_prefix + ",".join(map(str, path)))
                 budget[0] -= 1
             C[depth] = clist[ci]
-            moved = []
-            for triple in waiting:
-                pij, pjk, col_k, row_i = triple
-                # q: the first unplaced position read, or -1 once decided
-                cij = C[pij]
-                cjk = C[pjk]
-                q = -1
+            for right, left in waiting:
                 lhs = 0
-                for m, scale in terms[cij]:
-                    v = C[col_k[m]]
-                    if v < 0:
-                        q = col_k[m]
-                        break
-                    lhs = add[lhs][scale[v]]
-                if q < 0:
-                    rhs = 0
-                    for m, scale in terms[cjk]:
-                        v = C[row_i[m]]
-                        if v < 0:
-                            q = row_i[m]
-                            break
-                        rhs = add[rhs][scale[v]]
-                    if q < 0:
-                        if lhs != rhs:
-                            if waiting[0] is not triple:
-                                i = waiting.index(triple)
-                                if i < nstatic:
-                                    waiting[0], waiting[i] = triple, waiting[0]
-                            break
-                        continue
-                watch[q].append(triple)
-                moved.append(q)
+                for p, scale in right:
+                    lhs = add[lhs][scale[C[p]]]
+                rhs = 0
+                for p, scale in left:
+                    rhs = add[rhs][scale[C[p]]]
+                if lhs != rhs:
+                    break
             else:
-                yield from rec(depth + 1, replayed)
-            for q in moved:
-                watch[q].pop()
+                moved = []
+                for triple in static:
+                    pij, pjk, right, right_last, left, left_last = triple
+                    x = C[pij]
+                    y = C[pjk]
+                    last = right_last[x]
+                    if left_last[y] > last:
+                        last = left_last[y]
+                    if last > depth:
+                        filed[last].append((right[x], left[y]))
+                        moved.append(last)
+                        continue
+                    lhs = 0
+                    for p, scale in right[x]:
+                        lhs = add[lhs][scale[C[p]]]
+                    rhs = 0
+                    for p, scale in left[y]:
+                        rhs = add[rhs][scale[C[p]]]
+                    if lhs != rhs:
+                        if static[0] is not triple:
+                            i = static.index(triple)
+                            static[0], static[i] = triple, static[0]
+                        break
+                else:
+                    yield from rec(depth + 1, replayed)
+                for q in moved:
+                    filed[q].pop()
         C[depth] = -1
 
     yield from rec(0, bool(spine))
 
 
 def _unity_of(ctx: _ShapeContext, consts) -> int:
-    """Index of the table's unity, or -1: e works iff it fixes all generators."""
-    r, n = ctx.r, ctx.order
-    add, smul, digits, P = ctx.add, ctx.smul, ctx.digits, ctx.P
-    gens = ctx.gens
-    for e in range(n):
-        ok = True
-        for j in range(r):
+    """Index of the table's unity, or -1: e is the unity iff e g_j = g_j and
+    g_i e = g_i for every generator, each product read off its plan."""
+    add = ctx.add
+    checks = [*zip(ctx.gens, ctx.right), *zip(ctx.gens, ctx.left)]
+    for e in range(ctx.order):
+        for g, plans in checks:
             s = 0
-            for (m, a) in digits[e]:
-                s = add[s][smul[a][consts[P[m][j]]]]
-            if s != gens[j]:
-                ok = False
+            for p, scale in plans[e]:
+                s = add[s][scale[consts[p]]]
+            if s != g:
                 break
-        if not ok:
-            continue
-        for i in range(r):
-            s = 0
-            for (m, a) in digits[e]:
-                s = add[s][smul[a][consts[P[i][m]]]]
-            if s != gens[i]:
-                ok = False
-                break
-        if ok:
+        else:
             return e
     return -1
 

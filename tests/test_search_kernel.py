@@ -3,7 +3,7 @@
 `oracle_dfs_stream` is the exhaustive-check search: at every node it walks
 a bitmask of all still-open generator triples and re-checks each one.
 `oracle_full_mul` is the per-entry Python bilinear extension.  The
-production kernel (watch lists, numpy contraction) must reproduce both
+production kernel (read plans, numpy contraction) must reproduce both
 exactly: the same constant stream in the same order, the same node
 counts, and the same resume tokens.
 """
@@ -123,6 +123,26 @@ def _run(stream, budget=10 ** 7):
 
 
 # ---------------------------------------------------------------------------
+# read plans against brute force
+
+
+@pytest.mark.parametrize("factors", _shapes(range(2, 17)), ids=str)
+def test_read_plans_match_brute_force(factors):
+    # x g_k reads g_m g_k, and g_i x reads g_i g_m, at scale a for each digit
+    # (m, a) of x, in digit order; the last read is their latest position.
+    # `digits` and `smul` are checked against decoded digits in test_enumeration.
+    ctx = _shape_context(factors)
+    P = ctx.P
+    for x in range(ctx.order):
+        for g in range(ctx.r):
+            for plans, last, pos in [(ctx.right, ctx.right_last, lambda m: P[m][g]),
+                                     (ctx.left, ctx.left_last, lambda m: P[g][m])]:
+                want = [(pos(m), ctx.smul[a]) for m, a in ctx.digits[x]]
+                assert list(plans[g][x]) == want, (g, x)
+                assert last[g][x] == max((p for p, _ in want), default=-1), (g, x)
+
+
+# ---------------------------------------------------------------------------
 # the kernel against the oracle
 
 
@@ -164,12 +184,22 @@ def test_kernel_order_16_tokens_match_oracle(budget):
 
 
 def test_kernel_resume_matches_oracle():
-    ctx = _shape_context((2, 2, 2))
-    with pytest.raises(BudgetError) as exc:
-        list(oracle_dfs_stream(ctx, budget=[5000]))
-    path = [int(p) for p in exc.value.resume_token.split(",")]
-    assert (_run(lambda cell: _dfs_stream(ctx, budget=cell, start_path=path))
-            == _run(lambda cell: oracle_dfs_stream(ctx, budget=cell, start_path=path)))
+    # on every tree, resume at the oracle's stop token: (2, 2, 2) stops at
+    # 5000 nodes raw and at 500 pinned (its pinned tree has 827) and then
+    # finishes, (2, 2, 2, 2) stops at 100 and at 3000 and runs 20 000 more
+    for reverse, pinned in TREES:
+        for factors, budget, rest in [((2, 2, 2), 500 if pinned else 5000, 10 ** 7),
+                                      ((2, 2, 2, 2), 100, 20_000),
+                                      ((2, 2, 2, 2), 3000, 20_000)]:
+            ctx = _shape_context(factors)
+            with pytest.raises(BudgetError) as exc:
+                list(oracle_dfs_stream(ctx, reverse, budget=[budget], pinned=pinned))
+            path = [int(p) for p in exc.value.resume_token.split(",")]
+            new = _run(lambda cell: _dfs_stream(ctx, reverse, cell, path, pinned=pinned), rest)
+            old = _run(lambda cell: oracle_dfs_stream(ctx, reverse, cell, path, pinned=pinned),
+                       rest)
+            assert new == old, (factors, budget, reverse, pinned)
+            assert new[1], (factors, budget, reverse, pinned)
 
 
 def test_kernel_order_16_resume_matches_oracle():
@@ -183,8 +213,8 @@ def test_kernel_order_16_resume_matches_oracle():
 
 
 def test_budget_stop_leaves_shared_context_intact():
-    # the kernel reorders only its own copy of the watch lists, so a stopped
-    # run leaves the cached context as built and a rerun repeats itself
+    # the kernel reorders only its own copy of the static triple lists, so a
+    # stopped run leaves the cached context as built and a rerun repeats itself
     def stopped_run():
         return _order16_run(lambda ctx, cell, prefix: _dfs_stream(
             ctx, budget=cell, token_prefix=prefix, pinned=True), 50_000, "fi")
@@ -192,7 +222,7 @@ def test_budget_stop_leaves_shared_context_intact():
     first = stopped_run()
     assert first[1].startswith("v1:16:fi:4:")
     ctx = _shape_context((2, 2, 2, 2))
-    assert ctx.watch == _ShapeContext((2, 2, 2, 2)).watch
+    assert ctx.triples == _ShapeContext((2, 2, 2, 2)).triples
     assert stopped_run() == first
     # one context per shape, and one read-only automorphism pair per context
     assert _shape_context((2, 2, 2, 2)) is ctx
@@ -219,6 +249,11 @@ def test_full_mul_matches_bilinear_loop(factors):
     ((2, 2, 2), 114_840, 1688),
     ((3, 3), 1422, 121),
     ((6, 2), 444, 84),
+    # the four order-16 shapes whose raw tree finishes; (2, 2, 2, 2) has about 5e11 nodes
+    ((16,), 16, 16),
+    ((8, 2), 592, 120),
+    ((4, 4), 9616, 616),
+    ((4, 2, 2), 295_664, 4864),
 ])
 def test_pinned_node_counts(factors, nodes, leaves):
     ctx = _shape_context(factors)

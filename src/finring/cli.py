@@ -31,7 +31,7 @@ from .analysis import (
 )
 from .enumeration import enumerate_unital_rings, serialize_table_ring, write_ring_file
 from .expr import parse_ring
-from .theorems import CHECK_IDS, DEFAULT_MAX_ORDER, GL_INSTANCES, run_check
+from .theorems import DEFAULT_MAX_ORDER, GL_INSTANCES, run_all, run_check
 
 EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
@@ -179,10 +179,8 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ids = list(CHECK_IDS) if args.all else [args.theorem]
-    cache: dict = {}
-    reports = [run_check(cid, max_order=args.max_order, budget=args.budget, cache=cache)
-               for cid in ids]
+    reports = (run_all(args.max_order, budget=args.budget) if args.all else
+               [run_check(args.theorem, max_order=args.max_order, budget=args.budget)])
     if args.json:
         _print_json([rep.to_dict() for rep in reports])
     else:

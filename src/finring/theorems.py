@@ -1,9 +1,12 @@
 """Executable verification of the structural claims over declared populations.
 
-Each check T1..T9 binds one claim to a finite population of rings (or
-parameter instances), scans it exhaustively, and reports pass/fail with a
-re-checkable counterexample on failure.  The zero ring is excluded from
-every population: with 1 = 0 the unit-group conventions degenerate.
+Each check T1..T9 binds one claim to a finite population of rings, scans
+it exhaustively, and reports pass/fail with a re-checkable counterexample
+on failure.  Every check has the same three functions of one ring:
+`premise(ring)`, `claim(ring)`, which returns a witness dict when the
+claim fails, and `direct(ring)`, a scan-only recheck that reads the ring
+and never the witness.  The zero ring is excluded from every population:
+with 1 = 0 the unit-group conventions degenerate.
 
 The populations mix constructed families (Z_n, fields, boolean products,
 matrix and triangular rings) with the exhaustively enumerated rings of
@@ -45,6 +48,7 @@ from .analysis import (
     unit_group,
 )
 from .enumeration import (
+    BEST_EFFORT_MAX_ORDER,
     enumerate_unital_rings,
     parse_table_ring,
     serialize_table_ring,
@@ -162,13 +166,10 @@ def _t7_population(max_order, budget, cache):
     """Raw rings, one ring per isomorphism class, and the boolean products."""
     raw, complete_r, note_r = _enumerated_rings(cache, max_order, False, budget)
     iso, complete_i, note_i = _enumerated_rings(cache, max_order, True, budget)
-    note = note_r or note_i
     items = [(r.name, r) for r in raw] + [(f"{r.name}/iso", r) for r in iso]
     if max_order >= 2:
         items += [(f"B({k})", make_boolean(k)) for k in BOOLEAN_EXPONENTS]
-    elif note is None:
-        note = "population empty (zero ring excluded)"
-    return items, complete_r and complete_i, note
+    return items, complete_r and complete_i, note_r or note_i
 
 
 def _counterexample(name: str, r: Ring, witness: dict) -> dict:
@@ -225,18 +226,20 @@ class CheckSpec:
     """One check: its claim, the population it is scanned over, and its recheck.
 
     `population(max_order, budget, cache)` returns (items, complete,
-    note) with (name, subject) items; `population_text` is formatted with
+    note) with (name, ring) items; `population_text` is formatted with
     `max_order` and `scanned`, the number of items before premise filtering.
-    `claim(name, subject)` runs on each item passing `premise(subject)`
-    (None: every item) and returns None when the claim holds, else a
-    counterexample dict; the first one stops the scan.  `direct(ring,
-    witness)` re-tests premise and claim on a counterexample's parsed
-    serialization with elementary scans only, True when the claim holds.
-    If the population is non-empty, `premise_sanity(premise)` first
-    returns a counterexample when a known non-example satisfies the
-    premise.  Claims and premises look analysis functions up by
-    module-level name when they run, so rebinding those names (as tracing
-    does) reaches every call.
+    `claim(ring)` runs on each ring passing `premise(ring)` (None: every
+    ring) and returns None when the claim holds, else a witness dict; the
+    first witness stops the scan, and `run_check` wraps it with the item's
+    name and serialization into the counterexample.  `direct(ring)`
+    re-tests premise and claim on a counterexample's parsed serialization
+    with elementary scans only, True when the claim holds; it reads the
+    ring alone, never the witness.  `non_example` is a (name, ring,
+    premise wording) triple for a ring known to fail the premise: when
+    the population is non-empty and that ring passes, the check fails on
+    it before scanning.  Claims and premises look analysis functions up
+    by module-level name when they run, so rebinding those names (as
+    tracing does) reaches every call.
     """
 
     check_id: str
@@ -246,24 +249,22 @@ class CheckSpec:
     premise: Callable | None
     claim: Callable
     direct: Callable
-    premise_sanity: Callable | None = None
+    non_example: tuple[str, Ring, str] | None = None
 
 
-def _t1_claim(name, r):
+def _t1_claim(r):
     ch = characteristic(r)
     if ch != 2:
-        return _counterexample(name, r, {"characteristic": ch})
+        return {"characteristic": ch}
     if not is_commutative(r):
-        return _counterexample(name, r, {"commutative": False})
+        return {"commutative": False}
     ug = unit_group(r)
     if ug.count != 1 or ug.units[0].index != r.one:
-        return _counterexample(
-            name, r, {"unit_count": ug.count,
-                      "units": [u.index for u in ug.units]})
+        return {"unit_count": ug.count, "units": [u.index for u in ug.units]}
     return None
 
 
-def _t1_direct(r, w):
+def _t1_direct(r):
     n = r.order
     if not all(r.mul(x, x) == x for x in range(n)):
         return True  # premise fails, claim vacuous
@@ -272,18 +273,17 @@ def _t1_direct(r, w):
     return two_one == r.zero and comm and _units_by_scan(r) == [r.one]
 
 
-def _t2_claim(name, r):
+def _t2_claim(r):
     ug = unit_group(r)
     for u in ug.units:
-        nu = r.neg(u.index)
-        if nu == u.index:
-            return _counterexample(name, r, {"self_negative_unit": u.index})
+        if r.neg(u.index) == u.index:
+            return {"self_negative_unit": u.index}
     if ug.sum.index != r.zero:
-        return _counterexample(name, r, {"unit_sum": ug.sum.index})
+        return {"unit_sum": ug.sum.index}
     return None
 
 
-def _t2_direct(r, w):
+def _t2_direct(r):
     if _has_characteristic_two(r):
         return True
     total = r.zero
@@ -294,26 +294,25 @@ def _t2_direct(r, w):
     return total == r.zero
 
 
-def _t3_claim(name, r):
+def _t3_claim(r):
     c = unit_count(r)
     if c % 2 != 0:
-        return _counterexample(name, r, {"unit_count": c})
+        return {"unit_count": c}
     return None
 
 
-def _t3_direct(r, w):
+def _t3_direct(r):
     return _has_characteristic_two(r) or len(_units_by_scan(r)) % 2 == 0
 
 
-def _t4_claim(name, f):
+def _t4_claim(f):
     q = f.order
     ug = unit_group(f)
     expected_sum = f.one if q == 2 else f.zero
     if ug.count != q - 1:
-        return _counterexample(name, f, {"unit_count": ug.count, "expected": q - 1})
+        return {"unit_count": ug.count, "expected": q - 1}
     if ug.sum.index != expected_sum:
-        return _counterexample(name, f, {"unit_sum": ug.sum.index,
-                                         "expected": expected_sum})
+        return {"unit_sum": ug.sum.index, "expected": expected_sum}
     alpha = primitive_element(f)
     acc = f.element(f.one)
     geo = f.element(f.one)
@@ -321,116 +320,106 @@ def _t4_claim(name, f):
         acc = acc * alpha
         geo = geo + acc
     if geo.index != expected_sum:
-        return _counterexample(name, f, {"geometric_sum": geo.index,
-                                         "expected": expected_sum})
+        return {"geometric_sum": geo.index, "expected": expected_sum}
     return None
 
 
-def _t4_direct(f, w):
+def _t4_direct(f):
     expected = f.one if f.order == 2 else f.zero
-    if "geometric_sum" in w:
-        # find a multiplicative generator by direct order scanning
-        for x in range(1, f.order):
-            acc, k = x, 1
-            while acc != f.one and k <= f.order:
-                acc = f.mul(acc, x)
-                k += 1
-            if acc == f.one and k == f.order - 1:
-                geo, powcur = f.one, f.one
-                for _ in range(f.order - 2):
-                    powcur = f.mul(powcur, x)
-                    geo = f.add(geo, powcur)
-                return geo == expected
-        return False  # no generator found: not a field, so the report stands
     units, total = _unit_total_by_scan(f)
-    return len(units) == f.order - 1 and total == expected
+    if len(units) != f.order - 1 or total != expected:
+        return False
+    # find a multiplicative generator by direct order scanning
+    for x in range(1, f.order):
+        acc, k = x, 1
+        while acc != f.one and k <= f.order:
+            acc = f.mul(acc, x)
+            k += 1
+        if acc == f.one and k == f.order - 1:
+            geo, powcur = f.one, f.one
+            for _ in range(f.order - 2):
+                powcur = f.mul(powcur, x)
+                geo = f.add(geo, powcur)
+            return geo == expected
+    return False  # no generator found: not a field, so the report stands
 
 
-def _t5_claim(name, inst):
-    n, q = inst
-    r = make_matrix_ring(n, make_gf(q))
+def _t5_claim(r):
+    n, q = r.n, r.base.order
     formula = gl_order(n, q)
     brute = unit_count(r)
     if formula != brute:
-        return _counterexample(name, r, {"n": n, "q": q, "formula": formula, "brute": brute})
+        return {"n": n, "q": q, "formula": formula, "brute": brute}
     return None
 
 
-def _t5_direct(r, w):
-    return gl_order(w["n"], w["q"]) == len(_units_by_scan(r))
+def _t5_direct(r):
+    # (n, q) comes from the order q^(n*n), which differs between instances
+    instances = {q ** (n * n): (n, q) for n, q in GL_INSTANCES}
+    if r.order not in instances:
+        return True  # no instance has this order, so the claim says nothing of r
+    return gl_order(*instances[r.order]) == len(_units_by_scan(r))
 
 
-def _t6_claim(name, inst):
-    n, q = inst
-    r = make_matrix_ring(n, make_gf(q))
+def _t6_claim(r):
     c, s = unit_census(r)
     if c % 2 != 0:
-        return _counterexample(name, r, {"unit_count": c})
+        return {"unit_count": c}
     if s.index != r.zero:
-        return _counterexample(name, r, {"unit_sum": s.index})
+        return {"unit_sum": s.index}
     for col, size in unit_first_column_classes(r).items():
         if size % 2 != 0:
-            return _counterexample(name, r, {"first_column": list(col),
-                                             "class_size": size})
+            return {"first_column": list(col), "class_size": size}
     return None
 
 
-def _t6_direct(r, w):
+def _t6_direct(r):
     units, total = _unit_total_by_scan(r)
     return len(units) % 2 == 0 and total == r.zero
 
 
-def _t7_premise_sanity(premise):
-    ut2 = make_triangular_ring(2, make_zn(2))
-    if premise(ut2):
-        return _counterexample(
-            "UT(2,Z(2))", ut2,
-            {"error": "UT(2,Z(2)) must not satisfy the trivial-unit premise"})
-    return None
-
-
-def _t7_claim(name, r):
+def _t7_claim(r):
     if not is_boolean(r):
         bad = next(x for x in range(r.order) if r.mul(x, x) != x)
-        return _counterexample(name, r, {"non_idempotent": bad})
+        return {"non_idempotent": bad}
     ch = characteristic(r)
     if ch != 2:
-        return _counterexample(name, r, {"characteristic": ch})
+        return {"characteristic": ch}
     if not is_commutative(r):
-        return _counterexample(name, r, {"commutative": False})
+        return {"commutative": False}
     rad = jacobson_radical(r)
     if not rad.is_zero:
-        return _counterexample(name, r, {"radical": [e.index for e in rad.members]})
+        return {"radical": [e.index for e in rad.members]}
     return None
 
 
-def _t7_direct(r, w):
+def _t7_direct(r):
     if _units_by_scan(r) != [r.one]:
         return True
     return all(r.mul(x, x) == x for x in range(r.order))
 
 
+_UT2 = make_triangular_ring(2, make_zn(2))
+
+
 def _t8_expected(n):
     """(unit count, unit sum index) that the claim gives UT_n(Z_2)."""
-    e12 = make_triangular_ring(2, make_zn(2)).from_entries([0, 1, 0, 0])
+    e12 = _UT2.from_entries([0, 1, 0, 0])
     return 2 ** ((n - 1) * n // 2), (e12 if n == 2 else 0)
 
 
-def _t8_claim(name, n):
-    r = make_triangular_ring(n, make_zn(2))
-    expected, expected_sum = _t8_expected(n)
+def _t8_claim(r):
+    expected, expected_sum = _t8_expected(r.n)
     c, s = unit_census(r)
     if c != expected:
-        return _counterexample(name, r, {"unit_count": c, "expected": expected})
+        return {"unit_count": c, "expected": expected}
     if s.index != expected_sum:
-        return _counterexample(name, r, {"unit_sum": s.index,
-                                         "expected": expected_sum})
+        return {"unit_sum": s.index, "expected": expected_sum}
     return None
 
 
-def _t8_direct(r, w):
-    # n comes from the order 2^(n(n+1)/2), not from the witness, whose
-    # "expected" is the report's own claim
+def _t8_direct(r):
+    # n comes from the order 2^(n(n+1)/2), which differs between sizes
     sizes = {2 ** (n * (n + 1) // 2): n for n in range(1, r.order.bit_length() + 1)}
     if r.order not in sizes:
         return True  # no UT_n(Z_2) has this order, so the claim says nothing of r
@@ -438,18 +427,15 @@ def _t8_direct(r, w):
     return (len(units), total) == _t8_expected(sizes[r.order])
 
 
-def _t9_claim(name, r):
+def _t9_claim(r):
     members = [e.index for e in jacobson_radical(r).members]
-    q = quotient_ring(r, members, name=f"{r.name}/J")
-    rad = jacobson_radical(q)
+    rad = jacobson_radical(quotient_ring(r, members, name=f"{r.name}/J"))
     if not rad.is_zero:
-        return _counterexample(
-            name, r, {"radical": members,
-                      "quotient_radical": [e.index for e in rad.members]})
+        return {"radical": members, "quotient_radical": [e.index for e in rad.members]}
     return None
 
 
-def _t9_direct(r, w):
+def _t9_direct(r):
     return _radical_by_scan(quotient_ring(r, _radical_by_scan(r))) == [0]
 
 
@@ -486,14 +472,16 @@ CHECKS = {spec.check_id: spec for spec in (
         "The closed product formula for the number of invertible n-by-n matrices "
         "over GF(q) matches a brute-force count.",
         f"(n, q) instances {list(GL_INSTANCES)}",
-        _fixed(lambda: [(f"GL({n},{q})", (n, q)) for n, q in GL_INSTANCES]), None,
+        _fixed(lambda: [(f"GL({n},{q})", make_matrix_ring(n, make_gf(q)))
+                        for n, q in GL_INSTANCES]), None,
         _t5_claim, _t5_direct),
     CheckSpec(
         "T6",
         "Over a characteristic-2 field, the invertible n-by-n matrices (n >= 2) are "
         "even in number and sum to 0; each first-column class has even size.",
         f"matrix rings M(n, GF(q)) for (n, q) in {list(MATRIX_CHAR2_INSTANCES)}",
-        _fixed(lambda: [(f"M({n},GF({q}))", (n, q)) for n, q in MATRIX_CHAR2_INSTANCES]),
+        _fixed(lambda: [(f"M({n},GF({q}))", make_matrix_ring(n, make_gf(q)))
+                        for n, q in MATRIX_CHAR2_INSTANCES]),
         None, _t6_claim, _t6_direct),
     CheckSpec(
         "T7",
@@ -503,13 +491,14 @@ CHECKS = {spec.check_id: spec for spec in (
         f"class) plus the boolean products B(k), k <= {max(BOOLEAN_EXPONENTS)}, "
         "restricted to trivial unit group ({scanned} rings scanned)",
         _t7_population, lambda r: unit_count(r) == 1, _t7_claim, _t7_direct,
-        premise_sanity=_t7_premise_sanity),
+        non_example=("UT(2,Z(2))", _UT2, "trivial-unit")),
     CheckSpec(
         "T8",
         "UT_n(Z_2) has exactly 2^((n-1)n/2) units; they sum to the single "
         "off-diagonal matrix E_12 when n = 2 and to 0 for n >= 3.",
         f"triangular rings UT(n, Z(2)) for n in {list(TRIANGULAR_SIZES)}",
-        _fixed(lambda: [(f"UT({n},Z(2))", n) for n in TRIANGULAR_SIZES]), None,
+        _fixed(lambda: [(f"UT({n},Z(2))", make_triangular_ring(n, make_zn(2)))
+                        for n in TRIANGULAR_SIZES]), None,
         _t8_claim, _t8_direct),
     CheckSpec(
         "T9",
@@ -532,34 +521,39 @@ def run_check(check_id: str, *, max_order: int = DEFAULT_MAX_ORDER,
     spec = CHECKS[normalize_check_id(check_id)]
     if type(max_order) is not int or max_order < 1:
         raise ConstructionError(f"max_order must be a positive integer, got {max_order}")
+    if max_order > BEST_EFFORT_MAX_ORDER:
+        raise ConstructionError(
+            f"max_order is scoped to orders <= {BEST_EFFORT_MAX_ORDER}, got {max_order}")
     if cache is None:
         cache = {}
     started = time.perf_counter()
     items, complete, note = spec.population(max_order, budget, cache)
 
-    def finish(population, tested, bad, note):
+    def finish(population, tested, name=None, ring=None, witness=None):
+        counterexample = None if witness is None else _counterexample(name, ring, witness)
         return TheoremReport(
             check_id=spec.check_id, description=spec.description,
-            population=population, population_count=tested, passed=bad is None,
-            complete=complete, counterexample=bad,
+            population=population, population_count=tested, passed=witness is None,
+            complete=complete, counterexample=counterexample,
             elapsed=time.perf_counter() - started, note=note)
 
-    if spec.premise_sanity is not None and items:
-        bad = spec.premise_sanity(spec.premise)
-        if bad is not None:
-            return finish("premise sanity", 1, bad, note)
+    if spec.non_example is not None and items:
+        name, ring, wording = spec.non_example
+        if spec.premise(ring):
+            return finish("premise sanity", 1, name, ring,
+                          {"error": f"{name} must not satisfy the {wording} premise"})
     population = spec.population_text.format(max_order=max_order, scanned=len(items))
     tested = 0
-    for name, subject in items:
-        if spec.premise is not None and not spec.premise(subject):
+    for name, ring in items:
+        if spec.premise is not None and not spec.premise(ring):
             continue
         tested += 1
-        bad = spec.claim(name, subject)
-        if bad is not None:
-            return finish(population, tested, bad, note)
+        witness = spec.claim(ring)
+        if witness is not None:
+            return finish(population, tested, name, ring, witness)
     if tested == 0 and note is None:
-        note = "empty population"
-    return finish(population, tested, None, note)
+        note = "population empty (zero ring excluded)"
+    return finish(population, tested)
 
 
 def run_all(max_order: int = DEFAULT_MAX_ORDER, *,
@@ -574,14 +568,15 @@ def recheck_counterexample(report: TheoremReport) -> bool:
     """True iff the report's counterexample still violates the claim.
 
     The serialized ring is re-evaluated by the check's own direct
-    (scan-based) recheck.  A counterexample without a serialization (its
-    ring was above TABLE_CAP) cannot be refuted.
+    (scan-based) recheck, which reads the parsed ring alone: no recheck
+    reads the witness, so a report cannot choose what is rechecked.  A
+    counterexample without a serialization (its ring was above TABLE_CAP)
+    cannot be refuted.
     """
     if report.counterexample is None:
         raise ConstructionError(f"report {report.check_id} carries no counterexample")
-    ce = report.counterexample
     spec = CHECKS[normalize_check_id(report.check_id)]
-    text = ce.get("serialization")
+    text = report.counterexample.get("serialization")
     if text is None:
         return True
-    return not spec.direct(parse_table_ring(text), ce.get("witness", {}))
+    return not spec.direct(parse_table_ring(text))

@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from finring import parse_table_ring, read_ring_file
+from finring import parse_table_ring, read_ring_file, theorems
 from finring.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VERIFY_FAIL, main
 
 
@@ -302,6 +302,26 @@ def test_verify_incomplete_is_resource_exit(cli):
                              "--max-order", "9", "--budget", "50")
     assert code == EXIT_RESOURCE
     assert docs[0]["complete"] is False
+
+
+def test_verify_max_order_above_scope_is_usage(cli):
+    code, out, err = cli("verify", "--theorem", "T4", "--max-order", "17")
+    assert code == EXIT_USAGE and out == ""
+    assert "<= 16" in err
+
+
+def test_verify_all_runs_each_check_through_run_check(cli, monkeypatch):
+    # the per-check spans of the benchmark tracer wrap theorems.run_check
+    calls = []
+    run_check = theorems.run_check
+
+    def counting(cid, **kwargs):
+        calls.append(cid)
+        return run_check(cid, **kwargs)
+    monkeypatch.setattr(theorems, "run_check", counting)
+    code, _, _ = cli("verify", "--all", "--max-order", "4")
+    assert code == EXIT_OK
+    assert calls == list(theorems.CHECK_IDS)
 
 
 def test_verify_empty_population_notes(cli):

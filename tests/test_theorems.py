@@ -1,9 +1,12 @@
 """Check runner: reports, populations, budgets, counterexample rechecking."""
 
+import dataclasses
+
 import pytest
 
 from finring import analysis, inverse_by_scan, rings, theorems
 from finring import (
+    BEST_EFFORT_MAX_ORDER,
     CHECK_IDS,
     TABLE_CAP,
     BudgetError,
@@ -92,6 +95,16 @@ def test_run_check_validates_max_order():
         run_check("T1", max_order="deep")
 
 
+def test_run_check_rejects_max_order_above_the_enumeration_scope(monkeypatch):
+    # refused before any population is built, for every check alike
+    def refuse(*_, **__):
+        raise AssertionError("enumerate_unital_rings called")
+    monkeypatch.setattr(theorems, "enumerate_unital_rings", refuse)
+    for cid in ("T4", "T9"):
+        with pytest.raises(ConstructionError, match=f"<= {BEST_EFFORT_MAX_ORDER}"):
+            run_check(cid, max_order=BEST_EFFORT_MAX_ORDER + 1, budget=10 ** 7)
+
+
 def test_empty_population_is_reported_not_passed_silently():
     r = run_check("T7", max_order=1)
     assert r.passed and r.complete
@@ -153,14 +166,20 @@ def test_recheck_refutes_a_doctored_claim():
 
 
 def test_recheck_t5_recomputes_from_witness():
-    # the formula for the witness's (n, q) against a scan of the serialized ring
+    # the formula for the (n, q) that the ring's order names, against a scan
+    # of the serialized ring; the witness's (n, q) is not read
     for n, q in ((1, 5), (2, 2), (2, 3)):
         r = make_matrix_ring(n, make_gf(q))
         ce = {"ring": r.name, "witness": {"n": n, "q": q}, "serialization": _snapshot(r)}
         assert recheck_counterexample(_fake_report("T5", ce)) is False
+    # M(2,GF(2)) has order 16, so GL(2,2): a witness naming (2, 3) cannot
+    # make its six units a violation
     ce = {"ring": "M(2,GF(3))", "witness": {"n": 2, "q": 3},
           "serialization": _snapshot(make_matrix_ring(2, make_gf(2)))}
-    assert recheck_counterexample(_fake_report("T5", ce)) is True
+    assert recheck_counterexample(_fake_report("T5", ce)) is False
+    # an order that no instance has: the claim says nothing of the ring
+    ce = {"ring": "Z(6)", "witness": {}, "serialization": _snapshot(make_zn(6))}
+    assert recheck_counterexample(_fake_report("T5", ce)) is False
 
 
 def test_t5_counterexample_carries_its_ring(monkeypatch):
@@ -194,6 +213,8 @@ def test_t7_premise_sanity_stops_a_premise_that_admits_ut2(monkeypatch):
     assert not report.passed
     assert report.population == "premise sanity" and report.population_count == 1
     assert report.counterexample["ring"] == "UT(2,Z(2))"
+    assert report.counterexample["witness"] == {
+        "error": "UT(2,Z(2)) must not satisfy the trivial-unit premise"}
     assert recheck_counterexample(report) is False
 
 
@@ -325,3 +346,59 @@ def test_units_by_scan_table_route_matches_inverse_scan():
         assert theorems._units_by_scan(r) == expected, r.name
     with pytest.raises(BudgetError):
         theorems._units_by_scan(make_zn(TABLE_CAP + 1))
+
+
+def _first_premise_item(spec, max_order):
+    items, _, _ = spec.population(max_order, None, {})
+    return next((name, r) for name, r in items if spec.premise is None or spec.premise(r))
+
+
+@pytest.mark.parametrize("cid", CHECK_IDS)
+def test_run_check_builds_every_counterexample(monkeypatch, cid):
+    # a claim that fails everywhere: run_check names the first ring passing
+    # the premise, serializes it, and the recheck refutes the doctored report
+    spec = theorems.CHECKS[cid]
+    monkeypatch.setitem(theorems.CHECKS, cid,
+                        dataclasses.replace(spec, claim=lambda r: {"doctored": True}))
+    report = run_check(cid, max_order=4)
+    assert not report.passed and report.population_count == 1
+    name, ring = _first_premise_item(spec, 4)
+    ce = report.counterexample
+    assert ce == {"ring": name, "witness": {"doctored": True},
+                  "serialization": serialize_table_ring(ring)}
+    assert recheck_counterexample(report) is False
+
+
+def _claim_witness_with_identity_quotient(monkeypatch, r):
+    # T9's claim holds on every ring; with R/J(R) read as R it reports Z(4)
+    with monkeypatch.context() as m:
+        m.setattr(theorems, "quotient_ring", lambda ring, members, name=None: ring)
+        return theorems.CHECKS["T9"].claim(r)
+
+
+def test_rechecks_ignore_the_witness(monkeypatch):
+    # each claim run on a ring outside its premise or population gives a
+    # witness; the recheck's verdict on the ring is the same under that
+    # witness, an empty one and a junk one
+    cases = {
+        "T1": (make_zn(3), False),
+        "T2": (make_zn(2), False),
+        "T3": (make_zn(2), False),
+        "T4": (make_zn(4), True),
+        "T5": (make_matrix_ring(2, make_zn(4)), True),
+        "T6": (make_matrix_ring(1, make_gf(2)), True),
+        "T7": (make_zn(3), False),
+        "T8": (make_triangular_ring(2, make_zn(3)), False),
+        "T9": (make_zn(4), False),
+    }
+    assert set(cases) == set(CHECK_IDS)
+    for cid, (r, stands) in cases.items():
+        if cid == "T9":
+            own = _claim_witness_with_identity_quotient(monkeypatch, r)
+        else:
+            own = theorems.CHECKS[cid].claim(r)
+        assert own, cid
+        text = _snapshot(r)
+        for witness in ({}, {"junk": [1, 2, 3], "n": 7, "q": 11}, own):
+            ce = {"ring": r.name, "witness": witness, "serialization": text}
+            assert recheck_counterexample(_fake_report(cid, ce)) is stands, (cid, witness)

@@ -184,10 +184,18 @@ class _ShapeContext:
     the sum of a (g_m g_k) over the digits (m, a) of x, so `right[k][x]`
     lists (P[m][k], smul[a]) for those digits in digit order, and
     `right_last[k][x]` is the latest of those positions (-1 for x = 0).
-    `left[i][y]` and `left_last[i][y]` plan g_i y the same way.
+    `right_scale[k][x]` is the digit a that last read is scaled by (0 for
+    x = 0).  `left[i][y]`, `left_last[i][y]` and `left_scale[i][y]` plan
+    g_i y the same way, except that the scale is signed: it holds -a mod
+    the exponent.  So when a triple's two plans both read position d at
+    most once, lhs - rhs = s + alpha C[d], with alpha the sum of the scales
+    of the plans whose last read is d.  `solve[a][t]` is the bitmask of
+    the elements c with a c = t, so the values of C[d] that keep such a
+    triple true are `solve[alpha][-s]`.
     `triples[d]` lists the generator triples (i, j, k) whose first two
-    reads, g_i g_j and g_j g_k, end at position d, each as
-    (P[i][j], P[j][k], right[k], right_last[k], left[i], left_last[i]).
+    reads, g_i g_j and g_j g_k, end at position d, each as (P[i][j],
+    P[j][k], right[k], right_last[k], right_scale[k], left[i],
+    left_last[i], left_scale[i]).
     """
 
     def __init__(self, factors: tuple[int, ...]):
@@ -221,20 +229,29 @@ class _ShapeContext:
         posidx = {p: k for k, p in enumerate(positions)}
         P = self.P = [[posidx[(i, j)] for j in range(r)] for i in range(r)]
 
-        self.right = [[tuple((P[m][k], self.smul[a]) for m, a in d) for d in self.digits]
-                      for k in range(r)]
-        self.left = [[tuple((P[i][m], self.smul[a]) for m, a in d) for d in self.digits]
-                     for i in range(r)]
+        def read_plans(pos, sign):
+            # per generator g and element x: the plan, its last read, and the
+            # digit that read is scaled by, times sign
+            plans, last, scale = [], [], []
+            for g in range(r):
+                reads = [[(pos(g, m), a) for m, a in d] for d in self.digits]
+                plans.append([tuple((p, self.smul[a]) for p, a in rd) for rd in reads])
+                tails = [max(rd, default=(-1, 0)) for rd in reads]
+                last.append([p for p, _ in tails])
+                scale.append([sign * a % self.exponent for _, a in tails])
+            return plans, last, scale
 
-        def last_reads(plans):
-            return [[max((p for p, _ in plan), default=-1) for plan in row] for row in plans]
-
-        self.right_last, self.left_last = last_reads(self.right), last_reads(self.left)
+        self.right, self.right_last, self.right_scale = read_plans(lambda k, m: P[m][k], 1)
+        self.left, self.left_last, self.left_scale = read_plans(lambda i, m: P[i][m], -1)
+        self.solve = [[0] * n for _ in range(self.exponent)]
+        for a, image in enumerate(self.smul):
+            for c, t in enumerate(image):
+                self.solve[a][t] |= 1 << c
         self.triples = [[] for _ in positions]
         for i, j, k in itertools.product(range(r), repeat=3):
             self.triples[max(P[i][j], P[j][k])].append(
-                (P[i][j], P[j][k], self.right[k], self.right_last[k],
-                 self.left[i], self.left_last[i]))
+                (P[i][j], P[j][k], self.right[k], self.right_last[k], self.right_scale[k],
+                 self.left[i], self.left_last[i], self.left_scale[i]))
 
     def candidate_lists(self, reverse: bool, pinned: bool = False) -> list[list[int]]:
         """Candidate values per position; `pinned` makes g_0 the unity, so
@@ -266,21 +283,31 @@ def _dfs_stream(ctx: _ShapeContext, reverse: bool = False, budget=None,
     `right[k][x]` and `left[i][y]` name every other constant it reads, and
     the later of their last positions is the depth where it becomes
     decidable.  A triple reached at depth d whose last read is still
-    unplaced is filed once, as its pair of plans, under that last read;
-    every other triple, and every pair filed under d, is evaluated in full
-    there: a false one prunes the node, a true one is done.  Backtracking
-    pops the filings.  Positions are placed in depth order, so each triple
-    is decided at the node where its last read is placed, which is where
-    re-checking every open triple at every node would decide it: the tree,
-    its node counts and the stream are those of that exhaustive check
-    (kept in the tests as the oracle).
+    unplaced is filed once under that last read, as its pair of plans and
+    the scale alpha its two sides put on that read; every other triple is
+    evaluated in full there: a false one prunes the node, a true one is
+    done.  Backtracking pops the filings.  Positions are placed in depth
+    order, so each triple is decided at the node where its last read is
+    placed, which is where re-checking every open triple at every node
+    would decide it: the tree, its node counts and the stream are those of
+    that exhaustive check (kept in the tests as the oracle).
 
-    The filed pairs are checked first, then the static triples, fail-first:
-    when a static triple prunes a node, it swaps places with the front
-    entry of this run's copy of the list, so later nodes at that depth test
-    it first.  The order cannot change the tree: a node is pruned exactly
-    when some triple decidable there is false, whichever is tested first,
-    and the filings made before the false one are popped at that same node.
+    Filed pairs are forward-checked: a plan's positions are distinct, so a
+    pair filed under d reads C[d] at most once per side, and
+    lhs - rhs = s + alpha C[d].  The parent evaluates each pair once with
+    C[d] = 0, which gives s, and ANDs `solve[alpha][-s]` into a bitmask of
+    the candidates every pair allows.  A candidate outside it is charged
+    its node and skipped with one bit test.  On the raw order-16
+    800 000-node prefix that is 93 k per-parent solves (of 97 k filed
+    pairs; the rest follow a mask already empty) in place of 560 k
+    per-candidate evaluations, and 483 k nodes rejected by a bit test.
+
+    The static triples are checked after the mask, fail-first: when one
+    prunes a node, it swaps places with the front entry of this run's copy
+    of the list, so later nodes at that depth test it first.  The order
+    cannot change the tree: a node is pruned exactly when some triple
+    decidable there is false, whichever is tested first, and the filings
+    made before the false one are popped at that same node.
 
     `budget` is a single-element list of remaining node visits shared
     across shapes (None = unbounded); exhausting it raises BudgetError
@@ -292,7 +319,7 @@ def _dfs_stream(ctx: _ShapeContext, reverse: bool = False, budget=None,
     """
     npos = len(ctx.positions)
     cands = ctx.candidate_lists(reverse, pinned)
-    add = ctx.add
+    add, neg, solve, exponent = ctx.add, ctx.smul[-1], ctx.solve, ctx.exponent
     triples = [list(t) for t in ctx.triples]
     filed = [[] for _ in range(npos)]
     C = [-1] * npos
@@ -307,7 +334,22 @@ def _dfs_stream(ctx: _ShapeContext, reverse: bool = False, budget=None,
             index_range = range(spine[depth], len(clist))
         else:
             index_range = range(len(clist))
-        static, waiting = triples[depth], filed[depth]
+        static = triples[depth]
+        # bit c of `allowed` is set when C[depth] = c keeps every filed pair
+        # true; at C[depth] = 0 a pair's sides differ by s, so c must solve
+        # alpha c = -s (smul[-1] is negation)
+        allowed = -1
+        C[depth] = 0
+        for right, left, alpha in filed[depth]:
+            lhs = 0
+            for p, scale in right:
+                lhs = add[lhs][scale[C[p]]]
+            rhs = 0
+            for p, scale in left:
+                rhs = add[rhs][scale[C[p]]]
+            allowed &= solve[alpha][add[rhs][neg[lhs]]]
+            if not allowed:
+                break
         for ci in index_range:
             replayed = (on_spine and depth < len(spine) - 1 and ci == spine[depth])
             if not replayed and budget is not None:
@@ -317,44 +359,40 @@ def _dfs_stream(ctx: _ShapeContext, reverse: bool = False, budget=None,
                         f"node budget exhausted while searching order {ctx.order}",
                         resume_token=token_prefix + ",".join(map(str, path)))
                 budget[0] -= 1
-            C[depth] = clist[ci]
-            for right, left in waiting:
+            c = clist[ci]
+            if not allowed >> c & 1:
+                continue
+            C[depth] = c
+            moved = []
+            for triple in static:
+                pij, pjk, right, right_last, right_scale, left, left_last, left_scale = triple
+                x = C[pij]
+                y = C[pjk]
+                last = right_last[x]
+                if left_last[y] > last:
+                    last = left_last[y]
+                if last > depth:
+                    alpha = right_scale[x] if right_last[x] == last else 0
+                    if left_last[y] == last:
+                        alpha += left_scale[y]
+                    filed[last].append((right[x], left[y], alpha % exponent))
+                    moved.append(last)
+                    continue
                 lhs = 0
-                for p, scale in right:
+                for p, scale in right[x]:
                     lhs = add[lhs][scale[C[p]]]
                 rhs = 0
-                for p, scale in left:
+                for p, scale in left[y]:
                     rhs = add[rhs][scale[C[p]]]
                 if lhs != rhs:
+                    if static[0] is not triple:
+                        i = static.index(triple)
+                        static[0], static[i] = triple, static[0]
                     break
             else:
-                moved = []
-                for triple in static:
-                    pij, pjk, right, right_last, left, left_last = triple
-                    x = C[pij]
-                    y = C[pjk]
-                    last = right_last[x]
-                    if left_last[y] > last:
-                        last = left_last[y]
-                    if last > depth:
-                        filed[last].append((right[x], left[y]))
-                        moved.append(last)
-                        continue
-                    lhs = 0
-                    for p, scale in right[x]:
-                        lhs = add[lhs][scale[C[p]]]
-                    rhs = 0
-                    for p, scale in left[y]:
-                        rhs = add[rhs][scale[C[p]]]
-                    if lhs != rhs:
-                        if static[0] is not triple:
-                            i = static.index(triple)
-                            static[0], static[i] = triple, static[0]
-                        break
-                else:
-                    yield from rec(depth + 1, replayed)
-                for q in moved:
-                    filed[q].pop()
+                yield from rec(depth + 1, replayed)
+            for q in moved:
+                filed[q].pop()
         C[depth] = -1
 
     yield from rec(0, bool(spine))

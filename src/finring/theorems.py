@@ -16,6 +16,7 @@ prime and prime-power fields, n = 1 edge cases — is exercised.
 
 from __future__ import annotations
 
+import functools
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -110,6 +111,14 @@ def normalize_check_id(check_id: str) -> str:
 # populations
 
 
+@functools.cache
+def _matrix_ring(n: int, q: int) -> Ring:
+    """M(n, GF(q)), one ring per (n, q) for every population that holds it:
+    the standard families, T5 and T6 share M(2,GF(2)), M(3,GF(2)) and
+    M(2,GF(4)), so each dense table is built once per process."""
+    return make_matrix_ring(n, make_gf(q))
+
+
 def _family_population() -> list[tuple[str, Ring]]:
     """The constructed standard families, zero ring excluded."""
     pop: list[tuple[str, Ring]] = []
@@ -120,7 +129,7 @@ def _family_population() -> list[tuple[str, Ring]]:
     for k in BOOLEAN_EXPONENTS:
         pop.append((f"B({k})", make_boolean(k)))
     for n, q in ((2, 2), (2, 3), (2, 4), (3, 2)):
-        pop.append((f"M({n},GF({q}))", make_matrix_ring(n, make_gf(q))))
+        pop.append((f"M({n},GF({q}))", _matrix_ring(n, q)))
     for n in TRIANGULAR_SIZES:
         pop.append((f"UT({n},Z(2))", make_triangular_ring(n, make_zn(2))))
     return pop
@@ -472,7 +481,7 @@ CHECKS = {spec.check_id: spec for spec in (
         "The closed product formula for the number of invertible n-by-n matrices "
         "over GF(q) matches a brute-force count.",
         f"(n, q) instances {list(GL_INSTANCES)}",
-        _fixed(lambda: [(f"GL({n},{q})", make_matrix_ring(n, make_gf(q)))
+        _fixed(lambda: [(f"GL({n},{q})", _matrix_ring(n, q))
                         for n, q in GL_INSTANCES]), None,
         _t5_claim, _t5_direct),
     CheckSpec(
@@ -480,7 +489,7 @@ CHECKS = {spec.check_id: spec for spec in (
         "Over a characteristic-2 field, the invertible n-by-n matrices (n >= 2) are "
         "even in number and sum to 0; each first-column class has even size.",
         f"matrix rings M(n, GF(q)) for (n, q) in {list(MATRIX_CHAR2_INSTANCES)}",
-        _fixed(lambda: [(f"M({n},GF({q}))", make_matrix_ring(n, make_gf(q)))
+        _fixed(lambda: [(f"M({n},GF({q}))", _matrix_ring(n, q))
                         for n, q in MATRIX_CHAR2_INSTANCES]),
         None, _t6_claim, _t6_direct),
     CheckSpec(

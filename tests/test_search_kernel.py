@@ -8,6 +8,10 @@ exactly: the same constant stream in the same order, the same node
 counts, and the same resume tokens.
 """
 
+import itertools
+import random
+import tracemalloc
+
 import pytest
 
 from finring import BudgetError, abelian_group_shapes, enumerate_unital_rings
@@ -142,6 +146,41 @@ def test_read_plans_match_brute_force(factors):
                 assert last[g][x] == max((p for p, _ in want), default=-1), (g, x)
 
 
+@pytest.mark.parametrize("factors", _shapes(range(2, 17)), ids=str)
+def test_last_read_scales_and_solve_masks_match_brute_force(factors):
+    # the last read of x g_k is scaled by x's digit there, that of g_i y by
+    # minus y's digit, so a filed pair's two sides differ by s + alpha C[d];
+    # solve[a][t] holds the elements c with a c = t, summed c by c
+    ctx = _shape_context(factors)
+    P, e, add = ctx.P, ctx.exponent, ctx.add
+    for x in range(ctx.order):
+        for g in range(ctx.r):
+            for last, scale, pos, sign in [(ctx.right_last, ctx.right_scale, lambda m: P[m][g], 1),
+                                           (ctx.left_last, ctx.left_scale, lambda m: P[g][m], -1)]:
+                digit = [a for m, a in ctx.digits[x] if pos(m) == last[g][x]]
+                assert scale[g][x] == (sign * digit[0] % e if digit else 0), (g, x)
+    multiples = [[0] * ctx.order]
+    for _ in range(1, e):
+        multiples.append([add[m][c] for c, m in enumerate(multiples[-1])])
+    for a in range(e):
+        for t in range(ctx.order):
+            want = {c for c in range(ctx.order) if multiples[a][c] == t}
+            assert {c for c in range(ctx.order) if ctx.solve[a][t] >> c & 1} == want, (a, t)
+
+
+def test_shape_contexts_stay_small():
+    # the per-parent solve needs r x n scales per side and exponent x n masks;
+    # eager merged plans for every (i, k, x, y) would take about 4.5 MB here
+    tracemalloc.start()
+    try:
+        contexts = [_ShapeContext(s.invariant_factors) for s in abelian_group_shapes(16)]
+        allocated, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(contexts) == 5
+    assert allocated < 2 ** 20
+
+
 # ---------------------------------------------------------------------------
 # the kernel against the oracle
 
@@ -200,6 +239,63 @@ def test_kernel_resume_matches_oracle():
                        rest)
             assert new == old, (factors, budget, reverse, pinned)
             assert new[1], (factors, budget, reverse, pinned)
+
+
+def _first_spine_rejection(ctx, path, reverse, pinned):
+    """How the first rejected replayed spine node of `path` fails, or None.
+
+    "filed" when a triple whose first two reads lie above the node and
+    whose last read is at it is false there (the per-parent mask rejects
+    it), "static" when only a triple first read at the node is false.
+    """
+    cands = ctx.candidate_lists(reverse, pinned)
+    C = [cands[d][ci] for d, ci in enumerate(path)]
+    P, add, smul, digits, r = ctx.P, ctx.add, ctx.smul, ctx.digits, ctx.r
+    for d in range(len(path) - 1):
+        kinds = set()
+        for i, j, k in itertools.product(range(r), repeat=3):
+            first = max(P[i][j], P[j][k])
+            if first > d:
+                continue
+            x, y = C[P[i][j]], C[P[j][k]]
+            right = [(P[m][k], a) for m, a in digits[x]]
+            left = [(P[i][m], a) for m, a in digits[y]]
+            if max([first] + [p for p, _ in right + left]) != d:
+                continue  # decided above the node, or not yet decidable
+            lhs = rhs = 0
+            for p, a in right:
+                lhs = add[lhs][smul[a][C[p]]]
+            for p, a in left:
+                rhs = add[rhs][smul[a][C[p]]]
+            if lhs != rhs:
+                kinds.add("filed" if first < d else "static")
+        if kinds:
+            return "filed" if "filed" in kinds else "static"
+    return None
+
+
+def test_kernel_resume_from_seeded_paths_matches_oracle():
+    # resumes from in-range paths that no search stopped at, four of each:
+    # a replayed spine node is never charged, whether a filed pair's mask, a
+    # static triple or nothing rejects it
+    rng = random.Random(24)
+    for factors in [(2, 2, 2), (4, 2, 2)]:
+        ctx = _shape_context(factors)
+        for reverse, pinned in TREES:
+            sizes = [len(c) for c in ctx.candidate_lists(reverse, pinned)]
+            paths = {"filed": [], "static": [], None: []}
+            for _ in range(2000):
+                path = [rng.randrange(size) for size in sizes[:rng.randint(1, len(sizes))]]
+                kind = paths[_first_spine_rejection(ctx, path, reverse, pinned)]
+                if len(kind) < 4:
+                    kind.append(path)
+            assert all(len(kind) == 4 for kind in paths.values()), (factors, reverse, pinned)
+            for path in itertools.chain(*paths.values()):
+                new = _run(lambda cell: _dfs_stream(ctx, reverse, cell, path, pinned=pinned),
+                           2000)
+                old = _run(lambda cell: oracle_dfs_stream(ctx, reverse, cell, path,
+                                                          pinned=pinned), 2000)
+                assert new == old, (factors, reverse, pinned, path)
 
 
 def test_kernel_order_16_resume_matches_oracle():

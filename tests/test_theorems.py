@@ -191,6 +191,24 @@ def test_t5_counterexample_carries_its_ring(monkeypatch):
     assert recheck_counterexample(report) is True
 
 
+def test_verify_all_builds_each_matrix_table_once(monkeypatch):
+    # the standard families, T5 and T6 share one ring per (n, q), so
+    # M(2,GF(2)), M(3,GF(2)) and M(2,GF(4)) build their dense tables once
+    built = []
+    build = rings.MatrixRing._build_tables
+
+    def counted(self):
+        built.append(self.name)
+        return build(self)
+
+    monkeypatch.setattr(rings.MatrixRing, "_build_tables", counted)
+    theorems._matrix_ring.cache_clear()
+    assert all(report.passed for report in run_all(4))
+    full = [name for name in built if name.startswith("M(")]
+    assert len(full) == len(set(full))
+    assert {"M(2,GF(2))", "M(3,GF(2))", "M(2,GF(4))"} <= set(full)
+
+
 def test_t4_reports_a_failed_geometric_sum(monkeypatch):
     # every element passes for primitive, so alpha = 1: in GF(3) the sum
     # 1 + 1 is 2, not 0.  T4 reports that with its witness, and the

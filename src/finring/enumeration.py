@@ -5,17 +5,25 @@ The search runs one additive group shape at a time: pick the abelian group
 products g_i * g_j as structure constants.  Bilinearity extends any such
 choice to a full multiplication table, so the search space is the r*r
 constant grid, pruned as it is filled by checking associativity on every
-generator triple whose products are already determined.  The raw search
-detects the unity last, by scanning each leaf for an element that fixes
-all generators on both sides; tables without a unity are discarded.
+generator triple whose products are already determined.
 
-The search up to isomorphism pins the unity instead.  A unital ring's
-characteristic is the order of 1 and also the exponent of its additive
-group, so Z*1 is a cyclic subgroup of maximal order, hence a direct
-summand, and some additive automorphism sends 1 to the first generator
-g_0.  Every class therefore has a member with g_0 g_j = g_j g_0 = g_j for
-all j: those positions get g_j as their only candidate, and every leaf of
-this pinned tree has unity g_0, with no scan.
+The pinned tree fixes the unity.  A unital ring's characteristic is the
+order of 1 and also the exponent of its additive group, so Z*1 is a
+cyclic subgroup of maximal order, hence a direct summand, and some
+additive automorphism sends 1 to the first generator g_0.  Every class
+therefore has a member with g_0 g_j = g_j g_0 = g_j for all j: those
+positions get g_j as their only candidate, and every leaf of this pinned
+tree has unity g_0, with no scan.  The search up to isomorphism walks it.
+
+The raw stream, every unital table on the shape's labeling, has two
+routes, and the caller's input picks one.  A run with no budget and no
+resume token relabels the pinned leaves by every additive automorphism
+and sorts the tables by their constant tuples, the order in which the
+raw tree meets them.  A budgeted or resumed run walks the raw tree, since
+its budget and tokens count that tree's nodes: there the unity is found
+last, by scanning each leaf for an element that fixes all generators on
+both sides, and tables without one are discarded.  Both routes give the
+same stream.
 
 Orders up to 8 enumerate without restriction.  Orders 9..16 are
 best-effort: they require an explicit node budget and fail gracefully
@@ -430,11 +438,25 @@ def _full_mul(ctx: _ShapeContext, consts) -> np.ndarray:
 
 
 def _unital_tables(ctx: _ShapeContext, assignments):
-    """Filter a constant stream down to (flat mul table, unity) pairs."""
+    """Filter a raw constant stream down to (flat mul table, unity) pairs:
+    the raw route of a budgeted or resumed run."""
     for consts in assignments:
         e = _unity_of(ctx, consts)
         if e >= 0:
             yield _full_mul(ctx, consts), e
+
+
+def _relabeled_constants(ctx: _ShapeContext, mul: np.ndarray, phi, inv) -> np.ndarray:
+    """The constant tuples of the flat mul table's relabelings, one row per
+    automorphism row of `phi` (`inv` holding their inverses).
+
+    Relabeling by phi puts phi[mul[inv x, inv y]] at (x, y), inv the
+    inverse of phi, so each row reads only the r^2 cells at the generator
+    pairs of the positions.
+    """
+    left, right = np.asarray(ctx.gens)[np.transpose(ctx.positions)]
+    cells = mul.reshape(ctx.order, ctx.order)[inv[:, left], inv[:, right]]
+    return np.take_along_axis(phi, cells, axis=1)
 
 
 def _new_orbits(ctx: _ShapeContext, assignments):
@@ -442,25 +464,43 @@ def _new_orbits(ctx: _ShapeContext, assignments):
     constant stream whose constants no earlier orbit holds; the orbit is the
     set of constant tuples of the leaf's relabelings by Stab(g_0), the rows
     of `_shape_automorphisms` with phi(g_0) = g_0.
-
-    Relabeling by phi puts phi[mul[inv x, inv y]] at (x, y), inv the
-    inverse of phi, so each row of the orbit reads only the r^2 cells at
-    the generator pairs of the positions.
     """
     autos, inverses = _shape_automorphisms(ctx)
     g0 = ctx.gens[0]
     stab = autos[:, g0] == g0
     phi, inv = autos[stab], inverses[stab]
-    left, right = np.asarray(ctx.gens)[np.transpose(ctx.positions)]
     seen: set[bytes] = set()
     for consts in assignments:
         if bytes(consts) in seen:
             continue
         mul = _full_mul(ctx, consts)
-        cells = mul.reshape(ctx.order, ctx.order)[inv[:, left], inv[:, right]]
-        orbit = set(map(bytes, np.take_along_axis(phi, cells, axis=1)))
+        orbit = set(map(bytes, _relabeled_constants(ctx, mul, phi, inv)))
         seen |= orbit
         yield consts, mul, orbit
+
+
+def _expanded_tables(ctx: _ShapeContext, reverse: bool):
+    """Every (flat mul table, unity) pair of the shape's labeling, as the
+    unbudgeted raw search `_unital_tables(ctx, _dfs_stream(ctx, reverse))`
+    streams them, built from the pinned classes instead of the raw tree.
+
+    A unital table's unity generates a direct summand of maximal order, so
+    some automorphism phi sends g_0 to it, and the table is phi applied to
+    a leaf of the pinned tree: the raw tables are the relabelings of the
+    pinned leaves by all of Aut(G), the unity of phi's relabeling being
+    phi(g_0).  A pinned leaf already among them adds nothing.  The raw
+    tree's candidate lists ascend (descend), so its leaves come in the
+    order of their constant tuples, which sorting the expansion restores.
+    """
+    autos, inverses = _shape_automorphisms(ctx)
+    images = autos[:, ctx.gens[0]].tolist()
+    unity: dict[bytes, int] = {}
+    for consts in _dfs_stream(ctx, pinned=True):
+        if bytes(consts) not in unity:
+            rows = _relabeled_constants(ctx, _full_mul(ctx, consts), autos, inverses)
+            unity.update(zip(map(bytes, rows), images))
+    for key in sorted(unity, reverse=reverse):
+        yield _full_mul(ctx, np.frombuffer(key, dtype=np.uint8)), unity[key]
 
 
 def _class_tables(ctx: _ShapeContext, assignments, reverse: bool):
@@ -534,8 +574,9 @@ def _additive_maps(ctx: _ShapeContext, add):
 def _shape_automorphisms(ctx: _ShapeContext) -> tuple[np.ndarray, np.ndarray]:
     """The shape's automorphisms as uint8 rows, in image-tuple order, with
     each row's inverse; both cached read-only.  `canonical_form` narrows
-    them row by row, and `_new_orbits` reads Stab(g_0) off them.  The tests
-    check the row count against `abelian_automorphism_count`."""
+    them row by row, `_new_orbits` reads Stab(g_0) off them, and
+    `_expanded_tables` relabels by every row.  The tests check the row
+    count against `abelian_automorphism_count`."""
     autos = np.concatenate(list(_additive_maps(ctx, ctx.add_np)))
     inverse = np.concatenate([np.argsort(autos[start:start + _AUTO_BLOCK], axis=1)
                               .astype(np.uint8)
@@ -584,8 +625,12 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = False, *,
                            budget: int | None = None, resume: str | None = None):
     """Stream every unital ring of the order as validated explicit-table rings.
 
-    The raw stream holds every unital table on each shape's labeling, each
-    leaf's unity found by a scan.  With `up_to_iso` the search walks the
+    The raw stream holds every unital table on each shape's labeling, in
+    the order of their constant tuples.  With neither `budget` nor
+    `resume` it is the sorted expansion of the pinned leaves by Aut(G);
+    with either, the raw tree is walked and each leaf's unity found by a
+    scan, so that the budget and the tokens count raw-tree nodes.  Both
+    routes give the same stream.  With `up_to_iso` the search walks the
     pinned tree, where g_0 is the unity (label 1 from order 2 on), and
     keeps one representative per isomorphism class: the first member of
     its Stab(g_0)-orbit found in search order.  `search_order` ("forward"
@@ -631,6 +676,8 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = False, *,
                                  token_prefix=token_prefix, pinned=up_to_iso)
             if up_to_iso:
                 pairs = _class_tables(ctx, leaves, reverse)
+            elif budget is None and resume is None:
+                pairs = _expanded_tables(ctx, reverse)
             else:
                 pairs = _unital_tables(ctx, leaves)
             for mul_flat, one in pairs:

@@ -119,6 +119,14 @@ def _matrix_ring(n: int, q: int) -> Ring:
     return make_matrix_ring(n, make_gf(q))
 
 
+@functools.cache
+def _triangular_ring(n: int) -> Ring:
+    """UT(n, Z(2)), one ring per n: the standard families, T7's non-example
+    and T8 share UT(2,Z(2)), and the families and T8 share UT(3,Z(2)) and
+    UT(4,Z(2)), so each dense table is built once per process."""
+    return make_triangular_ring(n, make_zn(2))
+
+
 def _family_population() -> list[tuple[str, Ring]]:
     """The constructed standard families, zero ring excluded."""
     pop: list[tuple[str, Ring]] = []
@@ -131,7 +139,7 @@ def _family_population() -> list[tuple[str, Ring]]:
     for n, q in ((2, 2), (2, 3), (2, 4), (3, 2)):
         pop.append((f"M({n},GF({q}))", _matrix_ring(n, q)))
     for n in TRIANGULAR_SIZES:
-        pop.append((f"UT({n},Z(2))", make_triangular_ring(n, make_zn(2))))
+        pop.append((f"UT({n},Z(2))", _triangular_ring(n)))
     return pop
 
 
@@ -243,10 +251,10 @@ class CheckSpec:
     name and serialization into the counterexample.  `direct(ring)`
     re-tests premise and claim on a counterexample's parsed serialization
     with elementary scans only, True when the claim holds; it reads the
-    ring alone, never the witness.  `non_example` is a (name, ring,
-    premise wording) triple for a ring known to fail the premise: when
-    the population is non-empty and that ring passes, the check fails on
-    it before scanning.  Claims and premises look analysis functions up
+    ring alone, never the witness.  `non_example` is a (name, ring
+    builder, premise wording) triple for a ring known to fail the premise:
+    when the population is non-empty and that ring passes, the check fails
+    on it before scanning.  Claims and premises look analysis functions up
     by module-level name when they run, so rebinding those names (as
     tracing does) reaches every call.
     """
@@ -258,7 +266,7 @@ class CheckSpec:
     premise: Callable | None
     claim: Callable
     direct: Callable
-    non_example: tuple[str, Ring, str] | None = None
+    non_example: tuple[str, Callable[[], Ring], str] | None = None
 
 
 def _t1_claim(r):
@@ -408,12 +416,9 @@ def _t7_direct(r):
     return all(r.mul(x, x) == x for x in range(r.order))
 
 
-_UT2 = make_triangular_ring(2, make_zn(2))
-
-
 def _t8_expected(n):
     """(unit count, unit sum index) that the claim gives UT_n(Z_2)."""
-    e12 = _UT2.from_entries([0, 1, 0, 0])
+    e12 = _triangular_ring(2).from_entries([0, 1, 0, 0])
     return 2 ** ((n - 1) * n // 2), (e12 if n == 2 else 0)
 
 
@@ -500,13 +505,13 @@ CHECKS = {spec.check_id: spec for spec in (
         f"class) plus the boolean products B(k), k <= {max(BOOLEAN_EXPONENTS)}, "
         "restricted to trivial unit group ({scanned} rings scanned)",
         _t7_population, lambda r: unit_count(r) == 1, _t7_claim, _t7_direct,
-        non_example=("UT(2,Z(2))", _UT2, "trivial-unit")),
+        non_example=("UT(2,Z(2))", lambda: _triangular_ring(2), "trivial-unit")),
     CheckSpec(
         "T8",
         "UT_n(Z_2) has exactly 2^((n-1)n/2) units; they sum to the single "
         "off-diagonal matrix E_12 when n = 2 and to 0 for n >= 3.",
         f"triangular rings UT(n, Z(2)) for n in {list(TRIANGULAR_SIZES)}",
-        _fixed(lambda: [(f"UT({n},Z(2))", make_triangular_ring(n, make_zn(2)))
+        _fixed(lambda: [(f"UT({n},Z(2))", _triangular_ring(n))
                         for n in TRIANGULAR_SIZES]), None,
         _t8_claim, _t8_direct),
     CheckSpec(
@@ -547,7 +552,8 @@ def run_check(check_id: str, *, max_order: int = DEFAULT_MAX_ORDER,
             elapsed=time.perf_counter() - started, note=note)
 
     if spec.non_example is not None and items:
-        name, ring, wording = spec.non_example
+        name, build, wording = spec.non_example
+        ring = build()
         if spec.premise(ring):
             return finish("premise sanity", 1, name, ring,
                           {"error": f"{name} must not satisfy the {wording} premise"})

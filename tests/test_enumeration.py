@@ -466,28 +466,10 @@ def test_budget_zero_raises_before_first_node():
     assert exc.value.resume_token == "v1:4:f:0:0"
 
 
-def test_chunked_resume_reproduces_full_stream(enum_raw):
-    full = [serialize_table_ring(r) for r in enum_raw[8]]
-    chunks = []
-    token = None
-    rounds = 0
-    while True:
-        rounds += 1
-        assert rounds < 1000
-        try:
-            for r in enumerate_unital_rings(8, budget=2000, resume=token):
-                chunks.append(serialize_table_ring(r))
-            break
-        except BudgetError as exc:
-            token = exc.resume_token
-            assert token.startswith("v1:8:f:")
-    assert rounds > 1  # the budget actually split the search
-    assert chunks == full
-
-
 def _chunked_stream(order, budget, search_order="forward", up_to_iso=True):
     """Serialized rings of a run resumed chunk by chunk until it finishes,
     and the number of chunks."""
+    mode = ("r" if search_order == "reversed" else "f") + ("i" if up_to_iso else "")
     out, token, rounds = [], None, 0
     while True:
         rounds += 1
@@ -499,6 +481,19 @@ def _chunked_stream(order, budget, search_order="forward", up_to_iso=True):
             return out, rounds
         except BudgetError as exc:
             token = exc.resume_token
+            assert token.startswith(f"v1:{order}:{mode}:")
+
+
+@pytest.mark.parametrize("search_order", ["forward", "reversed"])
+@pytest.mark.parametrize("order, budget", [(4, 20), (8, 2000)])
+def test_chunked_resume_reproduces_full_stream(order, budget, search_order):
+    # the chunks walk the raw tree on a budget; the unbudgeted run expands
+    # the pinned classes instead, and both must give the same stream
+    full = [serialize_table_ring(r)
+            for r in enumerate_unital_rings(order, search_order=search_order)]
+    chunks, rounds = _chunked_stream(order, budget, search_order, up_to_iso=False)
+    assert rounds > 1  # the budget actually split the search
+    assert chunks == full
 
 
 @pytest.mark.parametrize("search_order", ["forward", "reversed"])

@@ -5,7 +5,8 @@ a bitmask of all still-open generator triples and re-checks each one.
 `oracle_full_mul` is the per-entry Python bilinear extension.  The
 production kernel (read plans, numpy contraction) must reproduce both
 exactly: the same constant stream in the same order, the same node
-counts, and the same resume tokens.
+counts, and the same resume tokens.  The raw kernel, in turn, is the
+oracle of the orbit expansion that serves unbudgeted raw runs.
 """
 
 import itertools
@@ -16,7 +17,8 @@ import pytest
 
 from finring import BudgetError, abelian_group_shapes, enumerate_unital_rings
 from finring.enumeration import (
-    _dfs_stream, _full_mul, _shape_automorphisms, _shape_context, _ShapeContext)
+    _dfs_stream, _expanded_tables, _full_mul, _shape_automorphisms, _shape_context,
+    _ShapeContext, _unital_tables)
 
 
 def oracle_dfs_stream(ctx, reverse=False, budget=None, start_path=None, token_prefix="",
@@ -333,6 +335,22 @@ def test_full_mul_matches_bilinear_loop(factors):
     ctx = _shape_context(factors)
     for consts in _dfs_stream(ctx):
         assert tuple(int(v) for v in _full_mul(ctx, consts)) == oracle_full_mul(ctx, consts)
+
+
+# ---------------------------------------------------------------------------
+# the raw stream as the orbit expansion of the pinned classes
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_expanded_tables_match_raw_search(reverse):
+    # every shape of orders 1..15 and the four order-16 shapes whose raw
+    # tree finishes: the same tables, unities and order as scanning the
+    # leaves of the raw tree
+    for factors in _shapes(range(1, 16)) + [(16,), (8, 2), (4, 4), (4, 2, 2)]:
+        ctx = _shape_context(factors)
+        expanded = [(bytes(mul), one) for mul, one in _expanded_tables(ctx, reverse)]
+        raw = [(bytes(mul), one) for mul, one in _unital_tables(ctx, _dfs_stream(ctx, reverse))]
+        assert expanded == raw, factors
 
 
 # ---------------------------------------------------------------------------

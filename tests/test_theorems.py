@@ -193,7 +193,8 @@ def test_t5_counterexample_carries_its_ring(monkeypatch):
 
 def test_verify_all_builds_each_matrix_table_once(monkeypatch):
     # the standard families, T5 and T6 share one ring per (n, q), so
-    # M(2,GF(2)), M(3,GF(2)) and M(2,GF(4)) build their dense tables once
+    # M(2,GF(2)), M(3,GF(2)) and M(2,GF(4)) build their dense tables once;
+    # the families, T7's non-example and T8 share one UT(n,Z(2)) per n
     built = []
     build = rings.MatrixRing._build_tables
 
@@ -203,10 +204,13 @@ def test_verify_all_builds_each_matrix_table_once(monkeypatch):
 
     monkeypatch.setattr(rings.MatrixRing, "_build_tables", counted)
     theorems._matrix_ring.cache_clear()
+    theorems._triangular_ring.cache_clear()
     assert all(report.passed for report in run_all(4))
     full = [name for name in built if name.startswith("M(")]
     assert len(full) == len(set(full))
     assert {"M(2,GF(2))", "M(3,GF(2))", "M(2,GF(4))"} <= set(full)
+    triangular = [name for name in built if name.startswith("UT(")]
+    assert sorted(triangular) == ["UT(2,Z(2))", "UT(3,Z(2))", "UT(4,Z(2))"]
 
 
 def test_t4_reports_a_failed_geometric_sum(monkeypatch):

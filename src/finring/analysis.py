@@ -46,6 +46,7 @@ from .rings import (
     ProductRing,
     Ring,
     ZnRing,
+    _check_ideal,
     _multiple,
     digit_array,
     from_digits,
@@ -465,12 +466,8 @@ def jacobson_radical(r: Ring) -> RadicalSummary:
     mmask = np.empty(n, dtype=bool)
     for cols in row_blocks(n, n):
         mmask[cols] = nil[mul[:, cols]].all(axis=0)
-    midx = np.flatnonzero(mmask)
-    members = midx.tolist()
-    if not mmask[add[np.ix_(midx, midx)]].all():
-        raise ConstructionError(f"{r.name}: radical members are not closed under addition")
-    if not (mmask[mul[:, midx]].all() and mmask[mul[midx, :]].all()):
-        raise ConstructionError(f"{r.name}: radical members do not absorb multiplication")
+    _check_ideal(add, mul, mmask, f"{r.name}: radical")
+    members = np.flatnonzero(mmask).tolist()
     return RadicalSummary(members=[Elem(r, a) for a in members], is_zero=(members == [0]))
 
 

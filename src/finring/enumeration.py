@@ -25,6 +25,12 @@ last, by scanning each leaf for an element that fixes all generators on
 both sides, and tables without one are discarded.  Both routes give the
 same stream.
 
+Each table the search builds is validated once, where it is built
+(`_leaf_mul`): each new pinned class, and each unital leaf of a raw walk.
+A relabeling by an additive automorphism is an isomorphic ring, and the
+bilinear extension of its constants is the relabeled table, so
+relabelings are not checked again.
+
 Orders up to 8 enumerate without restriction.  Orders 9..16 are
 best-effort: they require an explicit node budget and fail gracefully
 with a resume token (BudgetError) when it runs out, so a later call can
@@ -60,6 +66,7 @@ from .rings import (
     make_table_ring,
     make_zn,
     place_values,
+    verify_tables,
 )
 
 # Orders enumerable with no explicit budget.
@@ -437,13 +444,21 @@ def _full_mul(ctx: _ShapeContext, consts) -> np.ndarray:
     return ((prod % ctx.factors) @ ctx.strides).astype(np.uint8).ravel()
 
 
+def _leaf_mul(ctx: _ShapeContext, consts, one: int) -> np.ndarray:
+    """`_full_mul` of a search leaf, validated by `verify_tables` as a ring
+    with unity `one`: the one check of each table the search builds."""
+    mul = _full_mul(ctx, consts)
+    verify_tables(ctx.add_np, mul.reshape(ctx.order, ctx.order), one)
+    return mul
+
+
 def _unital_tables(ctx: _ShapeContext, assignments):
     """Filter a raw constant stream down to (flat mul table, unity) pairs:
     the raw route of a budgeted or resumed run."""
     for consts in assignments:
         e = _unity_of(ctx, consts)
         if e >= 0:
-            yield _full_mul(ctx, consts), e
+            yield _leaf_mul(ctx, consts, e), e
 
 
 def _relabeled_constants(ctx: _ShapeContext, mul: np.ndarray, phi, inv) -> np.ndarray:
@@ -473,7 +488,7 @@ def _new_orbits(ctx: _ShapeContext, assignments):
     for consts in assignments:
         if bytes(consts) in seen:
             continue
-        mul = _full_mul(ctx, consts)
+        mul = _leaf_mul(ctx, consts, g0)
         orbit = set(map(bytes, _relabeled_constants(ctx, mul, phi, inv)))
         seen |= orbit
         yield consts, mul, orbit
@@ -497,7 +512,7 @@ def _expanded_tables(ctx: _ShapeContext, reverse: bool):
     unity: dict[bytes, int] = {}
     for consts in _dfs_stream(ctx, pinned=True):
         if bytes(consts) not in unity:
-            rows = _relabeled_constants(ctx, _full_mul(ctx, consts), autos, inverses)
+            rows = _relabeled_constants(ctx, _leaf_mul(ctx, consts, ctx.gens[0]), autos, inverses)
             unity.update(zip(map(bytes, rows), images))
     for key in sorted(unity, reverse=reverse):
         yield _full_mul(ctx, np.frombuffer(key, dtype=np.uint8)), unity[key]
@@ -623,15 +638,13 @@ def _parse_resume(token: str, order: int, mode: str, shapes) -> tuple[int, list[
 def enumerate_unital_rings(order: int, up_to_iso: bool = False, *,
                            search_order: str = "forward",
                            budget: int | None = None, resume: str | None = None):
-    """Stream every unital ring of the order as validated explicit-table rings.
+    """Stream every unital ring of the order as explicit-table rings, each
+    table the search builds validated once (module docstring).
 
     The raw stream holds every unital table on each shape's labeling, in
-    the order of their constant tuples.  With neither `budget` nor
-    `resume` it is the sorted expansion of the pinned leaves by Aut(G);
-    with either, the raw tree is walked and each leaf's unity found by a
-    scan, so that the budget and the tokens count raw-tree nodes.  Both
-    routes give the same stream.  With `up_to_iso` the search walks the
-    pinned tree, where g_0 is the unity (label 1 from order 2 on), and
+    the order of their constant tuples, by the route that `budget` and
+    `resume` pick (module docstring).  With `up_to_iso` the search walks
+    the pinned tree, where g_0 is the unity (label 1 from order 2 on), and
     keeps one representative per isomorphism class: the first member of
     its Stab(g_0)-orbit found in search order.  `search_order` ("forward"
     or "reversed") flips the candidate order at every branch point — an
@@ -666,10 +679,9 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = False, *,
     budget_cell = None if budget is None else [int(budget)]
 
     def run():
-        emitted = 0
+        names = itertools.count()
         for si in range(start_shape, len(shapes)):
-            shape = shapes[si]
-            ctx = _shape_context(shape.invariant_factors)
+            ctx = _shape_context(shapes[si].invariant_factors)
             token_prefix = f"{_TOKEN_VERSION}:{order}:{mode}:{si}:"
             path = start_path if si == start_shape else []
             leaves = _dfs_stream(ctx, reverse=reverse, budget=budget_cell, start_path=path,
@@ -681,9 +693,9 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = False, *,
             else:
                 pairs = _unital_tables(ctx, leaves)
             for mul_flat, one in pairs:
-                yield make_table_ring(ctx.add_np, mul_flat.reshape(order, order), one=one,
-                                      name=f"R{order}#{emitted}")
-                emitted += 1
+                yield TableRingStructure(ctx.add_np.astype(np.int32),
+                                         mul_flat.reshape(order, order).astype(np.int32),
+                                         one, f"R{order}#{next(names)}")
 
     return run()
 

@@ -8,10 +8,11 @@ interface, so analysis and search code can stay representation-agnostic.
 
 Rings are immutable after construction, and all operations are pure functions
 of (ring, element indices), so instances are safe to share between threads
-and processes; the dense tables are read-only arrays, and a table ring copies
-the arrays it is given.  Internal caches are filled idempotently and never
-change observable behaviour.  Memoized functions and per-ring values use one
-idiom, `functools.cache` and `functools.cached_property`; the dense tables
+and processes; the dense tables are read-only arrays.  `make_table_ring`
+copies and validates outside tables; `TableRingStructure` trusts its own.
+Internal caches are filled idempotently and never change observable
+behaviour.  Memoized functions and per-ring values use one idiom,
+`functools.cache` and `functools.cached_property`; the dense tables
 (`Ring._tables`, which the benchmark's tracer reads) and the field exp/log
 lists (read by every scalar `mul`) stay plain attributes.
 
@@ -695,12 +696,15 @@ class ProductRing(Ring):
                 compose_tables([mul for _, mul in tables]))
 
 
-class _TableArithmetic(Ring):
+class TableRingStructure(Ring):
     """A ring held as its dense tables: add/neg/mul are direct array reads.
 
-    The negation row is read once off the add table, where each row has
-    exactly one 0.
+    The constructor marks its int32 tables read-only in place and reads the
+    negation row off the add table, where each row has exactly one 0.  It
+    validates nothing: `make_table_ring` is the entry point that does.
     """
+
+    kind = "table"
 
     def __init__(self, add: np.ndarray, mul: np.ndarray, one: int, name: str):
         super().__init__(add.shape[0], one, name)
@@ -717,46 +721,7 @@ class _TableArithmetic(Ring):
         return int(self._tables[1][a, b])
 
 
-class TableRingStructure(_TableArithmetic):
-    """A ring given by explicit addition and multiplication tables.
-
-    The tables are copied, then validated by `verify_tables`: index 0
-    must be the additive zero, the unity (found by scan unless supplied,
-    then an integer in range(order)) a two-sided identity, and every ring
-    axiom must hold, the cubic ones screened on additive generators in
-    O(log(order) * order**2) and checked row by row only to name a witness.
-    A declared `additive_type` must hold integers equal to the add table's
-    invariant factors.
-    """
-
-    kind = "table"
-
-    def __init__(self, add_table, mul_table, one: int | None = None, *,
-                 additive_type=None, name: str | None = None):
-        add = np.array(add_table, dtype=np.int32, order="C")
-        mul = np.array(mul_table, dtype=np.int32, order="C")
-        if one is None:
-            _check_table_shapes(add, mul)  # before the scan reads rows and columns
-            arange = np.arange(add.shape[0], dtype=np.int32)
-            one = next((e for e in range(add.shape[0])
-                        if (mul[e] == arange).all() and (mul[:, e] == arange).all()), None)
-            if one is None:
-                raise ConstructionError("multiplication table has no unity element")
-        verify_tables(add, mul, one)
-        super().__init__(add, mul, int(one), name or f"table({add.shape[0]})")
-        if additive_type is not None:
-            declared = tuple(additive_type)
-            if not all(map(is_index, declared)):
-                raise ConstructionError(
-                    f"declared additive type {list(declared)!r} must hold integers")
-            declared = [int(d) for d in declared]
-            if tuple(declared) != self.additive_type:
-                raise ConstructionError(
-                    f"declared additive type {declared} does not match the "
-                    f"add table's invariant factors {list(self.additive_type)}")
-
-
-class QuotientRing(_TableArithmetic):
+class QuotientRing(TableRingStructure):
     """Quotient of a ring by a two-sided ideal, elements as cosets.
 
     Coset k is represented by reps[k], the least parent index it contains,
@@ -791,27 +756,12 @@ class QuotientRing(_TableArithmetic):
         # A finite set holding 0 and closed under + is an additive subgroup,
         # so it is closed under negation and its cosets tile the ring.
         padd, pmul = parent.tables()
-        marr = np.asarray(members)
         mmask = np.zeros(n, dtype=bool)
-        mmask[marr] = True
-        bad = np.argwhere(~mmask[padd[np.ix_(marr, marr)]])
-        if bad.size:
-            i, j = bad[0]
-            raise ConstructionError(
-                f"{parent.name}: ideal not closed under addition at ({members[i]},{members[j]})")
-        bad = np.argwhere(~mmask[pmul[:, marr]])
-        if bad.size:
-            r, i = bad[0]
-            raise ConstructionError(
-                f"{parent.name}: ideal not absorbing on the left at ({r},{members[i]})")
-        bad = np.argwhere(~mmask[pmul[marr, :]])
-        if bad.size:
-            i, r = bad[0]
-            raise ConstructionError(
-                f"{parent.name}: ideal not absorbing on the right at ({members[i]},{r})")
+        mmask[members] = True
+        _check_ideal(padd, pmul, mmask, f"{parent.name}: ideal")
         # x's coset is x + ideal, the row padd[x, members]; it is named by its
         # least member, and np.unique labels the names in increasing order.
-        reps, coset = np.unique(padd[:, marr].min(axis=1), return_inverse=True)
+        reps, coset = np.unique(padd[:, members].min(axis=1), return_inverse=True)
         coset = coset.astype(np.int32)
         grid = np.ix_(reps, reps)
         self.parent = parent
@@ -826,6 +776,21 @@ class QuotientRing(_TableArithmetic):
 
 # ---------------------------------------------------------------------------
 # axiom verification
+
+
+def _check_ideal(add, mul, mask, subject: str) -> None:
+    """Check that the elements where `mask` holds are closed under + and absorb
+    multiplication on both sides; a ConstructionError names the first failure
+    in row-major order: "<subject> not closed under addition at (a,b)", "not
+    absorbing on the left at (r,a)" or "not absorbing on the right at (a,r)"."""
+    members, everything = np.flatnonzero(mask), np.arange(len(mask))
+    for what, table, xs, ys in (("not closed under addition", add, members, members),
+                                ("not absorbing on the left", mul, everything, members),
+                                ("not absorbing on the right", mul, members, everything)):
+        bad = np.argwhere(~mask[table[np.ix_(xs, ys)]])
+        if bad.size:
+            i, j = bad[0]
+            raise ConstructionError(f"{subject} {what} at ({xs[i]},{ys[j]})")
 
 
 def _axiom_fail(axiom: str, witness: str):
@@ -1117,9 +1082,34 @@ def make_boolean(k: int) -> ProductRing:
 
 def make_table_ring(add_table, mul_table, one: int | None = None, *,
                     additive_type=None, name: str | None = None) -> TableRingStructure:
-    """A ring from explicit tables; all axioms are verified before acceptance."""
-    return TableRingStructure(add_table, mul_table, one,
-                              additive_type=additive_type, name=name)
+    """A ring from explicit tables, validated before acceptance.
+
+    The tables are copied to int32, then validated by `verify_tables`:
+    index 0 must be the additive zero, the unity (found by scan unless
+    supplied, then an integer in range(order)) a two-sided identity, and
+    every ring axiom must hold.  A declared `additive_type` must hold
+    integers equal to the add table's invariant factors.
+    """
+    add = np.array(add_table, dtype=np.int32, order="C")
+    mul = np.array(mul_table, dtype=np.int32, order="C")
+    if one is None:
+        _check_table_shapes(add, mul)  # before the scan reads rows and columns
+        arange = np.arange(add.shape[0], dtype=np.int32)
+        one = next((e for e in range(add.shape[0])
+                    if (mul[e] == arange).all() and (mul[:, e] == arange).all()), None)
+        if one is None:
+            raise ConstructionError("multiplication table has no unity element")
+    verify_tables(add, mul, one)
+    ring = TableRingStructure(add, mul, int(one), name or f"table({add.shape[0]})")
+    if additive_type is not None:
+        declared = list(additive_type)
+        if not all(map(is_index, declared)):
+            raise ConstructionError(f"declared additive type {declared!r} must hold integers")
+        declared = [int(d) for d in declared]
+        if tuple(declared) != ring.additive_type:
+            raise ConstructionError(f"declared additive type {declared} does not match the "
+                                    f"add table's invariant factors {list(ring.additive_type)}")
+    return ring
 
 
 def quotient_ring(parent: Ring, ideal, name: str | None = None) -> QuotientRing:

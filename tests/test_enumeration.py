@@ -34,12 +34,15 @@ from finring import (
     read_ring_file,
     serialize_table_ring,
     unit_count,
+    unit_sum,
+    verify_tables,
     write_ring_file,
 )
 from finring.enumeration import (
     _additive_maps,
     _class_tables,
     _dfs_stream,
+    _expanded_tables,
     _full_mul,
     _new_orbits,
     _shape_automorphisms,
@@ -662,6 +665,61 @@ def test_orbit_sizes_at_order_16_match_raw_leaves(order_16_classes):
         assert _raw_unital_leaves(factors) == by_shape[factors], factors
 
 
+def _classes_up_to_16(order_16_classes):
+    return [r for order in range(2, 16)
+            for r in enumerate_unital_rings(order, up_to_iso=True,
+                                            budget=None if order <= 8 else 10 ** 8)
+            ] + order_16_classes
+
+
+def _validated_expansion(factors):
+    """The number of tables `_expanded_tables` gives for the shape, each
+    passing `verify_tables` whole."""
+    ctx = _shape_context(factors)
+    count = 0
+    for mul, one in _expanded_tables(ctx, False):
+        verify_tables(ctx.add_np, mul.reshape(ctx.order, ctx.order), one)
+        count += 1
+    return count
+
+
+def test_every_emitted_table_is_a_ring(order_16_classes):
+    # oracle: the search validates one leaf per class, so check every table
+    # it emits or expands as a whole, relabelings included
+    for search_order in ("forward", "reversed"):
+        for order in range(1, 16):
+            budget = None if order <= 8 else 10 ** 8
+            for r in enumerate_unital_rings(order, search_order=search_order, budget=budget):
+                verify_tables(*r.tables(), r.one)
+    shapes = ((16,), (8, 2), (4, 4), (4, 2, 2))
+    assert [_validated_expansion(f) for f in shapes] == [8, 32, 192, 992]
+    for r in _classes_up_to_16(order_16_classes):
+        verify_tables(*r.tables(), r.one)
+
+
+@pytest.mark.slow
+def test_raw_order_16_elementary_expansion_is_all_rings():
+    # the oracle above on the one order-16 shape the raw search cannot
+    # finish: all 122 760 relabeled tables of (2,2,2,2)
+    assert _validated_expansion((2, 2, 2, 2)) == 122_760
+
+
+def test_relabeled_classes_keep_their_invariants(order_16_classes):
+    # what skipping validation of relabeled tables rests on: a relabeling is
+    # an isomorphic ring, so every invariant maps through the bijection
+    rng = random.Random(83)
+    classes = _classes_up_to_16(order_16_classes)
+    assert len(classes) == 83
+    for r in classes:
+        copy, perm = _relabeling(r, rng)
+        assert unit_count(copy) == unit_count(r), r.name
+        assert unit_sum(copy).index == perm[unit_sum(r).index], r.name
+        assert characteristic(copy) == characteristic(r), r.name
+        assert is_commutative(copy) == is_commutative(r), r.name
+        assert (len(jacobson_radical(copy).members)
+                == len(jacobson_radical(r).members)), r.name
+
+
 # ---------------------------------------------------------------------------
 # canonical forms and isomorphism
 
@@ -761,6 +819,12 @@ def test_canonical_form_digests_are_pinned(expr):
 
 def _relabeled_table_copy(r, rng):
     """Dense copy of r under a seeded permutation of the indices fixing 0."""
+    return _relabeling(r, rng)[0]
+
+
+def _relabeling(r, rng):
+    """`_relabeled_table_copy` and its permutation: index x of r is index
+    perm[x] of the copy."""
     n = r.order
     perm = [0] + rng.sample(range(1, n), n - 1)
     add, mul = r.tables()
@@ -770,7 +834,7 @@ def _relabeled_table_copy(r, rng):
         for b in range(n):
             new_add[perm[a]][perm[b]] = perm[int(add[a][b])]
             new_mul[perm[a]][perm[b]] = perm[int(mul[a][b])]
-    return make_table_ring(new_add, new_mul, one=perm[r.one])
+    return make_table_ring(new_add, new_mul, one=perm[r.one]), perm
 
 
 def test_canonical_form_invariant_under_relabeling_at_order_16():

@@ -1,5 +1,6 @@
 """Ring constructions: carriers, encodings, axioms, and their error cases."""
 
+import itertools
 import random
 
 import numpy as np
@@ -682,6 +683,55 @@ def test_quotient_rejects_a_set_not_closed_under_negation():
     # {0, 2} in Z(6) misses -2 = 4; closure under + already fails at 2+2
     with pytest.raises(ConstructionError, match=r"not closed under addition at \(2,2\)"):
         quotient_ring(make_zn(6), [0, 2])
+
+
+def _ideal_failure_oracle(r, members):
+    """The first failing pair, scanning + over members^2, then r*a, then a*r,
+    worded as `rings._check_ideal` words it with subject "S"."""
+    for what, pairs, op in (
+            ("not closed under addition", itertools.product(members, members), r.add),
+            ("not absorbing on the left", itertools.product(range(r.order), members), r.mul),
+            ("not absorbing on the right", itertools.product(members, range(r.order)), r.mul)):
+        for x, y in pairs:
+            if op(x, y) not in members:
+                return f"S {what} at ({x},{y})"
+    return None
+
+
+def _additive_span(r, gens):
+    """The subgroup the gens generate: in a finite group, closure under +."""
+    span = {0, *gens}
+    while True:
+        more = {r.add(x, y) for x in span for y in span} - span
+        if not more:
+            return sorted(span)
+        span |= more
+
+
+def test_check_ideal_names_the_first_witness():
+    # one helper checks quotient ideals and the computed radical; on random
+    # subsets holding 0, and on random additive subgroups (which can only
+    # fail to absorb), it names the witness a pair-by-pair scan meets first
+    rng = random.Random(5)
+    outcomes = set()
+    for r in (make_zn(12), make_matrix_ring(2, make_zn(2)),
+              make_triangular_ring(2, make_zn(2)), make_matrix_ring(2, make_zn(3))):
+        add, mul = r.tables()
+        for trial in range(120):
+            picks = rng.sample(range(1, r.order), rng.randrange(min(r.order, 4)))
+            members = _additive_span(r, picks) if trial % 2 else sorted({0, *picks})
+            mask = np.zeros(r.order, dtype=bool)
+            mask[members] = True
+            expected = _ideal_failure_oracle(r, members)
+            try:
+                rings._check_ideal(add, mul, mask, "S")
+                got = None
+            except ConstructionError as exc:
+                got = str(exc)
+            assert got == expected, (r.name, members)
+            outcomes.add(expected and expected.split(" at ")[0])
+    assert outcomes == {None, "S not closed under addition",
+                        "S not absorbing on the left", "S not absorbing on the right"}
 
 
 def test_quotient_rejects_foreign_elements():

@@ -4,7 +4,7 @@ import dataclasses
 
 import pytest
 
-from finring import analysis, inverse_by_scan, rings, theorems
+from finring import analysis, enumeration, inverse_by_scan, rings, theorems
 from finring import (
     BEST_EFFORT_MAX_ORDER,
     CHECK_IDS,
@@ -211,6 +211,25 @@ def test_verify_all_builds_each_matrix_table_once(monkeypatch):
     assert {"M(2,GF(2))", "M(3,GF(2))", "M(2,GF(4))"} <= set(full)
     triangular = [name for name in built if name.startswith("UT(")]
     assert sorted(triangular) == ["UT(2,Z(2))", "UT(3,Z(2))", "UT(4,Z(2))"]
+
+
+def test_verify_all_validates_each_enumerated_class_once(monkeypatch):
+    # the search validates one leaf per class where it first builds it, 20
+    # classes of orders 2..8 on each route: the iso seeds and the seeds the
+    # raw expansion relabels; relabeled tables are isomorphic rings and are
+    # not validated again (601 calls when every emitted table was)
+    calls = []
+    check = rings.verify_tables
+
+    def counted(add, mul, one):
+        calls.append(len(add))
+        return check(add, mul, one)
+
+    monkeypatch.setattr(rings, "verify_tables", counted)
+    monkeypatch.setattr(enumeration, "verify_tables", counted, raising=False)
+    assert all(report.passed for report in run_all(8))
+    assert len(calls) == 40
+    assert sorted(calls) == sorted(2 * [2, 3, 4, 4, 4, 4, 5, 6, 7] + 2 * 11 * [8])
 
 
 def test_t4_reports_a_failed_geometric_sum(monkeypatch):

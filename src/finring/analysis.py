@@ -48,11 +48,9 @@ from .rings import (
     ZnRing,
     _check_ideal,
     _multiple,
-    digit_array,
     from_digits,
     is_commutative,  # re-exported; it also vets matrix-ring bases there
     is_prime,
-    place_values,
     prime_power,
     row_blocks,
 )
@@ -140,11 +138,9 @@ def inverse_index(r: Ring, a: int) -> int | None:
         invs = [inverse_index(f, c) for f, c in zip(r.factors, r.components(a))]
         return None if None in invs else from_digits(invs, r.radices)
     if isinstance(r, MatrixRing):
-        inv = _matrix_inverses(r, [a])[0]
-        if inv < 0:
-            return None
+        inv = _matrix_inverse(r, a)
         # both-sided self-check: cheap, and guards the commutative-base assumption
-        if r.mul(a, inv) != r.one or r.mul(inv, a) != r.one:
+        if inv is not None and (r.mul(a, inv) != r.one or r.mul(inv, a) != r.one):
             raise ConstructionError(f"{r.name}: adjugate inverse failed its self-check at {a}")
         return inv
     return inverse_by_scan(r, a)
@@ -164,14 +160,10 @@ def unit_group(r: Ring) -> UnitGroupSummary:
     multiplication table alone: one-sided and two-sided units agree, one
     is in the set, the set is closed under multiplication, and each
     unit's table inverse is two-sided.  The tests compare the inverses
-    with `_matrix_inverses` and `inverse_index`.  Rings larger than
-    TABLE_CAP raise BudgetError; use `unit_sum` / `unit_count` for
-    streaming totals of lazy matrix rings.
+    with `inverse_index`.  Rings larger than TABLE_CAP raise BudgetError
+    from `tables()`; use `unit_sum` / `unit_count` for streaming totals of
+    lazy matrix rings.
     """
-    if r.order > TABLE_CAP:
-        raise BudgetError(
-            f"{r.name}: unit group enumerable only up to order {TABLE_CAP}; "
-            "unit_sum/unit_count stream larger matrix rings")
     add, mul = r.tables()
     is_one = mul == r.one
     umask = is_one.any(axis=1)
@@ -212,19 +204,33 @@ def _value_grid(m: int, k: int) -> np.ndarray:
     return np.indices((m,) * k, dtype=np.intp).reshape(k, m ** k).T
 
 
-def _determinants(base: Ring, es: np.ndarray, n: int) -> np.ndarray:
-    """Determinant of each row of `es` (row-major n x n entries over `base`).
+def _table_ops(base: Ring):
+    """The base ring's elementwise (add, mul, neg) as gathers through its tables."""
+    badd, bmul = base.tables()
+    bneg = np.argmax(badd == 0, axis=1)
+    return (lambda a, b: badd[a, b]), (lambda a, b: bmul[a, b]), bneg.__getitem__
 
-    Cofactor expansion along the first row, run on whole columns through
-    the base ring's tables (built only for n >= 2).  Each minor, a set of
-    columns on the bottom rows, is computed once and shared by every
-    expansion path through it.  It is the one determinant in the package:
-    `_adjugates` takes its minors through it.
+
+def _scalar_ops(base: Ring):
+    """The base ring's elementwise (add, mul, neg) as its scalar operations on object arrays."""
+    return (np.frompyfunc(base.add, 2, 1), np.frompyfunc(base.mul, 2, 1),
+            np.frompyfunc(base.neg, 1, 1))
+
+
+def _determinants(ops, es: np.ndarray, n: int) -> np.ndarray:
+    """Determinant of each row of `es` (row-major n x n entries over one base ring).
+
+    `ops` is the base ring's elementwise (add, mul, neg) on arrays of
+    entries: `_table_ops` for the streaming census, `_scalar_ops` for the
+    inverse of one matrix.  Cofactor expansion along the first row, run on
+    whole columns; n = 1 reads no `ops`.  Each minor, a set of columns on
+    the bottom rows, is computed once and shared by every expansion path
+    through it.  It is the one determinant in the package:
+    `_matrix_inverse` takes its cofactors through it.
     """
     if n == 1:
         return es[:, 0]
-    badd, bmul = base.tables()
-    bneg = np.argmax(badd == 0, axis=1)
+    add, mul, neg = ops
     minors = {}
 
     def det(cols):  # the minor on the last len(cols) rows and the columns `cols`
@@ -234,55 +240,38 @@ def _determinants(base: Ring, es: np.ndarray, n: int) -> np.ndarray:
             row = (n - len(cols)) * n
             total = None
             for t, c in enumerate(cols):
-                term = bmul[es[:, row + c], det(cols[:t] + cols[t + 1:])]
+                term = mul(es[:, row + c], det(cols[:t] + cols[t + 1:]))
                 if t % 2:
-                    term = bneg[term]
-                total = term if total is None else badd[total, term]
+                    term = neg(term)
+                total = term if total is None else add(total, term)
             minors[cols] = total
         return minors[cols]
 
     return det(tuple(range(n)))
 
 
-def _adjugates(base: Ring, es: np.ndarray, n: int) -> np.ndarray:
-    """Adjugate (transposed cofactor matrix) of each row of `es`, for n >= 2.
+def _matrix_inverse(r: MatrixRing, a: int) -> int | None:
+    """Index of det^-1 * adj of the matrix at index a, or None for a non-unit.
 
-    Cofactor (i, j) is the signed determinant of the minor without row i
-    and column j, taken for the whole block by `_determinants`.
-    """
-    bneg = np.argmax(base.tables()[0] == 0, axis=1)
-    out = np.empty_like(es)
-    for i in range(n):
-        for j in range(n):
-            minor = [k for k in range(n * n) if k // n != i and k % n != j]
-            d = _determinants(base, es[:, minor], n - 1)
-            out[:, j * n + i] = bneg[d] if (i + j) % 2 else d
-    return out
-
-
-def _matrix_inverses(r: MatrixRing, indices) -> list[int]:
-    """Index of det^-1 * adj for each matrix index in `indices`, -1 for non-units.
-
-    One batch: the determinants and the adjugates of the units go through
-    `_determinants`, and each distinct determinant is inverted once by
-    `inverse_index` on the base.  For n = 1 the inverse is the base
-    inverse of the entry, so the base tables are not built.
+    The determinant and, in one batch, the n^2 cofactors (the signed
+    minors without row i and column j) go through `_determinants` on the
+    base ring's scalar operations, so no base table is built.
     """
     base, n = r.base, r.n
-    es = np.zeros((len(indices), r.cells), dtype=np.intp)
-    es[:, r.flat] = digit_array(indices, r.radices)
-    dets, where = np.unique(_determinants(base, es, n), return_inverse=True)
-    base_inv = [inverse_index(base, int(d)) for d in dets]
-    dinv = np.array([-1 if v is None else v for v in base_inv], dtype=np.intp)[where]
-    units = np.flatnonzero(dinv >= 0)
+    ops = _scalar_ops(base)
+    es = np.array([r.entries(a)], dtype=object)
+    dinv = inverse_index(base, _determinants(ops, es, n)[0])
+    if dinv is None:
+        return None
     if n == 1:
-        inv_es = dinv[units, None]
-    else:
-        inv_es = base.tables()[1][dinv[units, None], _adjugates(base, es[units], n)]
-    places = place_values(r.radices)
-    out = np.full(len(es), -1, dtype=places.dtype)
-    out[units] = inv_es[:, r.flat] @ places
-    return out.tolist()
+        return r.from_entries([dinv])
+    # adj[j, i] is the cofactor (i, j), so row-major position p has sign (-1)^(p//n + p%n)
+    minors = [[k for k in range(n * n) if k // n != i and k % n != j]
+              for j in range(n) for i in range(n)]
+    adj = _determinants(ops, es[0, minors], n - 1)
+    odd = [(p // n + p % n) % 2 for p in range(n * n)]
+    _, mul, neg = ops
+    return r.from_entries(mul(dinv, np.where(odd, neg(adj), adj)).tolist())
 
 
 def _grid_blocks(r: MatrixRing, outer: list[int], outer_rows: np.ndarray, inner: list[int]):
@@ -312,14 +301,19 @@ def _invertible_blocks(r: MatrixRing):
     Matrices with an all-zero first column cannot be invertible, so that
     column is skipped (first-column pruning).  The other first columns run
     in lexicographic order with the remaining cells over all values, and
-    the rows whose determinant is a unit of the base are kept.
+    the rows whose determinant is a unit of the base are kept.  A ring of
+    order above DEFAULT_ORDER_CAP raises BudgetError before any block, and
+    the base tables are built only for n >= 2.
     """
+    if r.order > DEFAULT_ORDER_CAP:
+        raise BudgetError(f"{r.name}: streaming unit scan needs order <= {DEFAULT_ORDER_CAP}")
     n, base = r.n, r.base
+    ops = _table_ops(base) if n > 1 else None
     base_units = _base_unit_mask(base)
     first = [i * n for i in range(n)]
     rest = [k for k in range(r.cells) if k % n]
-    for block in _grid_blocks(r, first, _value_grid(base.order, n)[1:], rest):
-        yield block[base_units[_determinants(base, block, n)]]
+    blocks = _grid_blocks(r, first, _value_grid(base.order, n)[1:], rest)
+    return (block[base_units[_determinants(ops, block, n)]] for block in blocks)
 
 
 def _triangular_unit_blocks(r: MatrixRing):
@@ -347,12 +341,7 @@ def _stream_units(r: MatrixRing) -> tuple[int, int]:
     cell's sum is then the sum over values v of (count of v) * v in the
     base ring.
     """
-    if r.kind == "triangular":
-        blocks = _triangular_unit_blocks(r)
-    else:
-        if r.order > DEFAULT_ORDER_CAP:
-            raise BudgetError(f"{r.name}: streaming unit scan needs order <= {DEFAULT_ORDER_CAP}")
-        blocks = _invertible_blocks(r)
+    blocks = _triangular_unit_blocks(r) if r.kind == "triangular" else _invertible_blocks(r)
     m, badd = r.base.order, r.base.add
     offsets = np.arange(r.cells) * m
     count, counts = 0, np.zeros(r.cells * m, dtype=np.int64)
@@ -404,8 +393,6 @@ def unit_first_column_classes(r: MatrixRing) -> dict[tuple[int, ...], int]:
     """
     if not isinstance(r, MatrixRing) or r.kind != "matrix":
         raise ConstructionError("first-column classes are defined for full matrix rings")
-    if r.order > DEFAULT_ORDER_CAP:
-        raise BudgetError(f"{r.name}: class scan needs order <= {DEFAULT_ORDER_CAP}")
     first = [i * r.n for i in range(r.n)]
     classes = {}
     for units in _invertible_blocks(r):
@@ -456,8 +443,6 @@ def jacobson_radical(r: Ring) -> RadicalSummary:
     before returning.
     """
     n = r.order
-    if n > TABLE_CAP:
-        raise BudgetError(f"{r.name}: radical computed only up to order {TABLE_CAP}")
     add, mul = r.tables()
     square, power = np.diagonal(mul), np.arange(n)
     for _ in range((n.bit_length() - 2).bit_length()):

@@ -366,10 +366,14 @@ class Ring:
     # -- dense tables -------------------------------------------------------
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (add, mul) index tables as read-only int32 arrays, cached after first use."""
+        """Dense (add, mul) index tables as read-only int32 arrays, cached after first use.
+
+        A ring above TABLE_CAP raises BudgetError here; callers that read
+        the tables rely on this check instead of repeating it.
+        """
         if self._tables is None:
             if self.order > TABLE_CAP:
-                raise ConstructionError(
+                raise BudgetError(
                     f"{self.name} has order {self.order}, above the dense-table cap {TABLE_CAP}")
             self._tables = _read_only(*self._build_tables())
         return self._tables
@@ -735,8 +739,6 @@ class QuotientRing(TableRingStructure):
 
     def __init__(self, parent: Ring, ideal, name: str | None = None):
         n = parent.order
-        if n > TABLE_CAP:
-            raise BudgetError(f"{parent.name}: quotients computed only up to order {TABLE_CAP}")
         members = set()
         for a in ideal:
             if isinstance(a, Elem):
@@ -1003,8 +1005,6 @@ def is_commutative(r: Ring) -> bool:
     if isinstance(r, MatrixRing):
         # n >= 2 over a nontrivial base: E11*E12 != E12*E11
         return r.order == 1 or (r.n == 1 and is_commutative(r.base))
-    if r.order > TABLE_CAP and r._tables is None:
-        raise BudgetError(f"{r.name}: commutativity scan needs order <= {TABLE_CAP}")
     _, mul = r.tables()
     return bool((mul == mul.T).all())
 

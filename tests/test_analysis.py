@@ -43,7 +43,8 @@ def matrix_inverse_row_reduce(r, a):
     """Oracle: inverse by Gauss-Jordan elimination over a field base.
 
     An independent second route to invertibility: it never consults the
-    determinant, so agreement with `_matrix_inverses` is a real check.
+    determinant, so agreement with `inverse_index` (det^-1 * adj) is a
+    real check.
     """
     base, n = r.base, r.n
     assert isinstance(r, rings.MatrixRing) and analysis._field_like(base)
@@ -207,10 +208,10 @@ def test_unit_group_m2_gf2():
 
 def test_unit_group_calls_no_inverse_route(monkeypatch):
     # the radical reads no units, and the unit group reads its units and
-    # their inverses from the table alone: neither the kernel batch nor
+    # their inverses from the table alone: neither the adjugate inverse nor
     # inverse_index runs, on a matrix ring or on the others
     calls = []
-    monkeypatch.setattr(analysis, "_matrix_inverses", lambda r, indices: calls.append(r))
+    monkeypatch.setattr(analysis, "_matrix_inverse", lambda r, a: calls.append(r))
     monkeypatch.setattr(analysis, "inverse_index", lambda r, a: calls.append(r))
     m = make_matrix_ring(2, make_gf(2))
     assert jacobson_radical(m).is_zero
@@ -231,7 +232,7 @@ def _scan_inverses(r):
 @pytest.mark.parametrize("expr", ["M(2,Z(4))", "M(2,Z(6))", "UT(3,Z(4))", "M(1,Z(6))"])
 def test_matrix_inverses_match_the_scan(expr):
     r = parse_ring(expr)
-    got = analysis._matrix_inverses(r, range(r.order))
+    got = [-1 if v is None else v for v in (inverse_index(r, a) for a in range(r.order))]
     assert got == _scan_inverses(r)
     if r.order <= 256:  # the scalar scan itself, where it is quick
         scanned = (inverse_by_scan(r, a) for a in range(r.order))
@@ -242,18 +243,39 @@ def test_matrix_inverses_match_the_scan(expr):
 def test_matrix_inverses_match_row_reduction(expr):
     r = parse_ring(expr)
     want = [matrix_inverse_row_reduce(r, a) for a in range(r.order)]
-    assert analysis._matrix_inverses(r, range(r.order)) == [-1 if v is None else v
-                                                            for v in want]
+    assert [inverse_index(r, a) for a in range(r.order)] == want
 
 
 def test_matrix_inverse_edges_above_the_table_cap():
-    # n >= 2 needs the base tables, so a base above the cap is refused;
-    # n = 1 never builds them, so GF(4099) inverts
-    with pytest.raises(ConstructionError, match="dense-table cap"):
-        inverse_index(parse_ring("M(2,GF(8192))"), 5)
+    # one inverse reads no base table, so bases above the cap invert:
+    # GF(8192) for n = 2 and GF(4099) for n = 1
+    m = parse_ring("M(2,GF(8192))")
+    assert inverse_index(m, 5) is None  # one nonzero entry: determinant 0
+    x = m.from_entries([5, 1, 0, 7])
+    inv = is_unit(m, x)
+    assert inv is not None and m.mul(x, inv.index) == m.mul(inv.index, x) == m.one
     m = parse_ring("M(1,GF(4099))")
     inv = is_unit(m, 5)
     assert inv is not None and m.mul(5, inv.index) == m.one
+
+
+@pytest.mark.parametrize("expr", ["M(2,GF(4096))", "M(3,GF(8192))"])
+def test_matrix_inverse_builds_no_base_table(expr):
+    # det^-1 * adj runs on the base ring's scalar operations: seeded samples
+    # and one singular matrix agree with row reduction, each inverse is
+    # two-sided, and the base never builds its tables
+    r = parse_ring(expr)
+    rng = random.Random(5)
+    rows = [[rng.randrange(r.base.order) for _ in range(r.cells)] for _ in range(12)]
+    rows.append(rows[0][:r.n] * r.n)  # every row the same
+    for es in rows:
+        x = r.from_entries(es)
+        inv = is_unit(r, x)
+        assert (None if inv is None else inv.index) == matrix_inverse_row_reduce(r, x), es
+        if inv is not None:
+            assert r.mul(x, inv.index) == r.mul(inv.index, x) == r.one, es
+    assert is_unit(r, r.from_entries(rows[-1])) is None
+    assert r.base._tables is None
 
 
 def test_unit_census_matches_unit_group():
@@ -478,16 +500,12 @@ def _radical_oracle_population(enum_raw):
 
 
 def test_unit_group_inverses_match_the_independent_routes(enum_raw):
-    # _matrix_inverses (det^-1 * adj) on matrix rings and inverse_index on
-    # the others invert exactly the units unit_group reads off the table,
-    # and each inverse they give is two-sided in the table
+    # inverse_index (det^-1 * adj on matrix rings) inverts exactly the
+    # units unit_group reads off the table, and each inverse it gives is
+    # two-sided in the table
     for r in _radical_oracle_population(enum_raw):
-        if isinstance(r, rings.MatrixRing):
-            inverses = analysis._matrix_inverses(r, range(r.order))
-        else:
-            inverses = [-1 if v is None else v
-                        for v in (inverse_index(r, a) for a in range(r.order))]
-        pairs = [(a, v) for a, v in enumerate(inverses) if v >= 0]
+        inverses = [inverse_index(r, a) for a in range(r.order)]
+        pairs = [(a, v) for a, v in enumerate(inverses) if v is not None]
         assert [a for a, _ in pairs] == [u.index for u in unit_group(r).units], r.name
         mul = r.tables()[1]
         assert all(mul[a, v] == mul[v, a] == r.one for a, v in pairs), r.name
@@ -562,10 +580,13 @@ def test_block_census_of_one_by_one_rings_above_the_table_cap(expr, monkeypatch)
 
 @pytest.mark.parametrize("expr", ["M(2,Z(4))", "M(2,Z(6))", "M(3,GF(2))"])
 def test_vectorized_determinant_matches_cofactor_expansion(expr):
+    # the one kernel, on table gathers and on the base's scalar operations
     r = parse_ring(expr)
     es = np.array([r.entries(x) for x in range(r.order)])
-    dets = analysis._determinants(r.base, es, r.n)
-    assert dets.tolist() == [matrix_determinant(r.base, row, r.n) for row in es.tolist()]
+    want = [matrix_determinant(r.base, row, r.n) for row in es.tolist()]
+    assert analysis._determinants(analysis._table_ops(r.base), es, r.n).tolist() == want
+    scalar = analysis._determinants(analysis._scalar_ops(r.base), es.astype(object), r.n)
+    assert scalar.tolist() == want
 
 
 def test_multiples_match_sequential_adds():

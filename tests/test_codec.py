@@ -123,8 +123,8 @@ def test_shape_generators_are_the_unit_digit_vectors():
 
 
 def test_matrix_inverses_above_int64():
-    # M(3,GF(256)) has order 2^72: the batch kernel decodes and encodes
-    # through object place values, exactly
+    # M(3,GF(256)) has order 2^72: det^-1 * adj decodes and encodes its
+    # Python-int indices exactly
     m = parse_ring("M(3,GF(256))")
     assert m.order > np.iinfo(np.intp).max
     x = m.from_entries([255, 3, 7, 0, 200, 9, 1, 0, 254])

@@ -919,7 +919,7 @@ def test_serialize_round_trips_constructed_rings():
         assert serialize_table_ring(back) == text, r.name
         assert back.one == r.one and back.additive_type == r.additive_type, r.name
         assert all(np.array_equal(a, b) for a, b in zip(back.tables(), r.tables())), r.name
-    with pytest.raises(ConstructionError, match="cap"):
+    with pytest.raises(BudgetError, match="dense-table cap"):
         serialize_table_ring(make_zn(TABLE_CAP + 1))
 
 

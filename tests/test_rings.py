@@ -643,7 +643,7 @@ def test_verify_tables_accepts_large_tables():
 def test_table_cap_enforced():
     big = make_product([make_zn(5000), make_zn(2)])
     assert big.order == 10000 > TABLE_CAP
-    with pytest.raises(ConstructionError, match="cap"):
+    with pytest.raises(BudgetError, match="dense-table cap"):
         big.tables()
 
 
@@ -741,7 +741,7 @@ def test_quotient_rejects_foreign_elements():
 
 
 def test_quotient_above_table_cap_is_a_budget_error():
-    with pytest.raises(BudgetError, match="quotients"):
+    with pytest.raises(BudgetError, match="dense-table cap"):
         quotient_ring(make_zn(2 * TABLE_CAP), [0, TABLE_CAP])
 
 

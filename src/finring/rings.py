@@ -107,21 +107,20 @@ def from_digits(digits, radices) -> int:
 
 
 def place_values(radices) -> np.ndarray:
-    """The place value of each digit, the product of the radices before it.
+    """The intp place value of each digit, the product of the radices before it.
 
-    intp while every index fits it; above that, an object array of Python
-    ints, so lazy rings of any order encode exactly.  A digit array times
-    the place values (`digits @ place_values(radices)`) encodes its rows.
+    `digits @ place_values(radices)` encodes the rows of a digit array.  An
+    order above intp raises ConstructionError instead of wrapping.
     """
     places = np.cumprod([1, *radices], dtype=object)
-    return places[:-1] if places[-1] > np.iinfo(np.intp).max else places[:-1].astype(np.intp)
+    if places[-1] > np.iinfo(np.intp).max:
+        raise ConstructionError(f"mixed-radix order {places[-1]} does not fit a numpy index")
+    return places[:-1].astype(np.intp)
 
 
 def digit_array(indices, radices) -> np.ndarray:
     """to_digits of every index at once: one intp row of digits per index."""
-    places = place_values(radices)
-    indices = np.asarray(indices, dtype=places.dtype)
-    return (indices[..., None] // places % np.asarray(radices, dtype=places.dtype)).astype(np.intp)
+    return np.asarray(indices, dtype=np.intp)[..., None] // place_values(radices) % radices
 
 
 # ---------------------------------------------------------------------------
@@ -424,8 +423,9 @@ class GFRing(Ring):
 
     Up to TABLE_CAP, `mul` reads exp/log lists over the least primitive
     element g (Lidl & Niederreiter, *Finite Fields*): x*y = g^(log x +
-    log y).  The lists are made once with the polynomial product
-    `_mul_poly`, which above TABLE_CAP is the multiplication itself.
+    log y), made once by walking x -> x*g, a GF(p)-linear map read off the
+    polynomial product `_mul_poly` on the basis p**k.  Above TABLE_CAP,
+    `_mul_poly` is the multiplication itself.
     """
 
     kind = "field"
@@ -493,12 +493,15 @@ class GFRing(Ring):
         q - 1) and then zeros; log[0] = 2(q - 1) sends every product with
         0 into the zeros, so mul needs no branch.
         """
-        q = self.q
+        p, q, rad = self.p, self.q, self.radices
+        digits = digit_array(np.arange(q), rad)
         for g in range(1, q):
+            basis = digit_array([self._mul_poly(p ** k, g) for k in range(self.s)], rad)
+            times_g = (digits @ basis % p @ place_values(rad)).tolist()
             powers, x = [1], g
             while x != 1:
                 powers.append(x)
-                x = self._mul_poly(x, g)
+                x = times_g[x]
             if len(powers) == q - 1:
                 break
         log = [0] * q
@@ -619,32 +622,39 @@ class MatrixRing(Ring):
         return "[" + ",".join(rows) + "]"
 
     def _build_tables(self):
-        # Addition is cellwise, so its table is the composition of the base
-        # table over the stored cells.  Output cell c of x*y depends only on
-        # x's digits at the cell's row positions and y's at its column
-        # positions: its values over all such digit pairs form one small
-        # table, already weighted by the cell's place value, and the product
-        # table is the sum of one gather from each.
+        # Addition is cellwise: the composition of the base table over the
+        # stored cells.  Row i of x*y depends only on row i of x, one block of
+        # digits, so mul is the plain sum of the pieces mul[x's row i alone].
+        # Row i's piece over its K_i left factors adds, in row blocks, one
+        # gather per output cell from a small table over (row digits of x,
+        # column digits of y) times the cell's place value.  Row 0's piece is
+        # the table's top; doubling adds the rest, so no N x N temporary.
         badd, bmul = self.base.tables()
         m, N = self.base.order, self.order
         add = compose_tables([badd] * len(self.stored))
         powers = place_values(self.radices)
         digits = digit_array(np.arange(N), self.radices)
-        cells = []
-        for c, terms in enumerate(self._terms):
-            t = len(terms)
-            small_digits = digits[:m ** t, :t]  # digit l of u, for u < m^t
-            small = np.zeros((m ** t, m ** t), dtype=np.int32)
-            for l in range(t):
-                small = badd[small, bmul[np.ix_(small_digits[:, l], small_digits[:, l])]]
-            row_key = digits[:, [p for p, _ in terms]] @ powers[:t]
-            col_key = digits[:, [q for _, q in terms]] @ powers[:t]
-            cells.append((small * np.int32(powers[c]), row_key, col_key))
-        mul = np.zeros((N, N), dtype=np.int32)
-        for rows in row_blocks(N, N):
-            block = mul[rows]
-            for small, row_key, col_key in cells:
-                block += np.take(small[row_key[rows]], col_key, axis=1)
+        sums = [bmul]  # sums[t - 1][u, v]: the sum of the t digitwise products of u and v
+        while len(sums) < self.n:
+            k = len(sums[-1]) * m
+            sums.append(badd[sums[-1][None, :, None, :], bmul[:, None, :, None]].reshape(k, k))
+        mul, span = np.zeros((N, N), dtype=np.int32), 1
+        for i in range(self.n):
+            row = [c for c, (a, _) in enumerate(self.stored) if a == i]
+            K, gathers = m ** len(row), []
+            for c in row:
+                ps, qs = zip(*self._terms[c])
+                small, key = sums[len(ps) - 1], powers[:len(ps)]
+                gathers.append((small * np.int32(powers[c]) if c else small,  # cell 0's is 1
+                                digits[:K, np.subtract(ps, row[0])] @ key, digits[:, qs] @ key))
+            piece = mul[:K] if i == 0 else np.zeros((K, N), dtype=np.int32)
+            for rows in row_blocks(K, N):
+                for small, row_key, col_key in gathers:
+                    piece[rows] += np.take(small[row_key[rows]], col_key, axis=1)
+            if i:  # rows [d*span, (d+1)*span) are rows [0, span) plus piece row d
+                np.add(mul[:span][None], piece[1:, None, :],
+                       out=mul[span:span * K].reshape(K - 1, span, N))
+            span *= K
         return add, mul
 
 

@@ -2,6 +2,7 @@
 
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -827,6 +828,21 @@ def test_axioms_hold_everywhere(build):
 # table routes against their references
 
 
+@pytest.mark.parametrize("q", [4, 8, 9, 25, 256, 625, 4096])
+def test_gf_exp_is_the_walk_of_the_primitive_element(q):
+    # exp/log come from the linear multiply-by-g map; here the powers of the
+    # least primitive element are walked one polynomial product at a time
+    f = make_gf(q)
+    g = primitive_element(f).index
+    powers, x = [], 1
+    for _ in range(q - 1):
+        powers.append(x)
+        x = f._mul_poly(x, g)
+    assert x == 1 and len(set(powers)) == q - 1
+    assert f._exp == powers * 2 + [0] * (2 * (q - 1) + 1)
+    assert [f._log[y] for y in powers] == list(range(q - 1)) and f._log[0] == 2 * (q - 1)
+
+
 @pytest.mark.parametrize("q", [4, 8, 9, 25, 27, 49, 64, 81])
 def test_gf_exp_log_mul_matches_polynomial_product(q):
     f = make_gf(q)
@@ -844,15 +860,46 @@ def test_row_blocks_reads_block_size_at_call_time(monkeypatch):
 
 
 @pytest.mark.parametrize("expr", ["B(5)", "GF(4) x Z(6)", "Z(4) x GF(9)", "Z(2) x Z(3) x Z(4)",
-                                  "GF(27)", "M(2,Z(3))", "UT(3,Z(2))"])
+                                  "GF(27)", "M(2,Z(3))", "UT(3,Z(2))", "M(1,Z(6))",
+                                  "UT(1,GF(4))", "UT(2,Z(4))", "M(2,Z(4))"])
 def test_vectorized_tables_match_generic(expr, monkeypatch):
-    # blocks of 100 entries, so the row-blocked table builds cross block edges
+    # blocks of 100 entries: GF(27)'s exp/log product and each matrix row's
+    # piece (a table row or more wide) are gathered in several row blocks
     monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 100)
     r = parse_ring(expr)
     fast = r._build_tables()
     slow = per_pair_tables(r)
     for f, s in zip(fast, slow):
         assert f.dtype == s.dtype and np.array_equal(f, s)
+
+
+LARGE_MATRIX_RINGS = ["UT(4,Z(2))", "M(3,GF(2))", "M(2,GF(8))", "UT(3,GF(4))", "UT(2,GF(16))"]
+
+
+@pytest.mark.parametrize("expr", LARGE_MATRIX_RINGS)
+def test_matrix_tables_match_scalar_arithmetic_on_sampled_pairs(expr):
+    # too large for the per-pair oracle above: seeded pairs against add and mul
+    r = parse_ring(expr)
+    add, mul = r.tables()
+    rng = random.Random(expr)
+    for _ in range(3000):
+        x, y = rng.randrange(r.order), rng.randrange(r.order)
+        assert (add[x, y], mul[x, y]) == (r.add(x, y), r.mul(x, y)), (x, y)
+
+
+@pytest.mark.parametrize("expr", LARGE_MATRIX_RINGS[2:])
+def test_matrix_table_build_peaks_near_its_outputs(expr):
+    # with the base tables built, the build's peak allocation is its two
+    # order x order outputs plus at most 5%: no order x order temporary
+    r = parse_ring(expr)
+    r.base.tables()
+    tracemalloc.start()
+    try:
+        add, mul = r._build_tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.05 * (add.nbytes + mul.nbytes), peak
 
 
 def test_every_family_builds_tables_without_the_per_pair_route():

@@ -25,11 +25,12 @@ last, by scanning each leaf for an element that fixes all generators on
 both sides, and tables without one are discarded.  Both routes give the
 same stream.
 
-Each table the search builds is validated once, where it is built
-(`_leaf_mul`): each new pinned class, and each unital leaf of a raw walk.
-A relabeling by an additive automorphism is an isomorphic ring, and the
-bilinear extension of its constants is the relabeled table, so
-relabelings are not checked again.
+Each table the search builds is validated once, where it is built: each
+new pinned class alone (`_leaf_mul`), and the unital leaves of a raw
+walk in batches, one bilinear extension and one axiom screen per batch
+(`_leaf_batch`).  A relabeling by an additive automorphism is an
+isomorphic ring, and the bilinear extension of its constants is the
+relabeled table, so relabelings are not checked again.
 
 Orders up to 8 enumerate without restriction.  Orders 9..16 are
 best-effort: they require an explicit node budget and fail gracefully
@@ -58,6 +59,7 @@ from .errors import BudgetError, ConstructionError
 from .rings import (
     Ring,
     TableRingStructure,
+    _axioms_hold,
     _multiple,
     compose_tables,
     digit_array,
@@ -188,8 +190,8 @@ class _ShapeContext:
     Elements are mixed-radix digit vectors over the factors, first factor
     least significant, as in the product Z(d_1) x ... x Z(d_r), whose add
     table is `add_np` (read-only uint8).  `add` and `smul` are dense
-    lookup lists, `digit_array` the digits of each element (one row per
-    element) and `digits` their nonzero support, and `K[i][j]` the
+    lookup lists, `digit_array` the digits of each element (one int16 row
+    per element) and `digits` their nonzero support, and `K[i][j]` the
     candidate values for the structure constant g_i * g_j (the elements
     gcd(d_i, d_j) kills, since that scalar kills both generators).
 
@@ -223,7 +225,7 @@ class _ShapeContext:
         self.add_np = compose_tables([make_zn(d).tables()[0] for d in factors]).astype(np.uint8)
         self.add_np.setflags(write=False)
         self.add = self.add_np.tolist()
-        self.digit_array = digit_array(np.arange(n), factors)
+        self.digit_array = digit_array(np.arange(n), factors).astype(np.int16)
         self.smul = [(s * self.digit_array % factors @ self.strides).tolist()
                      for s in range(self.exponent)]
         self.digits = [tuple((i, a) for i, a in enumerate(row) if a)
@@ -243,6 +245,10 @@ class _ShapeContext:
         self.positions = positions
         posidx = {p: k for k, p in enumerate(positions)}
         P = self.P = [[posidx[(i, j)] for j in range(r)] for i in range(r)]
+        # `_full_mul`'s operands besides the digits, built once
+        self.P_np = np.array(P, dtype=np.intp)
+        self.factors_np = np.array(factors, dtype=np.int16)
+        self.strides_np = np.array(self.strides, dtype=np.int16)
 
         def read_plans(pos, sign):
             # per generator g and element x: the plan, its last read, and the
@@ -431,34 +437,82 @@ def _unity_of(ctx: _ShapeContext, consts) -> int:
 
 
 def _full_mul(ctx: _ShapeContext, consts) -> np.ndarray:
-    """Bilinear extension of the structure constants: the flat uint8 mul table.
+    """Bilinear extension of the structure constants: the flat uint8 mul table,
+    or one table per row of a stack of constant tuples.
 
     Digit l of x * y is the sum over i, j of x_i y_j (g_i g_j)_l, mod d_l:
     the digit matrix contracted twice with the constants' digits.  Orders
-    stay <= 16, so every entry fits a byte.
+    stay <= 16, so a sum is at most r^2 (d_0 - 1)^3 <= 15^3 and fits an
+    int16 (the temporaries of a stack stay small), and every entry fits a
+    byte.
     """
     digits, r, n = ctx.digit_array, ctx.r, ctx.order
-    const_digits = digits[np.asarray(consts)[ctx.P]]                     # [i, j, l]
-    left = (digits @ const_digits.reshape(r, r * r)).reshape(n, r, r)    # [x, j, l]
-    prod = digits @ left                                                 # [x, y, l]
-    return ((prod % ctx.factors) @ ctx.strides).astype(np.uint8).ravel()
+    const_digits = digits[np.asarray(consts)[..., ctx.P_np]]                  # [., i, j, l]
+    lead = const_digits.shape[:-3]
+    left = (digits @ const_digits.reshape(*lead, r, r * r)).reshape(*lead, n, r, r)  # [., x, j, l]
+    prod = digits @ left                                                      # [., x, y, l]
+    prod %= ctx.factors_np
+    return (prod @ ctx.strides_np).astype(np.uint8).reshape(*lead, n * n)
 
 
 def _leaf_mul(ctx: _ShapeContext, consts, one: int) -> np.ndarray:
     """`_full_mul` of a search leaf, validated by `verify_tables` as a ring
-    with unity `one`: the one check of each table the search builds."""
+    with unity `one`: the one check of each class seed the search builds."""
     mul = _full_mul(ctx, consts)
     verify_tables(ctx.add_np, mul.reshape(ctx.order, ctx.order), one)
     return mul
 
 
+# Unital leaves of a raw walk are built and screened this many at a time.
+# At order 16 a leaf's temporaries (the int16 digit products of `_full_mul`,
+# the screen's gathers and their intp indices) take about 4 KB, so a batch
+# peaks near 0.5 MB, below what the rest of a search holds.
+_LEAF_BATCH = 128
+
+
+def _leaf_batch(ctx: _ShapeContext, leaves, ones):
+    """Yield (flat mul table, unity) for a batch of unital leaves, in order:
+    one bilinear extension and one `_axioms_hold` screen for the batch.
+
+    If the screen fails, each table goes through `verify_tables` before it
+    is yielded, so the stream gives the tables before the first bad one and
+    then raises its ConstructionError.  The tables need no shape or range
+    check: `_full_mul` builds them on the shape's order, every entry an
+    element.
+    """
+    if not leaves:
+        return
+    n = ctx.order
+    muls = _full_mul(ctx, leaves)
+    holds = _axioms_hold(ctx.add_np, muls.reshape(-1, n, n), ones)
+    for mul, one in zip(muls, ones):
+        if not holds:
+            verify_tables(ctx.add_np, mul.reshape(n, n), one)
+        yield mul, one
+
+
 def _unital_tables(ctx: _ShapeContext, assignments):
     """Filter a raw constant stream down to (flat mul table, unity) pairs:
-    the raw route of a budgeted or resumed run."""
-    for consts in assignments:
-        e = _unity_of(ctx, consts)
-        if e >= 0:
-            yield _leaf_mul(ctx, consts, e), e
+    the raw route of a budgeted or resumed run.
+
+    `_unity_of` scans each leaf; the unital ones go to `_leaf_batch`
+    _LEAF_BATCH at a time.  A BudgetError from the walk is raised after
+    the tables of the batch it cut short.
+    """
+    leaves, ones = [], []
+    try:
+        for consts in assignments:
+            e = _unity_of(ctx, consts)
+            if e >= 0:
+                leaves.append(consts)
+                ones.append(e)
+                if len(leaves) == _LEAF_BATCH:
+                    yield from _leaf_batch(ctx, leaves, ones)
+                    leaves, ones = [], []
+    except BudgetError:
+        yield from _leaf_batch(ctx, leaves, ones)
+        raise
+    yield from _leaf_batch(ctx, leaves, ones)
 
 
 def _relabeled_constants(ctx: _ShapeContext, mul: np.ndarray, phi, inv) -> np.ndarray:
@@ -692,8 +746,9 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = False, *,
                 pairs = _expanded_tables(ctx, reverse)
             else:
                 pairs = _unital_tables(ctx, leaves)
+            add = ctx.add_np.astype(np.int32)  # one copy for the shape's rings, read-only in each
             for mul_flat, one in pairs:
-                yield TableRingStructure(ctx.add_np.astype(np.int32),
+                yield TableRingStructure(add,
                                          mul_flat.reshape(order, order).astype(np.int32),
                                          one, f"R{order}#{next(names)}")
 

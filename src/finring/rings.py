@@ -822,15 +822,18 @@ def _check_table_shapes(add: np.ndarray, mul: np.ndarray) -> None:
 def verify_tables(add, mul, one: int) -> None:
     """Check all eight unital-ring axioms on dense tables.
 
-    Quadratic axioms are checked whole-array, the cubic ones (both
-    associativities and distributivities) by `_cubic_screen_holds` on at
-    most log2(order) additive generators, in O(log(order) * order**2).
-    Only a failing screen checks them a by a, a being the fixed factor of
-    each axiom, to raise a ConstructionError naming the axiom and the first
-    witness, exactly as checking every a in turn would.  Tables that are
-    not two square integer arrays of one order with every entry in
-    range(order), and a `one` that is not an integer in range(order), are
-    rejected first, before numpy could wrap or reject them as indices.
+    `_axioms_hold` screens them: the quadratic axioms whole-array, the
+    cubic ones (both associativities and distributivities) on at most
+    log2(order) additive generators, in O(log(order) * order**2).  The
+    screen takes a stack of mul tables over one add table, which the
+    enumerator's raw walk fills with a batch of leaves; here it gets the
+    stack of one.  Only a failing screen checks the axioms one by one, the
+    cubic ones a by a, a being the fixed factor of each axiom, to raise a
+    ConstructionError naming the axiom and the first witness, exactly as
+    checking every a in turn would.  Tables that are not two square
+    integer arrays of one order with every entry in range(order), and a
+    `one` that is not an integer in range(order), are rejected first,
+    before numpy could wrap or reject them as indices.
     """
     add = np.asarray(add)
     mul = np.asarray(mul)
@@ -838,31 +841,43 @@ def verify_tables(add, mul, one: int) -> None:
     n = add.shape[0]
     if not (is_index(one) and 0 <= one < n):
         raise ConstructionError(f"declared unity {one!r} is not an element index in range(0, {n})")
-    arange = np.arange(n, dtype=add.dtype)
-
-    if not (add == add.T).all():
-        a, b = map(int, np.argwhere(add != add.T)[0])
-        _axiom_fail("additive commutativity", f"({a},{b})")
-    if not (add[0] == arange).all():
-        b = int(np.nonzero(add[0] != arange)[0][0])
-        _axiom_fail("additive identity", f"(0,{b})")
-    no_inverse = np.nonzero(~(add == 0).any(axis=1))[0]
-    if no_inverse.size:
-        _axiom_fail("additive inverses", f"({int(no_inverse[0])},)")
-    if n > 1 and one == 0:
-        _axiom_fail("multiplicative identity", "one == zero in a ring of order > 1")
-    if not (mul[one] == arange).all():
-        b = int(np.nonzero(mul[one] != arange)[0][0])
-        _axiom_fail("multiplicative identity", f"({one},{b})")
-    if not (mul[:, one] == arange).all():
-        b = int(np.nonzero(mul[:, one] != arange)[0][0])
-        _axiom_fail("multiplicative identity", f"({b},{one})")
-
-    if _cubic_screen_holds(add, mul):
+    if _axioms_hold(add, mul, one):
         return
+    arange = np.arange(n)
+    for axiom, bad, witness in (  # each failure's first index fills its witness
+            ("additive commutativity", add != add.T, "({},{})"),
+            ("additive identity", add[0] != arange, "(0,{})"),
+            ("additive inverses", ~(add == 0).any(axis=1), "({},)"),
+            ("multiplicative identity", np.array([n > 1 and one == 0]),
+             "one == zero in a ring of order > 1"),
+            ("multiplicative identity", mul[one] != arange, f"({one},{{}})"),
+            ("multiplicative identity", mul[:, one] != arange, f"({{}},{one})")):
+        if bad.any():
+            _axiom_fail(axiom, witness.format(*map(int, np.argwhere(bad)[0])))
     for a in range(n):
         _check_cubic_row(add, mul, a)
-    raise RuntimeError("the cubic screen failed, but no row names a witness")
+    raise RuntimeError("the axiom screen failed, but no check names a witness")
+
+
+def _axioms_hold(add, mul, one) -> bool:
+    """Whether every mul table of a stack is a ring with its unity over one add table.
+
+    `mul` holds tables on its last two axes (one table is the stack of
+    one) and `one` their unities, entries taken as checked indices.  The
+    quadratic axioms are checked whole-array, the add table's once, and
+    the cubic ones by `_cubic_screen_holds`.  A stack passes exactly when
+    each of its tables would pass alone.
+    """
+    n = add.shape[0]
+    mul = mul.reshape(-1, n, n)
+    one = np.asarray(one).reshape(-1)
+    leaf = np.arange(len(mul))
+    arange = np.arange(n)
+    return bool((add == add.T).all() and (add[0] == arange).all()
+                and (add == 0).any(axis=1).all()
+                and (n == 1 or one.all())
+                and (mul[leaf, one] == arange).all() and (mul[leaf, :, one] == arange).all()
+                and _cubic_screen_holds(add, mul))
 
 
 def _additive_generators(add) -> list[int]:
@@ -899,22 +914,27 @@ def _cubic_screen_holds(add, mul) -> bool:
     sa+ba on S give both distributivities (b = 0 gives a0 = 0a = 0, and
     the s passing are closed under +), after which both sides of (xy)z =
     x(yz) are additive in x, y and z, so (st)u = s(tu) on S^3 is enough.
-    Each check is an instance of an axiom.  All of S goes at once, in
-    blocks of rows of the free element (x, a or b) of about _BLOCK_ENTRIES
-    entries; `np.take` gathers columns several times faster than a fancy
-    index at order 4096.
+    Each check is an instance of an axiom.  `mul` holds one table or a
+    stack of them on its last two axes, all screened at once.  All of S
+    goes at once, in blocks of rows of the free element (x, a or b) of
+    about _BLOCK_ENTRIES entries over the stack; `np.take` gathers columns
+    several times faster than a fancy index at order 4096.
     """
+    n = add.shape[0]
+    mul = mul.reshape(-1, n, n)
     s = np.array(_additive_generators(add), dtype=np.intp)
-    sx, s_mul, mul_s = add[s], mul[s], mul[:, s]  # [s, x] -> s+x, sx, xs
-    for rows in row_blocks(add.shape[0], add.shape[0] * s.size):
-        if not ((add[sx[:, rows].T] == np.take(add[rows], sx, axis=1)).all()  # (x+s)+y = x+(s+y)
-                and (np.take(mul[rows], sx, axis=1)
-                     == add[mul_s[rows, :, None], mul[rows, None, :]]).all()   # a(s+b) = as+ab
-                and (mul[sx[:, rows]]
-                     == add[s_mul[:, None, :], mul[rows]]).all()):             # (s+b)a = sa+ba
+    sx, s_mul, mul_s = add[s], mul[:, s], mul[:, :, s]  # [s, x] -> s+x, [., s, x] -> sx, xs
+    for rows in row_blocks(n, len(mul) * n * s.size):
+        if not ((add[sx[:, rows].T] == np.take(add[rows], sx, axis=1)).all()   # (x+s)+y = x+(s+y)
+                and (np.take(mul[:, rows], sx, axis=2)
+                     == add[mul_s[:, rows, :, None], mul[:, rows, None, :]]).all()  # a(s+b) = as+ab
+                and (np.take(mul, sx[:, rows], axis=1)
+                     == add[s_mul[:, :, None, :], mul[:, None, rows]]).all()):      # (s+b)a = sa+ba
             return False
-    st = s_mul[:, s]
-    return bool((mul[st[:, :, None], s] == s_mul[:, st]).all())               # (st)u = s(tu)
+    leaf = np.arange(len(mul))[:, None, None, None]
+    st = s_mul[:, :, s]  # [., s, t] -> st
+    return bool((mul[leaf, st[..., None], s]                                  # (st)u = s(tu)
+                 == mul[leaf, s[:, None, None], st[:, None]]).all())
 
 
 def _check_cubic_row(add, mul, a: int) -> None:

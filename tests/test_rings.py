@@ -576,6 +576,33 @@ def test_verify_tables_messages_match_row_oracle(enum_raw, monkeypatch):
     assert set(CUBIC_AXIOMS) <= seen
 
 
+def test_axiom_screen_of_a_stack_is_each_table_screened_alone(enum_raw):
+    # one shape's raw tables stacked, one table at a time corrupted in one
+    # entry or given a wrong unity: the stack fails exactly when a table
+    # fails alone, as the corrupted one does, and `verify_tables` names it
+    rng = random.Random(29)
+    for n in (4, 6, 8):
+        shapes = {}
+        for r in enum_raw[n]:
+            shapes.setdefault(r.additive_type, []).append(r)
+        for members in shapes.values():
+            add = members[0].tables()[0]
+            muls = np.array([r.tables()[1] for r in members])
+            ones = [r.one for r in members]
+            assert rings._axioms_hold(add, muls, ones)
+            for _ in range(20):
+                t = rng.randrange(len(muls))
+                bad, unities = muls.copy(), list(ones)
+                if rng.random() < 0.25:
+                    unities[t] = rng.choice([e for e in range(n) if e != ones[t]])
+                else:
+                    x, y = rng.randrange(n), rng.randrange(n)
+                    bad[t, x, y] = rng.choice([v for v in range(n) if v != bad[t, x, y]])
+                alone = [rings._axioms_hold(add, m, e) for m, e in zip(bad, unities)]
+                assert rings._axioms_hold(add, bad, unities) == all(alone)
+                assert not alone[t] and _verdict(verify_tables, add, bad[t], unities[t])
+
+
 @pytest.mark.parametrize("expr", ["Z(2)", "B(3)", "Z(12)", "GF(27)", "M(2,GF(2))",
                                   "UT(3,Z(2))", *SCREEN_RINGS])
 def test_additive_generators_are_greedy_and_reach_every_element(expr):
@@ -624,6 +651,31 @@ def test_verify_tables_rejects_products_failing_one_screen_check():
         got = _verdict(verify_tables, add, mul, 1)
         assert got == _verdict(oracle_verify_tables, add, mul, 1)
         assert got.startswith(f"ring axiom violated: {axiom} at ")
+
+
+def test_verify_tables_names_each_quadratic_failure():
+    # Z(3) broken in one quadratic axiom at a time: the message names it
+    # and its first witness, as the row oracle does
+    add, mul = (np.array(t) for t in _zn_tables(3))
+
+    def edited(table, *cells):
+        out = table.copy()
+        for x, y, v in cells:
+            out[x, y] = v
+        return out
+
+    cases = [
+        (edited(add, (1, 2, 1)), mul, 1, "additive commutativity at (1,2)"),
+        (edited(add, (0, 1, 2), (1, 0, 2)), mul, 1, "additive identity at (0,1)"),
+        (edited(add, (1, 2, 1), (2, 1, 1)), mul, 1, "additive inverses at (1,)"),
+        (add, mul, 0, "multiplicative identity at one == zero in a ring of order > 1"),
+        (add, edited(mul, (1, 2, 0)), 1, "multiplicative identity at (1,2)"),
+        (add, edited(mul, (2, 1, 0)), 1, "multiplicative identity at (2,1)"),
+    ]
+    for a, m, one, message in cases:
+        got = _verdict(verify_tables, a, m, one)
+        assert got == f"ring axiom violated: {message}"
+        assert got == _verdict(oracle_verify_tables, a, m, one)
 
 
 def test_verify_tables_accepts_large_tables():

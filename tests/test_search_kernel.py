@@ -2,23 +2,27 @@
 
 `oracle_dfs_stream` is the exhaustive-check search: at every node it walks
 a bitmask of all still-open generator triples and re-checks each one.
-`oracle_full_mul` is the per-entry Python bilinear extension.  The
-production kernel (read plans, numpy contraction) must reproduce both
-exactly: the same constant stream in the same order, the same node
-counts, and the same resume tokens.  The raw kernel, in turn, is the
-oracle of the orbit expansion that serves unbudgeted raw runs.
+`oracle_full_mul` is the per-entry Python bilinear extension, and
+`oracle_unital_tables` the raw route one leaf at a time.  The production
+kernel (read plans, numpy contraction, leaves built and screened in
+batches) must reproduce them exactly: the same constant stream and tables
+in the same order, the same node counts, and the same resume tokens.  The
+raw kernel, in turn, is the oracle of the orbit expansion that serves
+unbudgeted raw runs.
 """
 
 import itertools
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
-from finring import BudgetError, abelian_group_shapes, enumerate_unital_rings
+from finring import (BudgetError, ConstructionError, abelian_group_shapes,
+                     enumerate_unital_rings, enumeration, verify_tables)
 from finring.enumeration import (
-    _dfs_stream, _expanded_tables, _full_mul, _shape_automorphisms, _shape_context,
-    _ShapeContext, _unital_tables)
+    _LEAF_BATCH, _dfs_stream, _expanded_tables, _full_mul, _shape_automorphisms,
+    _shape_context, _ShapeContext, _unital_tables, _unity_of)
 
 
 def oracle_dfs_stream(ctx, reverse=False, budget=None, start_path=None, token_prefix="",
@@ -110,6 +114,17 @@ def oracle_full_mul(ctx, consts):
                     s = add[s][smul[(a * b) % exponent][consts[P[i][j]]]]
             out.append(s)
     return tuple(out)
+
+
+def oracle_unital_tables(ctx, assignments):
+    """The raw route one leaf at a time: scan each leaf for its unity, then
+    build each unital leaf's table and check it with `verify_tables` alone."""
+    for consts in assignments:
+        e = _unity_of(ctx, consts)
+        if e >= 0:
+            mul = _full_mul(ctx, consts)
+            verify_tables(ctx.add_np, mul.reshape(ctx.order, ctx.order), e)
+            yield mul, e
 
 
 def _shapes(orders):
@@ -335,6 +350,127 @@ def test_full_mul_matches_bilinear_loop(factors):
     ctx = _shape_context(factors)
     for consts in _dfs_stream(ctx):
         assert tuple(int(v) for v in _full_mul(ctx, consts)) == oracle_full_mul(ctx, consts)
+
+
+@pytest.mark.parametrize("factors", _shapes(range(2, 17)), ids=str)
+def test_full_mul_of_a_stack_matches_each_leaf(factors):
+    # raw leaves, and seeded constants of the largest digits the candidate
+    # lists hold, where the int16 digit sums are largest; (16,) at random
+    # also against the bilinear loop
+    ctx = _shape_context(factors)
+    rng = random.Random(sum(factors))
+    stacks = [list(itertools.islice(_dfs_stream(ctx), 300)),
+              [[rng.choice(c) for c in ctx.candidate_lists(False)] for _ in range(50)]]
+    for stack in stacks:
+        muls = _full_mul(ctx, stack)
+        assert muls.dtype == np.uint8 and muls.shape == (len(stack), ctx.order ** 2)
+        for consts, mul in zip(stack, muls):
+            assert mul.tobytes() == _full_mul(ctx, consts).tobytes()
+            if factors == (16,):
+                assert tuple(int(v) for v in mul) == oracle_full_mul(ctx, consts)
+
+
+# ---------------------------------------------------------------------------
+# the batched leaf tail of the raw route against the per-leaf route
+
+
+def _tail_run(tail, ctx, reverse, budget, path=None):
+    """(tables with their unities, stop path or None, budget left) of a
+    budgeted raw walk filtered by `tail`."""
+    cell = [budget]
+    tables, token = [], None
+    try:
+        for mul, one in tail(ctx, _dfs_stream(ctx, reverse, cell, path)):
+            tables.append((bytes(mul), one))
+    except BudgetError as exc:
+        token = exc.resume_token
+    return tables, token, cell[0]
+
+
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_leaf_batches_match_per_leaf_route(reverse):
+    # every shape of orders 1..16, stopped before the first node, inside and
+    # after batches, and resumed from each stop on the same budget
+    for factors in _shapes(range(1, 17)):
+        ctx = _shape_context(factors)
+        for budget in (0, 1, 7, 100, 5000, 300_000):
+            new = _tail_run(_unital_tables, ctx, reverse, budget)
+            assert new == _tail_run(oracle_unital_tables, ctx, reverse, budget), (factors, budget)
+            if new[1] is not None:
+                path = [int(p) for p in new[1].split(",")]
+                resumed = _tail_run(_unital_tables, ctx, reverse, budget, path)
+                assert resumed == _tail_run(oracle_unital_tables, ctx, reverse, budget, path), (
+                    factors, budget, path)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_leaf_batches_match_per_leaf_route_on_a_long_prefix(reverse):
+    ctx = _shape_context((2, 2, 2, 2))
+    new = _tail_run(_unital_tables, ctx, reverse, 5_000_000)
+    assert new == _tail_run(oracle_unital_tables, ctx, reverse, 5_000_000)
+    assert new[0] and new[1] is not None
+
+
+def test_failing_batch_yields_the_tables_before_the_bad_one(monkeypatch):
+    # (4, 2, 2) has 992 unital leaves; one table in the middle of the
+    # second batch is corrupted as the batch is built
+    ctx = _shape_context((4, 2, 2))
+    n = ctx.order
+    good = [(bytes(mul), one) for mul, one in _unital_tables(ctx, _dfs_stream(ctx))]
+    bad_at = _LEAF_BATCH + _LEAF_BATCH // 2
+    assert len(good) > 2 * _LEAF_BATCH
+    target, one = good[bad_at]
+    corrupt = np.frombuffer(target, dtype=np.uint8).reshape(n, n).copy()
+    corrupt[5, 6] = (corrupt[5, 6] + 1) % n
+    try:
+        verify_tables(ctx.add_np, corrupt, one)
+    except ConstructionError as exc:
+        expected = str(exc)
+    assert expected.startswith("ring axiom violated: ")
+
+    build = enumeration._full_mul
+
+    def corrupting(ctx, consts):
+        muls = build(ctx, consts)
+        for row in muls.reshape(-1, n * n):
+            if row.tobytes() == target:
+                row[:] = corrupt.ravel()
+        return muls
+
+    monkeypatch.setattr(enumeration, "_full_mul", corrupting)
+    got = []
+    with pytest.raises(ConstructionError) as exc:
+        for mul, unity in _unital_tables(ctx, _dfs_stream(ctx)):
+            got.append((bytes(mul), unity))
+    assert got == good[:bad_at]
+    assert str(exc.value) == expected
+
+
+def test_budget_stop_yields_the_cut_batch_first():
+    # a stop after 150 000 nodes of (4, 2, 2) cuts a batch short: its tables
+    # come before the BudgetError, whose token is the walk's own
+    ctx = _shape_context((4, 2, 2))
+    tables, token, left = _tail_run(_unital_tables, ctx, False, 150_000)
+    assert len(tables) > _LEAF_BATCH and len(tables) % _LEAF_BATCH
+    assert (tables, token, left) == _tail_run(oracle_unital_tables, ctx, False, 150_000)
+    assert token == _run(lambda cell: _dfs_stream(ctx, budget=cell), 150_000)[2]
+
+
+def test_leaf_batches_stay_small_in_memory():
+    # the batched tail over the 992 unital leaves of the (4, 2, 2) raw tree
+    # peaks near 0.5 MB; with a batch 8 times larger it takes about 2.6 MB
+    ctx = _shape_context((4, 2, 2))
+    leaves = list(_dfs_stream(ctx))
+    assert sum(1 for _ in _unital_tables(ctx, leaves)) == 992
+    tracemalloc.start()
+    try:
+        for _ in _unital_tables(ctx, leaves):
+            pass
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------

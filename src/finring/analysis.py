@@ -20,17 +20,20 @@ O(n^2), against O(n^3) for the two-sided 1 - x*a*y scan, which the tests
 keep as the reference.
 
 Dense routes (unit group, radical) read the numpy tables of
-`finring.rings`; the streaming census of matrix rings above the table cap
-walks the unit entries in numpy blocks.  Everything operates on integer
-element indices and is a pure function of the ring, so results are
-deterministic and safe to compute concurrently.  Exhaustive scans are
-bounded: full unit groups and radicals up to order 4096, streaming unit
-sums up to 2**20 elements; past those bounds the functions raise
-BudgetError rather than silently truncating.
+`finring.rings`.  Above the table cap, the census of a full matrix ring
+streams its invertible matrices in numpy blocks, and a triangular ring's
+is counted in closed form: its units are the matrices with unit diagonal
+entries.  Everything operates on integer element indices and is a pure
+function of the ring, so results are deterministic and safe to compute
+concurrently.  Exhaustive scans are bounded: full unit groups and
+radicals up to order 4096, streamed full matrix rings up to order 2**20;
+past those bounds the functions raise BudgetError rather than silently
+truncating.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -161,8 +164,8 @@ def unit_group(r: Ring) -> UnitGroupSummary:
     is in the set, the set is closed under multiplication, and each
     unit's table inverse is two-sided.  The tests compare the inverses
     with `inverse_index`.  Rings larger than TABLE_CAP raise BudgetError
-    from `tables()`; use `unit_sum` / `unit_count` for streaming totals of
-    lazy matrix rings.
+    from `tables()`; `unit_census` totals larger matrix rings without
+    tables.
     """
     add, mul = r.tables()
     is_one = mul == r.one
@@ -274,36 +277,17 @@ def _matrix_inverse(r: MatrixRing, a: int) -> int | None:
     return r.from_entries(mul(dinv, np.where(odd, neg(adj), adj)).tolist())
 
 
-def _grid_blocks(r: MatrixRing, outer: list[int], outer_rows: np.ndarray, inner: list[int]):
-    """Matrices of r as blocks of row-major entries, about _BLOCK_ENTRIES / 16 each.
-
-    The `outer` cells run over the rows of `outer_rows` in order, and for
-    each such row the `inner` cells run over every value; a block holds
-    every matrix for a run of consecutive outer rows.  One array is
-    refilled between yields, small enough that it and the census
-    temporaries stay in cache.
-    """
-    inner_grid = _value_grid(r.base.order, len(inner))
-    chunks = row_blocks(len(outer_rows), 16 * len(inner_grid) * r.cells)
-    step = chunks[0].stop if chunks else 0
-    block = np.zeros((step * len(inner_grid), r.cells), dtype=np.intp)
-    block[:, inner] = np.tile(inner_grid, (step, 1))
-    for chunk in chunks:
-        rows = outer_rows[chunk]
-        view = block[:len(rows) * len(inner_grid)]
-        view[:, outer] = np.repeat(rows, len(inner_grid), axis=0)
-        yield view
-
-
 def _invertible_blocks(r: MatrixRing):
     """The invertible matrices of a full matrix ring, as blocks of row-major entries.
 
     Matrices with an all-zero first column cannot be invertible, so that
-    column is skipped (first-column pruning).  The other first columns run
-    in lexicographic order with the remaining cells over all values, and
-    the rows whose determinant is a unit of the base are kept.  A ring of
-    order above DEFAULT_ORDER_CAP raises BudgetError before any block, and
-    the base tables are built only for n >= 2.
+    column is skipped (first-column pruning).  A block holds every matrix
+    for a run of the other first columns, in lexicographic order, with the
+    remaining cells over all values: about _BLOCK_ENTRIES / 16 entries in
+    one array refilled between blocks, so that it and the census
+    temporaries stay in cache.  Its rows whose determinant is a unit of the
+    base are yielded.  A ring of order above DEFAULT_ORDER_CAP raises
+    BudgetError before any block; base tables are built only for n >= 2.
     """
     if r.order > DEFAULT_ORDER_CAP:
         raise BudgetError(f"{r.name}: streaming unit scan needs order <= {DEFAULT_ORDER_CAP}")
@@ -312,40 +296,29 @@ def _invertible_blocks(r: MatrixRing):
     base_units = _base_unit_mask(base)
     first = [i * n for i in range(n)]
     rest = [k for k in range(r.cells) if k % n]
-    blocks = _grid_blocks(r, first, _value_grid(base.order, n)[1:], rest)
-    return (block[base_units[_determinants(ops, block, n)]] for block in blocks)
-
-
-def _triangular_unit_blocks(r: MatrixRing):
-    """The units of a triangular ring as blocks of row-major entries.
-
-    A triangular matrix is a unit iff its diagonal entries are, so the
-    diagonal runs over every tuple of base units and the upper cells over
-    all values.
-    """
-    base, n = r.base, r.n
-    diag_units = np.flatnonzero(_base_unit_mask(base))
-    uppers = [i * n + j for (i, j) in r.stored if i != j]
-    total = len(diag_units) ** n * base.order ** len(uppers)
-    if total > DEFAULT_ORDER_CAP:
-        raise BudgetError(f"{r.name}: streaming unit scan needs at most {DEFAULT_ORDER_CAP} units")
-    diagonal = [i * n + i for i in range(n)]
-    diags = diag_units[_value_grid(len(diag_units), n)]
-    return _grid_blocks(r, diagonal, diags, uppers)
+    columns = _value_grid(base.order, n)[1:]  # M(n,Z(1)) has none
+    inner = _value_grid(base.order, len(rest))
+    chunks = row_blocks(len(columns), 16 * len(inner) * r.cells)
+    step = chunks[0].stop if chunks else 0
+    block = np.zeros((step * len(inner), r.cells), dtype=np.intp)
+    block[:, rest] = np.tile(inner, (step, 1))
+    for chunk in chunks:
+        view = block[:(chunk.stop - chunk.start) * len(inner)]
+        view[:, first] = np.repeat(columns[chunk], len(inner), axis=0)
+        yield view[base_units[_determinants(ops, view, n)]]
 
 
 def _stream_units(r: MatrixRing) -> tuple[int, int]:
-    """(unit count, unit sum index) of a matrix ring, streamed in numpy blocks.
+    """(unit count, unit sum index) of a full matrix ring, streamed in numpy blocks.
 
     Each block adds a per-value count of every cell (one `bincount`); a
     cell's sum is then the sum over values v of (count of v) * v in the
     base ring.
     """
-    blocks = _triangular_unit_blocks(r) if r.kind == "triangular" else _invertible_blocks(r)
     m, badd = r.base.order, r.base.add
     offsets = np.arange(r.cells) * m
     count, counts = 0, np.zeros(r.cells * m, dtype=np.int64)
-    for units in blocks:
+    for units in _invertible_blocks(r):
         count += len(units)
         counts += np.bincount((units + offsets).ravel(), minlength=r.cells * m)
     sums = []
@@ -358,29 +331,49 @@ def _stream_units(r: MatrixRing) -> tuple[int, int]:
     return count, r.from_entries(sums)
 
 
+def _triangular_census(r: MatrixRing) -> tuple[int, int]:
+    """(unit count, unit sum index) of a triangular ring, in closed form.
+
+    A triangular matrix is a unit iff its diagonal entries are, so the
+    units are a product set: a base unit in each diagonal cell and any base
+    element in each upper cell, count = |U(B)|^n * |B|^(upper cells) in
+    all.  So a diagonal cell sums count / |U(B)| copies of sum U(B), and an
+    upper cell count / |B| copies of sum B, each multiple by doubling.
+    """
+    base, badd = r.base, r.base.add
+    units = np.flatnonzero(_base_unit_mask(base)).tolist()
+    count = len(units) ** r.n * base.order ** (len(r.stored) - r.n)
+    diagonal = _multiple(badd, functools.reduce(badd, units, 0), count // len(units))
+    upper = 0
+    if r.n > 1:  # UT(1,B) has no upper cell: skip the scalar pass over all of B
+        upper = _multiple(badd, functools.reduce(badd, range(base.order), 0), count // base.order)
+    return count, from_digits([diagonal if i == j else upper for (i, j) in r.stored], r.radices)
+
+
 def _unit_census(r: Ring) -> tuple[int, int]:
     if r.order <= TABLE_CAP:
         summary = unit_group(r)
         return summary.count, summary.sum.index
     if isinstance(r, MatrixRing):
-        return _stream_units(r)
+        return _triangular_census(r) if r.kind == "triangular" else _stream_units(r)
     raise BudgetError(f"{r.name}: no streaming unit scan for this ring kind")
 
 
 def unit_census(r: Ring) -> tuple[int, Elem]:
-    """(unit count, unit sum) in one pass; streams matrix-shaped rings
-    above the dense cap rather than materializing their tables."""
+    """(unit count, unit sum) in one pass.  Above the dense cap it builds no
+    tables: full matrix rings are streamed, triangular ones counted in
+    closed form."""
     count, total = _unit_census(r)
     return count, Elem(r, total)
 
 
 def unit_count(r: Ring) -> int:
-    """Number of units; streams matrix-shaped rings above the dense cap."""
+    """Number of units; as `unit_census` above the dense cap."""
     return _unit_census(r)[0]
 
 
 def unit_sum(r: Ring) -> Elem:
-    """Sum of all units; streams matrix-shaped rings above the dense cap."""
+    """Sum of all units; as `unit_census` above the dense cap."""
     return Elem(r, _unit_census(r)[1])
 
 

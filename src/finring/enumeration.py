@@ -557,17 +557,17 @@ def _expanded_tables(ctx: _ShapeContext, reverse: bool):
     some automorphism phi sends g_0 to it, and the table is phi applied to
     a leaf of the pinned tree: the raw tables are the relabelings of the
     pinned leaves by all of Aut(G), the unity of phi's relabeling being
-    phi(g_0).  A pinned leaf already among them adds nothing.  The raw
-    tree's candidate lists ascend (descend), so its leaves come in the
-    order of their constant tuples, which sorting the expansion restores.
+    phi(g_0).  Pinned leaves in one Aut(G)-orbit differ by an automorphism
+    that keeps the unity g_0, so they share a Stab(g_0)-orbit, and each
+    leaf `_new_orbits` yields starts a new Aut(G)-orbit.  The raw tree's
+    candidate lists ascend (descend), so its leaves come in the order of
+    their constant tuples, which sorting the expansion restores.
     """
     autos, inverses = _shape_automorphisms(ctx)
     images = autos[:, ctx.gens[0]].tolist()
     unity: dict[bytes, int] = {}
-    for consts in _dfs_stream(ctx, pinned=True):
-        if bytes(consts) not in unity:
-            rows = _relabeled_constants(ctx, _leaf_mul(ctx, consts, ctx.gens[0]), autos, inverses)
-            unity.update(zip(map(bytes, rows), images))
+    for _, mul, _ in _new_orbits(ctx, _dfs_stream(ctx, pinned=True)):
+        unity.update(zip(map(bytes, _relabeled_constants(ctx, mul, autos, inverses)), images))
     for key in sorted(unity, reverse=reverse):
         yield _full_mul(ctx, np.frombuffer(key, dtype=np.uint8)), unity[key]
 

@@ -713,9 +713,8 @@ class ProductRing(Ring):
 class TableRingStructure(Ring):
     """A ring held as its dense tables: add/neg/mul are direct array reads.
 
-    The constructor marks its int32 tables read-only in place and reads the
-    negation row off the add table, where each row has exactly one 0.  It
-    validates nothing: `make_table_ring` is the entry point that does.
+    The constructor marks its int32 tables read-only in place and validates
+    nothing: `make_table_ring` is the entry point that does.
     """
 
     kind = "table"
@@ -723,7 +722,11 @@ class TableRingStructure(Ring):
     def __init__(self, add: np.ndarray, mul: np.ndarray, one: int, name: str):
         super().__init__(add.shape[0], one, name)
         self._tables = _read_only(add, mul)
-        self._neg = np.argmax(add == 0, axis=1).astype(np.int32)
+
+    @functools.cached_property
+    def _neg(self) -> np.ndarray:
+        """The negation row, read off the add table (each row holds one 0) at first `neg`."""
+        return np.argmax(self._tables[0] == 0, axis=1).astype(np.int32)
 
     def add(self, a, b):
         return int(self._tables[0][a, b])

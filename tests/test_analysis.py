@@ -559,12 +559,30 @@ def test_block_census_matches_scalar_loop(expr, monkeypatch):
     monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 64)  # unit_group in several row blocks
     r = parse_ring(expr)
     count, total, classes = _scalar_census(r)
-    assert analysis._stream_units(r) == (count, total)
+    census = analysis._triangular_census if r.kind == "triangular" else analysis._stream_units
+    assert census(r) == (count, total)
     assert (count, total) == (unit_group(r).count, unit_group(r).sum.index)
     if r.kind == "matrix":
         got = unit_first_column_classes(r)
         assert got == classes
         assert list(got) == sorted(classes)  # lexicographic first columns
+
+
+def _triangular_cases():
+    """Every UT(n,B) of order <= TABLE_CAP over the bases Z(1..16), GF(q <= 16),
+    B(2), B(3) and Z(2) x Z(3), as (n, base expression)."""
+    bases = ([f"Z({m})" for m in range(1, 17)] + [f"GF({q})" for q in (2, 3, 4, 5, 7, 8, 9, 11, 13, 16)]
+             + ["B(2)", "B(3)", "Z(2) x Z(3)"])
+    return [(n, b) for b in bases for n in range(1, 5)
+            if parse_ring(b).order ** (n * (n + 1) // 2) <= rings.TABLE_CAP]
+
+
+@pytest.mark.parametrize("n, base", _triangular_cases())
+def test_triangular_closed_form_matches_the_dense_unit_group(n, base):
+    # the closed form against the unit group read off the dense tables
+    r = make_triangular_ring(n, parse_ring(base))
+    dense = unit_group(r)
+    assert analysis._triangular_census(r) == (dense.count, dense.sum.index)
 
 
 @pytest.mark.parametrize("expr", ["M(1,Z(4100))", "UT(1,Z(4100))", "M(1,GF(4099))"])

@@ -133,6 +133,15 @@ def test_unit_sum_streams_large_matrix_ring(cli):
     assert doc["unit_sum_index"] == 0
 
 
+def test_unit_sum_counts_a_large_triangular_ring_in_closed_form(cli):
+    # 3^5 * 4^10 units, past the 2^20 that a walk over them could take
+    code, doc, _ = run_json(cli, "unit-sum", "--ring", "UT(5,GF(4))")
+    assert code == EXIT_OK
+    assert doc["order"] == 4 ** 15
+    assert doc["unit_count"] == 254803968 == 3 ** 5 * 4 ** 10
+    assert doc["unit_sum_index"] == 0
+
+
 def test_gl_order_text_prints_bare_integer(cli):
     code, out, _ = cli("gl-order", "3", "2")
     assert code == EXIT_OK

@@ -15,6 +15,7 @@ from finring import (
     RingMismatchError,
     Elem,
     additive_invariant_factors,
+    enumerate_unital_rings,
     jacobson_radical,
     least_irreducible,
     make_boolean,
@@ -393,6 +394,16 @@ def test_tables_are_read_only(expr):
         with pytest.raises(ValueError, match="read-only"):
             table[1, 1] = 0
     assert r.mul(1, 1) == r.tables()[1][1, 1]
+
+
+def test_table_ring_negation_is_the_additive_inverse(enum_raw):
+    # `neg` reads a row found at the first call; each a has exactly one b
+    # with add[a, b] = 0, and neg(a) is that b
+    population = [*enumerate_unital_rings(1), *(r for n in range(2, 9) for r in enum_raw[n])]
+    for r in population + [quotient_ring(make_zn(12), [0, 4, 8])]:
+        zeros = np.argwhere(r.tables()[0] == 0)
+        assert zeros[:, 0].tolist() == list(range(r.order)), r.name
+        assert [r.neg(a) for a in range(r.order)] == zeros[:, 1].tolist(), r.name
 
 
 def test_table_ring_finds_unity():

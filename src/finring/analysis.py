@@ -20,15 +20,16 @@ O(n^2), against O(n^3) for the two-sided 1 - x*a*y scan, which the tests
 keep as the reference.
 
 Dense routes (unit group, radical) read the numpy tables of
-`finring.rings`.  Above the table cap, the census of a full matrix ring
-streams its invertible matrices in numpy blocks, and a triangular ring's
-is counted in closed form: its units are the matrices with unit diagonal
-entries.  Everything operates on integer element indices and is a pure
-function of the ring, so results are deterministic and safe to compute
-concurrently.  Exhaustive scans are bounded: full unit groups and
-radicals up to order 4096, streamed full matrix rings up to order 2**20;
-past those bounds the functions raise BudgetError rather than silently
-truncating.
+`finring.rings`, up to TABLE_CAP (order 4096).  Above it the unit census
+is structural, with no order bound: from the construction it reads
+sigma(R) = (|J(R)|, [(n_i, q_i)]), R/J(R) = prod M(n_i, GF(q_i)), so
+|U(R)| = |J| * prod |GL(n_i, q_i)|, and the unit sum (`_structural_census`).
+T5, T6 and T8 check those formulas by brute force within the cap, where
+the dense route answers.  Everything operates on integer element indices
+and is a pure function of the ring, so results are deterministic and
+safe to compute concurrently.  Exhaustive scans (unit groups and radicals
+up to TABLE_CAP, the booleanness scan up to 2**20) raise BudgetError past
+their bounds rather than silently truncating.
 """
 
 from __future__ import annotations
@@ -51,6 +52,8 @@ from .rings import (
     ZnRing,
     _check_ideal,
     _multiple,
+    digit_array,
+    factorize,
     from_digits,
     is_commutative,  # re-exported; it also vets matrix-ring bases there
     is_prime,
@@ -104,10 +107,19 @@ def characteristic(r: Ring) -> int:
 
 
 def is_boolean(r: Ring) -> bool:
-    """True iff x*x = x for every element (scan stops at the first failure)."""
-    if r.order > DEFAULT_ORDER_CAP:
-        raise BudgetError(f"{r.name}: booleanness scan needs order <= {DEFAULT_ORDER_CAP}")
-    return all(r.mul(x, x) == x for x in range(r.order))
+    """True iff x*x = x for every element: up to DEFAULT_ORDER_CAP a scan that
+    stops at the first failure, and above it read off the construction: Z(m)
+    iff m <= 2, GF(q) iff q = 2, a product iff every factor is, M(n,B) or
+    UT(n,B) iff the zero ring or n = 1 over a boolean base (E12 squares to 0)."""
+    if r.order <= DEFAULT_ORDER_CAP:
+        return all(r.mul(x, x) == x for x in range(r.order))
+    if isinstance(r, (ZnRing, GFRing)):
+        return r.order <= 2
+    if isinstance(r, ProductRing):
+        return all(is_boolean(f) for f in r.factors)
+    if isinstance(r, MatrixRing):
+        return r.order == 1 or (r.n == 1 and is_boolean(r.base))
+    raise BudgetError(f"{r.name}: booleanness scan needs order <= {DEFAULT_ORDER_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -164,8 +176,7 @@ def unit_group(r: Ring) -> UnitGroupSummary:
     is in the set, the set is closed under multiplication, and each
     unit's table inverse is two-sided.  The tests compare the inverses
     with `inverse_index`.  Rings larger than TABLE_CAP raise BudgetError
-    from `tables()`; `unit_census` totals larger matrix rings without
-    tables.
+    from `tables()`; `unit_census` answers them from their construction.
     """
     add, mul = r.tables()
     is_one = mul == r.one
@@ -195,25 +206,6 @@ def unit_group(r: Ring) -> UnitGroupSummary:
                             sum=Elem(r, total), closure_verified=True)
 
 
-def _base_unit_mask(base: Ring) -> np.ndarray:
-    """Which base-ring indices are units, one `inverse_index` per non-field index."""
-    if _field_like(base):
-        return np.arange(base.order) != 0
-    return np.array([inverse_index(base, u) is not None for u in range(base.order)])
-
-
-def _value_grid(m: int, k: int) -> np.ndarray:
-    """Every k-tuple over range(m), as the rows of an (m^k, k) array."""
-    return np.indices((m,) * k, dtype=np.intp).reshape(k, m ** k).T
-
-
-def _table_ops(base: Ring):
-    """The base ring's elementwise (add, mul, neg) as gathers through its tables."""
-    badd, bmul = base.tables()
-    bneg = np.argmax(badd == 0, axis=1)
-    return (lambda a, b: badd[a, b]), (lambda a, b: bmul[a, b]), bneg.__getitem__
-
-
 def _scalar_ops(base: Ring):
     """The base ring's elementwise (add, mul, neg) as its scalar operations on object arrays."""
     return (np.frompyfunc(base.add, 2, 1), np.frompyfunc(base.mul, 2, 1),
@@ -224,12 +216,12 @@ def _determinants(ops, es: np.ndarray, n: int) -> np.ndarray:
     """Determinant of each row of `es` (row-major n x n entries over one base ring).
 
     `ops` is the base ring's elementwise (add, mul, neg) on arrays of
-    entries: `_table_ops` for the streaming census, `_scalar_ops` for the
-    inverse of one matrix.  Cofactor expansion along the first row, run on
-    whole columns; n = 1 reads no `ops`.  Each minor, a set of columns on
-    the bottom rows, is computed once and shared by every expansion path
-    through it.  It is the one determinant in the package:
-    `_matrix_inverse` takes its cofactors through it.
+    entries: `_scalar_ops` for the inverse of one matrix (the tests also
+    run it on gathers through the base tables).  Cofactor expansion along
+    the first row, run on whole columns; n = 1 reads no `ops`.  Each minor,
+    a set of columns on the bottom rows, is computed once and shared by
+    every expansion path through it.  It is the one determinant in the
+    package: `_matrix_inverse` takes its cofactors through it.
     """
     if n == 1:
         return es[:, 0]
@@ -277,58 +269,42 @@ def _matrix_inverse(r: MatrixRing, a: int) -> int | None:
     return r.from_entries(mul(dinv, np.where(odd, neg(adj), adj)).tolist())
 
 
-def _invertible_blocks(r: MatrixRing):
-    """The invertible matrices of a full matrix ring, as blocks of row-major entries.
+def _signature(r: Ring) -> tuple[int, list[tuple[int, int]]]:
+    """sigma(R) = (|J(R)|, [(n_i, q_i)]) with R/J(R) = prod M(n_i, GF(q_i)), by construction.
 
-    Matrices with an all-zero first column cannot be invertible, so that
-    column is skipped (first-column pruning).  A block holds every matrix
-    for a run of the other first columns, in lexicographic order, with the
-    remaining cells over all values: about _BLOCK_ENTRIES / 16 entries in
-    one array refilled between blocks, so that it and the census
-    temporaries stay in cache.  Its rows whose determinant is a unit of the
-    base are yielded.  A ring of order above DEFAULT_ORDER_CAP raises
-    BudgetError before any block; base tables are built only for n >= 2.
+    Z(m) has |J| = m / rad(m) and one GF(p) per prime p | m; a product
+    multiplies the |J|s and joins the lists; M(n,B) has J = M_n(J(B)) and
+    M(n, M(m, GF(q))) = M(nm, GF(q)); UT(n,B) has J(B) on the diagonal and
+    all above it, and n copies of B/J(B).  A commutative table ring is the
+    product of the local rings e*R over its primitive idempotents e, with
+    residue fields of size |e*R| / |e*J|, and J from `jacobson_radical`.
     """
-    if r.order > DEFAULT_ORDER_CAP:
-        raise BudgetError(f"{r.name}: streaming unit scan needs order <= {DEFAULT_ORDER_CAP}")
-    n, base = r.n, r.base
-    ops = _table_ops(base) if n > 1 else None
-    base_units = _base_unit_mask(base)
-    first = [i * n for i in range(n)]
-    rest = [k for k in range(r.cells) if k % n]
-    columns = _value_grid(base.order, n)[1:]  # M(n,Z(1)) has none
-    inner = _value_grid(base.order, len(rest))
-    chunks = row_blocks(len(columns), 16 * len(inner) * r.cells)
-    step = chunks[0].stop if chunks else 0
-    block = np.zeros((step * len(inner), r.cells), dtype=np.intp)
-    block[:, rest] = np.tile(inner, (step, 1))
-    for chunk in chunks:
-        view = block[:(chunk.stop - chunk.start) * len(inner)]
-        view[:, first] = np.repeat(columns[chunk], len(inner), axis=0)
-        yield view[base_units[_determinants(ops, view, n)]]
+    if isinstance(r, ZnRing):
+        primes = [p for p, _ in factorize(r.n)]
+        return r.n // math.prod(primes), [(1, p) for p in primes]
+    if isinstance(r, GFRing):
+        return 1, [(1, r.q)]
+    if isinstance(r, ProductRing):
+        parts = [_signature(f) for f in r.factors]
+        return math.prod(j for j, _ in parts), [c for _, cs in parts for c in cs]
+    if isinstance(r, MatrixRing):
+        j, parts = _signature(r.base)
+        n = r.n
+        if r.kind == "triangular":
+            return j ** n * r.base.order ** (n * (n - 1) // 2), parts * n
+        return j ** (n * n), [(n * m, q) for m, q in parts]
+    _, mul = r.tables()
+    radical = [e.index for e in jacobson_radical(r).members]
+    idempotents = np.flatnonzero(np.diagonal(mul) == np.arange(r.order))[1:]  # 0 comes first
+    meets = mul[np.ix_(idempotents, idempotents)]
+    atoms = idempotents[((meets == 0) | (meets == idempotents[:, None])).all(axis=1)]
+    return len(radical), [(1, len(np.unique(mul[e])) // len(np.unique(mul[e, radical])))
+                          for e in atoms.tolist()]
 
 
-def _stream_units(r: MatrixRing) -> tuple[int, int]:
-    """(unit count, unit sum index) of a full matrix ring, streamed in numpy blocks.
-
-    Each block adds a per-value count of every cell (one `bincount`); a
-    cell's sum is then the sum over values v of (count of v) * v in the
-    base ring.
-    """
-    m, badd = r.base.order, r.base.add
-    offsets = np.arange(r.cells) * m
-    count, counts = 0, np.zeros(r.cells * m, dtype=np.int64)
-    for units in _invertible_blocks(r):
-        count += len(units)
-        counts += np.bincount((units + offsets).ravel(), minlength=r.cells * m)
-    sums = []
-    for cell in counts.reshape(r.cells, m).tolist():
-        total = 0
-        for v, k in enumerate(cell):
-            if v and k:
-                total = badd(total, _multiple(badd, v, k))
-        sums.append(total)
-    return count, r.from_entries(sums)
+def _dense_census(r: Ring) -> tuple[int, int]:
+    summary = unit_group(r)
+    return summary.count, summary.sum.index
 
 
 def _triangular_census(r: MatrixRing) -> tuple[int, int]:
@@ -341,39 +317,60 @@ def _triangular_census(r: MatrixRing) -> tuple[int, int]:
     upper cell count / |B| copies of sum B, each multiple by doubling.
     """
     base, badd = r.base, r.base.add
-    units = np.flatnonzero(_base_unit_mask(base)).tolist()
-    count = len(units) ** r.n * base.order ** (len(r.stored) - r.n)
-    diagonal = _multiple(badd, functools.reduce(badd, units, 0), count // len(units))
-    upper = 0
-    if r.n > 1:  # UT(1,B) has no upper cell: skip the scalar pass over all of B
-        upper = _multiple(badd, functools.reduce(badd, range(base.order), 0), count // base.order)
+    base_count, base_sum = _structural_census(base)
+    count = base_count ** r.n * base.order ** (len(r.stored) - r.n)
+    diagonal = _multiple(badd, base_sum, count // base_count)
+    upper = _multiple(badd, functools.reduce(badd, range(base.order), 0), count // base.order)
     return count, from_digits([diagonal if i == j else upper for (i, j) in r.stored], r.radices)
 
 
+def _structural_census(r: Ring) -> tuple[int, int]:
+    """(unit count, unit sum index) by recursion on the construction; a table
+    ring, never above TABLE_CAP, takes the dense route.
+
+    A product sums componentwise, each factor's sum taken count / (its
+    count) times; M(1,B) and UT(1,B) are B, index for index.  Otherwise
+    GL_n(B) -> GL_n(B/J) is onto with kernel I + M_n(J), so a ring with
+    signature (|J|, [(n_i, q_i)]) has |J| * prod |GL(n_i, q_i)| units.
+    Their sum is 0 unless the order is at most 2, where it is the unity:
+    in Z(m) and GF(q), u -> -u pairs the units with no fixed point unless
+    2 = 0, and then c * sum = sum for a unit c != 1; in M(n,B) with n >= 2
+    the transvection I + E_ij permutes the units, so E_ij * sum = 0 for
+    every i != j, and every row of the sum is 0.
+    """
+    if isinstance(r, ProductRing):
+        parts = [_structural_census(f) for f in r.factors]
+        count = math.prod(c for c, _ in parts)
+        return count, from_digits([_multiple(f.add, s, count // c)
+                                   for f, (c, s) in zip(r.factors, parts)], r.radices)
+    if isinstance(r, MatrixRing) and r.n == 1:
+        return _structural_census(r.base)
+    if isinstance(r, MatrixRing) and r.kind == "triangular":
+        return _triangular_census(r)
+    if isinstance(r, (ZnRing, GFRing, MatrixRing)):
+        j, parts = _signature(r)
+        return j * math.prod(gl_order(n, q) for n, q in parts), (r.one if r.order <= 2 else 0)
+    return _dense_census(r)
+
+
 def _unit_census(r: Ring) -> tuple[int, int]:
-    if r.order <= TABLE_CAP:
-        summary = unit_group(r)
-        return summary.count, summary.sum.index
-    if isinstance(r, MatrixRing):
-        return _triangular_census(r) if r.kind == "triangular" else _stream_units(r)
-    raise BudgetError(f"{r.name}: no streaming unit scan for this ring kind")
+    return _dense_census(r) if r.order <= TABLE_CAP else _structural_census(r)
 
 
 def unit_census(r: Ring) -> tuple[int, Elem]:
-    """(unit count, unit sum) in one pass.  Above the dense cap it builds no
-    tables: full matrix rings are streamed, triangular ones counted in
-    closed form."""
+    """(unit count, unit sum): `unit_group` at or below TABLE_CAP, and above it
+    the structural census, read off the ring's construction with no tables."""
     count, total = _unit_census(r)
     return count, Elem(r, total)
 
 
 def unit_count(r: Ring) -> int:
-    """Number of units; as `unit_census` above the dense cap."""
+    """Number of units: dense at or below TABLE_CAP, structural above it (see `unit_census`)."""
     return _unit_census(r)[0]
 
 
 def unit_sum(r: Ring) -> Elem:
-    """Sum of all units; as `unit_census` above the dense cap."""
+    """Sum of all units: dense at or below TABLE_CAP, structural above it (see `unit_census`)."""
     return Elem(r, _unit_census(r)[1])
 
 
@@ -381,17 +378,17 @@ def unit_first_column_classes(r: MatrixRing) -> dict[tuple[int, ...], int]:
     """Partition the invertible matrices by first column; count each class.
 
     Returns {first-column entries: class size} over all invertible
-    matrices.  The classes partition the general linear group, which is
-    how the even-count argument for characteristic-2 fields proceeds.
+    matrices, in lexicographic order of the columns, read off the dense
+    `unit_group` (so a ring above TABLE_CAP raises BudgetError).  The
+    classes partition the general linear group, which is how the
+    even-count argument for characteristic-2 fields proceeds.
     """
     if not isinstance(r, MatrixRing) or r.kind != "matrix":
         raise ConstructionError("first-column classes are defined for full matrix rings")
-    first = [i * r.n for i in range(r.n)]
-    classes = {}
-    for units in _invertible_blocks(r):
-        cols, sizes = np.unique(units[:, first], axis=0, return_counts=True)
-        classes.update(zip(map(tuple, cols.tolist()), sizes.tolist()))
-    return classes
+    units = [u.index for u in unit_group(r).units]
+    first = digit_array(units, r.radices)[:, ::r.n]  # cell (i, 0) is digit i*n
+    cols, sizes = np.unique(first, axis=0, return_counts=True)
+    return dict(zip(map(tuple, cols.tolist()), sizes.tolist()))
 
 
 def is_division_ring(r: Ring) -> bool:

@@ -2,7 +2,7 @@
 
 Commands
     report     structural report for one ring named by an expression
-    unit-sum   unit count and unit sum only (streams large matrix rings)
+    unit-sum   unit count and unit sum only (structural above the table cap)
     gl-order   closed-formula order of GL_n over GF(q)
     enumerate  stream all unital rings of an order in the table format
     verify     run the claim checks T1..T9 over their populations

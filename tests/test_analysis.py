@@ -1,5 +1,6 @@
 """Structural analysis: characteristic, units, radical, field structure."""
 
+import math
 import random
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import census_oracle
 from finring import analysis, rings, theorems
 from finring import (
     BudgetError,
@@ -300,10 +302,11 @@ def test_streaming_census_above_table_cap():
     assert count == 2 ** 10 and total.index == t.zero
 
 
-def test_census_rejects_unstreamable_big_ring():
+def test_census_answers_a_big_product_structurally():
+    # phi(5000) * phi(3) units; each factor's units sum to 0
     big = make_product([make_zn(5000), make_zn(3)])
-    with pytest.raises(BudgetError):
-        unit_count(big)
+    count, total = unit_census(big)
+    assert (count, total.index) == (4000, 0)
 
 
 def test_first_column_classes_gl2():
@@ -559,7 +562,7 @@ def test_block_census_matches_scalar_loop(expr, monkeypatch):
     monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 64)  # unit_group in several row blocks
     r = parse_ring(expr)
     count, total, classes = _scalar_census(r)
-    census = analysis._triangular_census if r.kind == "triangular" else analysis._stream_units
+    census = analysis._triangular_census if r.kind == "triangular" else census_oracle.stream_units
     assert census(r) == (count, total)
     assert (count, total) == (unit_group(r).count, unit_group(r).sum.index)
     if r.kind == "matrix":
@@ -586,14 +589,111 @@ def test_triangular_closed_form_matches_the_dense_unit_group(n, base):
 
 
 @pytest.mark.parametrize("expr", ["M(1,Z(4100))", "UT(1,Z(4100))", "M(1,GF(4099))"])
-def test_block_census_of_one_by_one_rings_above_the_table_cap(expr, monkeypatch):
-    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 1000)  # several blocks of 1000 rows
+def test_block_census_of_one_by_one_rings_above_the_table_cap(expr):
     r = parse_ring(expr)
     assert r.order > rings.TABLE_CAP
-    count, total, classes = _scalar_census(r)
+    count, total, _ = _scalar_census(r)
     assert (unit_count(r), unit_sum(r).index) == (count, total)
-    if r.kind == "matrix":
-        assert unit_first_column_classes(r) == classes
+    if r.kind == "matrix":  # first-column classes read the dense unit group
+        with pytest.raises(BudgetError):
+            unit_first_column_classes(r)
+
+
+def _structural_cases():
+    """Every constructed ring of order <= TABLE_CAP built from 22 small bases
+    (Z(1) and product bases among them) as the base itself, M(n,B) and
+    UT(n,B) for n <= 3, and B x M(2,Z(2)), plus five mixed products."""
+    bases = (["Z(1)", "Z(2)", "Z(3)", "Z(4)", "Z(6)", "Z(8)", "Z(9)", "Z(12)", "Z(16)", "GF(4)",
+              "GF(8)", "GF(9)", "Z(2) x Z(2)", "Z(2) x Z(3)", "Z(4) x Z(2)", "GF(4) x Z(3)",
+              "B(3)", "M(1,Z(6))", "UT(1,Z(4))", "M(1,Z(2) x Z(2))", "UT(1,GF(4) x Z(2))",
+              "Z(2) x Z(2) x Z(3)"])
+    cases = []
+    for b in bases:
+        order = parse_ring(b).order
+        cases.append(b)
+        cases += [f"M({n},{b})" for n in (1, 2, 3) if order ** (n * n) <= rings.TABLE_CAP]
+        cases += [f"UT({n},{b})" for n in (1, 2, 3)
+                  if order ** (n * (n + 1) // 2) <= rings.TABLE_CAP]
+        if 16 * order <= rings.TABLE_CAP:
+            cases.append(f"({b}) x M(2,Z(2))")
+    cases += ["M(2,Z(2)) x UT(2,Z(3))", "UT(3,Z(2)) x GF(5)", "M(2,GF(3)) x Z(4)",
+              "GF(2) x GF(3) x GF(5)", "UT(2,Z(2)) x M(1,Z(4))"]
+    return list(dict.fromkeys(cases))  # M(1,Z(6)) is both a base and M(1,) of one
+
+
+def _assert_structural_census_is_dense(r):
+    dense = unit_group(r)
+    radical = len(jacobson_radical(r).members)
+    radical_size, parts = analysis._signature(r)
+    assert analysis._structural_census(r) == (dense.count, dense.sum.index), r.name
+    assert radical_size == radical, r.name
+    assert radical * math.prod(gl_order(n, q) for n, q in parts) == dense.count, r.name
+
+
+def test_structural_cases_are_pinned():
+    cases = _structural_cases()
+    assert len(cases) == 138
+    assert max(parse_ring(e).order for e in cases) == rings.TABLE_CAP
+
+
+@pytest.mark.parametrize("expr", _structural_cases())
+def test_structural_census_matches_the_dense_routes(expr):
+    # count, sum index and sigma's |J| against unit_group and jacobson_radical
+    _assert_structural_census_is_dense(parse_ring(expr))
+
+
+@pytest.mark.parametrize("base, n", [("Z(4) x Z(4)", 1), ("Z(2) x Z(3)", 2), ("Z(12)", 1),
+                                     ("GF(4) x Z(2)", 2), ("Z(1)", 3), ("Z(8)", 2)])
+def test_structural_census_over_table_bases(base, n):
+    # sigma of a table ring from its radical and primitive idempotents
+    b = parse_ring(base)
+    copy = make_table_ring(*b.tables())
+    (size, parts), (want_size, want_parts) = analysis._signature(copy), analysis._signature(b)
+    assert (size, sorted(parts)) == (want_size, sorted(want_parts))
+    _assert_structural_census_is_dense(make_matrix_ring(n, copy))
+    _assert_structural_census_is_dense(make_triangular_ring(n, copy))
+
+
+def test_structural_census_over_a_quotient_base():
+    z4 = quotient_ring(make_zn(12), [0, 4, 8])
+    assert analysis._signature(z4) == (2, [(1, 2)])
+    _assert_structural_census_is_dense(make_matrix_ring(2, z4))
+
+
+def _table_copy(expr):
+    return make_table_ring(*parse_ring(expr).tables(), name=f"table({expr})")
+
+
+@pytest.mark.parametrize("build, units", [
+    (lambda: parse_ring("M(2,Z(10))"), 2880),
+    (lambda: parse_ring("M(2,GF(16))"), gl_order(2, 16)),
+    (lambda: parse_ring("M(3,GF(3))"), gl_order(3, 3)),
+    (lambda: parse_ring("M(2,Z(12))"), 4608),
+    (lambda: make_matrix_ring(2, _table_copy("Z(4) x Z(4)")), 96 ** 2),  # |GL_2(Z(4))|^2
+], ids=["M(2,Z(10))", "M(2,GF(16))", "M(3,GF(3))", "M(2,Z(12))", "M(2,table(Z(4) x Z(4)))"])
+def test_structural_census_matches_the_stream_oracle(build, units):
+    r = build()
+    assert r.order > rings.TABLE_CAP
+    count, total = unit_census(r)
+    assert (count, total.index) == census_oracle.stream_units(r) == (units, 0)
+
+
+def test_booleanness_above_the_scan_cap_follows_the_construction():
+    big = rings.ProductRing([rings.ZnRing(2)] * 21)  # make_boolean stops at 2^20
+    assert big.order > rings.DEFAULT_ORDER_CAP
+    assert is_boolean(big) and is_boolean(make_matrix_ring(1, big))
+    assert not is_boolean(rings.ProductRing([rings.ZnRing(2)] * 20 + [rings.ZnRing(3)]))
+    assert not is_boolean(make_triangular_ring(2, big))
+    assert not is_boolean(parse_ring("UT(3,GF(16))"))
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("expr", ["M(2,GF(32))", "M(4,GF(2))", "M(2,Z(25))", "UT(1,B(20))"])
+def test_structural_census_matches_the_oracles_up_to_the_stream_bound(expr):
+    r = parse_ring(expr)
+    count, total, _ = _scalar_census(r)
+    assert census_oracle.stream_units(r) == (count, total)
+    assert (unit_count(r), unit_sum(r).index) == (count, total)
 
 
 @pytest.mark.parametrize("expr", ["M(2,Z(4))", "M(2,Z(6))", "M(3,GF(2))"])
@@ -602,7 +702,7 @@ def test_vectorized_determinant_matches_cofactor_expansion(expr):
     r = parse_ring(expr)
     es = np.array([r.entries(x) for x in range(r.order)])
     want = [matrix_determinant(r.base, row, r.n) for row in es.tolist()]
-    assert analysis._determinants(analysis._table_ops(r.base), es, r.n).tolist() == want
+    assert analysis._determinants(census_oracle.table_ops(r.base), es, r.n).tolist() == want
     scalar = analysis._determinants(analysis._scalar_ops(r.base), es.astype(object), r.n)
     assert scalar.tolist() == want
 

@@ -142,6 +142,24 @@ def test_unit_sum_counts_a_large_triangular_ring_in_closed_form(cli):
     assert doc["unit_sum_index"] == 0
 
 
+@pytest.mark.parametrize("ring, units, sum_index", [
+    ("Z(5000)", 2000, 0), ("GF(8192)", 8191, 0), ("B(16)", 1, 2 ** 16 - 1),
+    ("GF(16) x GF(16) x GF(16) x GF(16)", 15 ** 4, 0), ("M(2,GF(16)) x Z(2)", 61200, 0),
+    ("M(2,Z(100))", 28_800_000, 0), ("M(2,GF(64))", 16_511_040, 0)])
+def test_unit_sum_answers_closed_forms_above_the_table_cap(cli, ring, units, sum_index):
+    # B(16)'s only unit is its unity, every digit 1
+    code, doc, _ = run_json(cli, "unit-sum", "--ring", ring)
+    assert code == EXIT_OK
+    assert (doc["unit_count"], doc["unit_sum_index"]) == (units, sum_index)
+
+
+def test_report_above_the_booleanness_scan_cap(cli):
+    code, doc, _ = run_json(cli, "report", "--ring", "UT(3,GF(16))", "--skip-radical")
+    assert code == EXIT_OK
+    assert doc["order"] == 16 ** 6 and doc["unit_count"] == 13_824_000 == 15 ** 3 * 16 ** 3
+    assert doc["boolean"] is False and doc["commutative"] is False
+
+
 def test_gl_order_text_prints_bare_integer(cli):
     code, out, _ = cli("gl-order", "3", "2")
     assert code == EXIT_OK

@@ -49,6 +49,19 @@ def test_population_counts_pinned(reports):
     assert {r.check_id: r.population_count for r in reports} == POPULATION_AT_8
 
 
+@pytest.mark.parametrize("check_id", ["T5", "T6", "T8"])
+def test_formula_checks_never_read_the_structural_census(check_id, monkeypatch):
+    # T5, T6 and T8 test closed forms by brute force, so the census they
+    # compare must come from the dense tables, never from the same formulas
+    def refuse(r):
+        raise AssertionError(f"structural census fed {check_id} on {r.name}")
+    monkeypatch.setattr(analysis, "_structural_census", refuse)
+    monkeypatch.setattr(analysis, "_signature", refuse)
+    report = run_check(check_id)
+    assert report.passed and report.complete
+    assert report.population_count == POPULATION_AT_8[check_id]
+
+
 def test_run_all_shallow_scan_passes():
     shallow = run_all(4)
     assert all(r.passed and r.complete for r in shallow)

@@ -307,6 +307,21 @@ def _dense_census(r: Ring) -> tuple[int, int]:
     return summary.count, summary.sum.index
 
 
+def _element_sum(r: Ring) -> int:
+    """Index of the sum of all elements of r: Z(m) sums to m(m-1)/2, GF(q) to 0
+    unless q = 2; a product or matrix ring sums each part |R| / |part| times
+    its ring's sum; a table ring, never above TABLE_CAP, adds up its elements."""
+    if isinstance(r, ZnRing):
+        return r.n // 2 if r.n % 2 == 0 else 0
+    if isinstance(r, GFRing):
+        return r.one if r.q == 2 else 0
+    if isinstance(r, (ProductRing, MatrixRing)):
+        parts = r.factors if isinstance(r, ProductRing) else [r.base] * len(r.stored)
+        return from_digits([_multiple(f.add, _element_sum(f), r.order // f.order)
+                            for f in parts], r.radices)
+    return functools.reduce(r.add, range(r.order), 0)
+
+
 def _triangular_census(r: MatrixRing) -> tuple[int, int]:
     """(unit count, unit sum index) of a triangular ring, in closed form.
 
@@ -320,7 +335,7 @@ def _triangular_census(r: MatrixRing) -> tuple[int, int]:
     base_count, base_sum = _structural_census(base)
     count = base_count ** r.n * base.order ** (len(r.stored) - r.n)
     diagonal = _multiple(badd, base_sum, count // base_count)
-    upper = _multiple(badd, functools.reduce(badd, range(base.order), 0), count // base.order)
+    upper = _multiple(badd, _element_sum(base), count // base.order)
     return count, from_digits([diagonal if i == j else upper for (i, j) in r.stored], r.radices)
 
 

@@ -60,7 +60,6 @@ from .rings import (
     Ring,
     TableRingStructure,
     _axioms_hold,
-    _multiple,
     compose_tables,
     digit_array,
     factorize,
@@ -193,7 +192,8 @@ class _ShapeContext:
     lookup lists, `digit_array` the digits of each element (one int16 row
     per element) and `digits` their nonzero support, and `K[i][j]` the
     candidate values for the structure constant g_i * g_j (the elements
-    gcd(d_i, d_j) kills, since that scalar kills both generators).
+    gcd(d_i, d_j) kills, since that scalar kills both generators; the
+    exponent d_1 kills every element, as smul[0] does).
 
     Position d of the wavefront order `positions` holds g_i g_j for
     (i, j) = positions[d], and P[i][j] = d.  The read plans say which
@@ -231,8 +231,8 @@ class _ShapeContext:
         self.digits = [tuple((i, a) for i, a in enumerate(row) if a)
                        for row in self.digit_array.tolist()]
         self.gens = [s % n for s in self.strides]
-        self.K = [[_killed(self.add_np, gcd(factors[i], factors[j])).tolist()
-                   for j in range(r)] for i in range(r)]
+        self.K = [[[x for x, v in enumerate(self.smul[gcd(d, e) % self.exponent]) if not v]
+                   for e in factors] for d in factors]
 
         # wavefront position order: finish each leading generator block so
         # associativity triples become checkable as early as possible
@@ -592,16 +592,11 @@ def _class_tables(ctx: _ShapeContext, assignments, reverse: bool):
 # additive isomorphisms, automorphisms, and orbit dedup
 
 
-# Additive maps are built and narrowed in blocks of about this many rows, so
-# no intermediate (a uint8 array, or the index arrays numpy makes for fancy
-# indexing) grows with the 20160 automorphisms of shape (2, 2, 2, 2).
+# Additive maps are built, and their inverses scattered, in blocks of about
+# this many rows, so no intermediate (a uint8 array, a mask, or the index
+# arrays numpy makes for fancy indexing) grows with the 20160 automorphisms
+# of shape (2, 2, 2, 2).
 _AUTO_BLOCK = 1024
-
-
-def _killed(add, d: int) -> np.ndarray:
-    """The elements x of the add table's group with d x = 0, ascending, as uint8."""
-    multiples = _multiple(lambda a, b: add[a, b], np.arange(len(add)), d)  # by doubling
-    return np.flatnonzero(multiples == 0).astype(np.uint8)
 
 
 def _additive_maps(ctx: _ShapeContext, add):
@@ -610,14 +605,20 @@ def _additive_maps(ctx: _ShapeContext, add):
 
     Depth first, one generator at a time: a row on the span of
     g_0 .. g_{t-1} (the labels below d_0 ... d_{t-1}) is extended by every
-    image of g_t that d_t kills, ascending, and survives if still injective.
-    So the rows come out in the order of the image tuples
+    image c of g_t that d_t kills, ascending.  The row's image is a
+    subgroup, so the extension stays injective iff a c lies outside it for
+    0 < a < d_t: one lookup in a mask of the image, and only the survivors
+    are built.  So the rows come out in the order of the image tuples
     (phi g_0, ..., phi g_{r-1}); an image fits a byte at order <= 16.
     """
     if len(add) != ctx.order:
         return
     add = np.asarray(add, dtype=np.uint8)
-    images = [_killed(add, d) for d in ctx.factors]
+    multiples = [np.zeros(ctx.order, dtype=np.uint8)]  # row a holds a x
+    for _ in range(ctx.exponent):
+        multiples.append(add[multiples[-1], np.arange(ctx.order)])
+    multiples = np.array(multiples)
+    images = [np.flatnonzero(multiples[d] == 0).astype(np.uint8) for d in ctx.factors]
 
     def extend(t, partial):
         if t == ctx.r:
@@ -627,14 +628,13 @@ def _additive_maps(ctx: _ShapeContext, add):
         d, stride, cands = ctx.factors[t], ctx.strides[t], images[t]
         step = max(1, _AUTO_BLOCK // len(cands))
         for start in range(0, len(partial), step):
-            # cells[p, c, a, x] = phi_p(x) + a * cands[c]
             base = partial[start:start + step]
-            cells = [np.broadcast_to(base[:, None, :], (len(base), len(cands), stride))]
-            for _ in range(d - 1):
-                cells.append(add[cells[-1], cands[None, :, None]])
-            rows = np.stack(cells, axis=2).reshape(-1, d * stride)
-            ordered = np.sort(rows, axis=1)
-            yield from extend(t + 1, rows[(ordered[:, 1:] != ordered[:, :-1]).all(axis=1)])
+            image = np.zeros((len(base), ctx.order), dtype=bool)
+            np.put_along_axis(image, base, True, axis=1)
+            p, c = np.nonzero(~image[:, multiples[1:d, cands]].any(axis=1))
+            # row p, c: phi_p(x) + a cands[c] at label a stride + x
+            rows = add[base[p][:, None, :], multiples[:d, cands[c]].T[:, :, None]]
+            yield from extend(t + 1, rows.reshape(-1, d * stride))
 
     yield from extend(0, np.zeros((1, 1), dtype=np.uint8))
 
@@ -642,14 +642,17 @@ def _additive_maps(ctx: _ShapeContext, add):
 @functools.cache
 def _shape_automorphisms(ctx: _ShapeContext) -> tuple[np.ndarray, np.ndarray]:
     """The shape's automorphisms as uint8 rows, in image-tuple order, with
-    each row's inverse; both cached read-only.  `canonical_form` narrows
-    them row by row, `_new_orbits` reads Stab(g_0) off them, and
-    `_expanded_tables` relabels by every row.  The tests check the row
-    count against `abelian_automorphism_count`."""
+    each row's inverse, scattered a block at a time; both cached read-only.
+    `canonical_form` narrows them one generator constant at a time,
+    `_new_orbits` reads Stab(g_0) off them, and `_expanded_tables`
+    relabels by every row.  The tests check the row count against
+    `abelian_automorphism_count`."""
     autos = np.concatenate(list(_additive_maps(ctx, ctx.add_np)))
-    inverse = np.concatenate([np.argsort(autos[start:start + _AUTO_BLOCK], axis=1)
-                              .astype(np.uint8)
-                              for start in range(0, len(autos), _AUTO_BLOCK)])
+    inverse = np.empty_like(autos)
+    for start in range(0, len(autos), _AUTO_BLOCK):
+        block = autos[start:start + _AUTO_BLOCK]
+        rows = np.arange(start, start + len(block))[:, None]
+        inverse[rows, block] = np.arange(ctx.order, dtype=np.uint8)
     autos.setflags(write=False)
     inverse.setflags(write=False)
     return autos, inverse
@@ -782,7 +785,6 @@ def canonical_form(r: Ring) -> CanonicalForm:
             f"canonical forms are computed only up to order {CANONICAL_CAP}")
     factors = r.additive_type
     ctx = _shape_context(factors)
-    n = r.order
     add, mul = r.tables()
     first = next(_additive_maps(ctx, add), None)
     if first is None:
@@ -792,23 +794,16 @@ def canonical_form(r: Ring) -> CanonicalForm:
     phi = first[0]
     pulled = np.argsort(phi)[mul[np.ix_(phi, phi)]].astype(np.uint8)
     autos, inverses = _shape_automorphisms(ctx)
-    # The least table is the least row 0, then the least row 1 among the
-    # automorphisms that gave that row 0, and so on: row x of a relabeling
-    # is phi[pulled[inv x, inv y]] over y, computed only for the
-    # automorphisms still in play.  Row 0 is zero in every relabeling.
-    # Entries are below 16, so a row packs into one uint64 key whose order
-    # is the row's lexicographic order.
+    # A relabeling's table is phi[pulled[inv x, inv y]] at (x, y), and it is
+    # additive in x and in y.  A label below x spans only generators with
+    # smaller labels, so two relabelings first differ, in row-major order,
+    # at a pair of generators: the least table has the least generator
+    # constants, read in ascending label order.  Narrow by one at a time.
     alive = np.arange(len(autos))
-    shifts = np.arange(4 * (n - 1), -1, -4, dtype=np.uint64)
-    for x in range(1, n):
-        keys = []
-        for start in range(0, len(alive), _AUTO_BLOCK):
-            ids = alive[start:start + _AUTO_BLOCK]
-            inv = inverses[ids]
-            row = np.take_along_axis(autos[ids], pulled[inv[:, x:x + 1], inv], axis=1)
-            keys.append((row.astype(np.uint64) << shifts).sum(axis=1))
-        key = np.concatenate(keys)
-        alive = alive[key == key.min()]
+    gens = sorted(ctx.gens)
+    for g, h in itertools.product(gens, gens):
+        value = autos[alive, pulled[inverses[alive, g], inverses[alive, h]]]
+        alive = alive[value == value.min()]
     inv = inverses[alive[0]]
     best = autos[alive[0]][pulled[np.ix_(inv, inv)]]
     # A table has one unity, so minimizing (mul, one) minimizes mul alone;

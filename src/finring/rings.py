@@ -225,9 +225,10 @@ def least_irreducible(p: int, s: int) -> tuple[int, ...]:
 
     Candidates are ordered by their coefficient tuple (c_0, ..., c_{s-1}),
     constant term compared first.  The result is little-endian and includes
-    the leading 1, e.g. (1, 1, 1) for 1 + x + x^2 over Z_2.
+    the leading 1, e.g. (1, 1, 1) for 1 + x + x^2 over Z_2.  For s >= 2 the
+    walk starts at c_0 = 1: every candidate before is divisible by x.
     """
-    for tail in itertools.product(range(p), repeat=s):
+    for tail in itertools.product(range(s > 1, p), *[range(p)] * (s - 1)):
         f = list(tail) + [1]
         if poly_is_irreducible(f, p):
             return tuple(f)

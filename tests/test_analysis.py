@@ -1,5 +1,6 @@
 """Structural analysis: characteristic, units, radical, field structure."""
 
+import functools
 import math
 import random
 
@@ -634,6 +635,24 @@ def test_structural_cases_are_pinned():
     cases = _structural_cases()
     assert len(cases) == 138
     assert max(parse_ring(e).order for e in cases) == rings.TABLE_CAP
+
+
+def test_element_sums_match_adding_every_element():
+    # every pinned structural ring, and table and quotient rings
+    rs = [parse_ring(e) for e in _structural_cases()]
+    rs += [_table_copy("Z(4) x Z(2)"), _table_copy("GF(4)"), quotient_ring(make_zn(12), [0, 4, 8])]
+    for r in rs:
+        assert analysis._element_sum(r) == functools.reduce(r.add, range(r.order), 0), r.name
+
+
+def test_triangular_census_over_a_big_boolean_base(monkeypatch):
+    # B(20) sums structurally: a handful of adds, not one per element
+    calls = []
+    add = rings.ProductRing.add
+    monkeypatch.setattr(rings.ProductRing, "add", lambda s, a, b: calls.append(1) or add(s, a, b))
+    count, total = unit_census(parse_ring("UT(2,B(20))"))
+    assert (count, total.index) == (2 ** 20, 0)
+    assert len(calls) < 100
 
 
 @pytest.mark.parametrize("expr", _structural_cases())

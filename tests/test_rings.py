@@ -177,6 +177,25 @@ def test_least_irreducible_degree_one():
     assert least_irreducible(5, 1) == (0, 1)
 
 
+def test_least_irreducible_matches_the_plain_walk():
+    # from s = 2 on the walk starts at constant term 1, skipping multiples of x
+    for q in range(2, 4097):
+        if (pp := prime_power(q)) is None:
+            continue
+        p, s = pp
+        plain = next(f for f in (list(t) + [1] for t in itertools.product(range(p), repeat=s))
+                     if rings.poly_is_irreducible(f, p))
+        assert least_irreducible.__wrapped__(p, s) == tuple(plain), q
+
+
+def test_least_irreducible_of_degree_20_tries_few_candidates(monkeypatch):
+    calls = []
+    test = rings.poly_is_irreducible
+    monkeypatch.setattr(rings, "poly_is_irreducible", lambda f, p: calls.append(f) or test(f, p))
+    assert least_irreducible.__wrapped__(2, 20)[0] == 1
+    assert len(calls) < 100
+
+
 def test_gf_rejects_non_prime_power():
     with pytest.raises(ConstructionError, match="prime power"):
         make_gf(6)

@@ -28,8 +28,8 @@ T5, T6 and T8 check those formulas by brute force within the cap, where
 the dense route answers.  Everything operates on integer element indices
 and is a pure function of the ring, so results are deterministic and
 safe to compute concurrently.  Exhaustive scans (unit groups and radicals
-up to TABLE_CAP, the booleanness scan up to 2**20) raise BudgetError past
-their bounds rather than silently truncating.
+up to TABLE_CAP) raise BudgetError past their bounds rather than silently
+truncating.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ import numpy as np
 
 from .errors import BudgetError, ConstructionError, RingMismatchError
 from .rings import (
-    DEFAULT_ORDER_CAP,
     TABLE_CAP,
     Elem,
     GFRing,
@@ -107,19 +106,18 @@ def characteristic(r: Ring) -> int:
 
 
 def is_boolean(r: Ring) -> bool:
-    """True iff x*x = x for every element: up to DEFAULT_ORDER_CAP a scan that
-    stops at the first failure, and above it read off the construction: Z(m)
-    iff m <= 2, GF(q) iff q = 2, a product iff every factor is, M(n,B) or
-    UT(n,B) iff the zero ring or n = 1 over a boolean base (E12 squares to 0)."""
-    if r.order <= DEFAULT_ORDER_CAP:
-        return all(r.mul(x, x) == x for x in range(r.order))
+    """True iff x*x = x for every element, read off the construction at every
+    order: Z(m) iff m <= 2, GF(q) iff q = 2, a product iff every factor is,
+    M(n,B) or UT(n,B) iff the zero ring or n = 1 over a boolean base (E12
+    squares to 0).  A table or quotient ring reads its table's diagonal."""
     if isinstance(r, (ZnRing, GFRing)):
         return r.order <= 2
     if isinstance(r, ProductRing):
         return all(is_boolean(f) for f in r.factors)
     if isinstance(r, MatrixRing):
         return r.order == 1 or (r.n == 1 and is_boolean(r.base))
-    raise BudgetError(f"{r.name}: booleanness scan needs order <= {DEFAULT_ORDER_CAP}")
+    _, mul = r.tables()
+    return bool((np.diagonal(mul) == np.arange(r.order)).all())
 
 
 # ---------------------------------------------------------------------------
@@ -206,67 +204,34 @@ def unit_group(r: Ring) -> UnitGroupSummary:
                             sum=Elem(r, total), closure_verified=True)
 
 
-def _scalar_ops(base: Ring):
-    """The base ring's elementwise (add, mul, neg) as its scalar operations on object arrays."""
-    return (np.frompyfunc(base.add, 2, 1), np.frompyfunc(base.mul, 2, 1),
-            np.frompyfunc(base.neg, 1, 1))
-
-
-def _determinants(ops, es: np.ndarray, n: int) -> np.ndarray:
-    """Determinant of each row of `es` (row-major n x n entries over one base ring).
-
-    `ops` is the base ring's elementwise (add, mul, neg) on arrays of
-    entries: `_scalar_ops` for the inverse of one matrix (the tests also
-    run it on gathers through the base tables).  Cofactor expansion along
-    the first row, run on whole columns; n = 1 reads no `ops`.  Each minor,
-    a set of columns on the bottom rows, is computed once and shared by
-    every expansion path through it.  It is the one determinant in the
-    package: `_matrix_inverse` takes its cofactors through it.
-    """
-    if n == 1:
-        return es[:, 0]
-    add, mul, neg = ops
-    minors = {}
-
-    def det(cols):  # the minor on the last len(cols) rows and the columns `cols`
-        if len(cols) == 1:
-            return es[:, (n - 1) * n + cols[0]]
-        if cols not in minors:
-            row = (n - len(cols)) * n
-            total = None
-            for t, c in enumerate(cols):
-                term = mul(es[:, row + c], det(cols[:t] + cols[t + 1:]))
-                if t % 2:
-                    term = neg(term)
-                total = term if total is None else add(total, term)
-            minors[cols] = total
-        return minors[cols]
-
-    return det(tuple(range(n)))
-
-
 def _matrix_inverse(r: MatrixRing, a: int) -> int | None:
     """Index of det^-1 * adj of the matrix at index a, or None for a non-unit.
 
-    The determinant and, in one batch, the n^2 cofactors (the signed
-    minors without row i and column j) go through `_determinants` on the
-    base ring's scalar operations, so no base table is built.
+    Cofactor expansion on the base ring's own add, mul and neg, so no base
+    table is built; the determinant and the n^2 cofactors (the signed minors
+    without row i and column j) share one memo of minors, keyed by rows and
+    columns.
     """
-    base, n = r.base, r.n
-    ops = _scalar_ops(base)
-    es = np.array([r.entries(a)], dtype=object)
-    dinv = inverse_index(base, _determinants(ops, es, n)[0])
+    base, n, es = r.base, r.n, r.entries(a)
+
+    @functools.cache
+    def det(rows, cols):  # expanded along the top row
+        if len(rows) <= 1:
+            return es[rows[0] * n + cols[0]] if rows else base.one
+        total = 0
+        for t, c in enumerate(cols):
+            term = base.mul(es[rows[0] * n + c], det(rows[1:], cols[:t] + cols[t + 1:]))
+            total = base.add(total, base.neg(term) if t % 2 else term)
+        return total
+
+    full = tuple(range(n))
+    dinv = inverse_index(base, det(full, full))
     if dinv is None:
         return None
-    if n == 1:
-        return r.from_entries([dinv])
-    # adj[j, i] is the cofactor (i, j), so row-major position p has sign (-1)^(p//n + p%n)
-    minors = [[k for k in range(n * n) if k // n != i and k % n != j]
-              for j in range(n) for i in range(n)]
-    adj = _determinants(ops, es[0, minors], n - 1)
-    odd = [(p // n + p % n) % 2 for p in range(n * n)]
-    _, mul, neg = ops
-    return r.from_entries(mul(dinv, np.where(odd, neg(adj), adj)).tolist())
+    without = [full[:k] + full[k + 1:] for k in full]
+    adj = [det(without[i], without[j]) for j in full for i in full]  # adj[j, i] = cofactor (i, j)
+    return r.from_entries([base.mul(dinv, base.neg(m) if (p // n + p % n) % 2 else m)
+                           for p, m in enumerate(adj)])
 
 
 def _signature(r: Ring) -> tuple[int, list[tuple[int, int]]]:

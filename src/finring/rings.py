@@ -1065,30 +1065,29 @@ def make_gf(q: int) -> GFRing:
     return GFRing(q)
 
 
-def make_matrix_ring(n: int, base: Ring) -> MatrixRing:
-    """Full n-by-n matrices over a commutative base ring."""
+def _matrix_ring(n: int, base: Ring, upper: bool) -> MatrixRing:
+    """M(n,B), or UT(n,B) when `upper`, after the argument checks the two share."""
+    label, kind, criterion = (("UT", "triangular", "diagonal-units") if upper
+                              else ("M", "matrix", "determinant"))
     if type(n) is not int or n < 1:
-        raise ConstructionError(f"M({n},...): the size must be a positive integer")
+        raise ConstructionError(f"{label}({n},...): the size must be a positive integer")
     if not isinstance(base, Ring):
-        raise ConstructionError("matrix rings need a base ring instance")
+        raise ConstructionError(f"{kind} rings need a base ring instance")
     if not is_commutative(base):
         raise ConstructionError(
-            f"M({n},{base.name}): matrix rings are only supported over commutative bases "
-            "(invertibility is decided by the determinant criterion)")
-    return MatrixRing(n, base)
+            f"{label}({n},{base.name}): {kind} rings are only supported over commutative bases "
+            f"(invertibility is decided by the {criterion} criterion)")
+    return MatrixRing(n, base, upper)
+
+
+def make_matrix_ring(n: int, base: Ring) -> MatrixRing:
+    """Full n-by-n matrices over a commutative base ring."""
+    return _matrix_ring(n, base, upper=False)
 
 
 def make_triangular_ring(n: int, base: Ring) -> MatrixRing:
     """Upper-triangular n-by-n matrices over a commutative base ring."""
-    if type(n) is not int or n < 1:
-        raise ConstructionError(f"UT({n},...): the size must be a positive integer")
-    if not isinstance(base, Ring):
-        raise ConstructionError("triangular rings need a base ring instance")
-    if not is_commutative(base):
-        raise ConstructionError(
-            f"UT({n},{base.name}): triangular rings are only supported over commutative bases "
-            "(invertibility is decided by the diagonal-units criterion)")
-    return MatrixRing(n, base, upper=True)
+    return _matrix_ring(n, base, upper=True)
 
 
 def make_product(factors, name: str | None = None) -> ProductRing:

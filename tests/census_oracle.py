@@ -1,9 +1,9 @@
 """Streamed unit census of full matrix rings: the test oracle for orders 4097 to 2**20.
 
 It walks every invertible matrix in numpy blocks, so it owes nothing to
-the structural census in `finring.analysis`.  It reuses the package's
-determinant kernel, which the tests check against a scalar cofactor
-expansion, and `inverse_index` for the base ring's units.
+the structural census in `finring.analysis`.  Its determinants are its
+own row-batched kernel on table gathers, which the tests check against a
+scalar cofactor expansion; the base ring's units come from `inverse_index`.
 """
 
 import numpy as np
@@ -28,6 +28,37 @@ def table_ops(base):
     badd, bmul = base.tables()
     bneg = np.argmax(badd == 0, axis=1)
     return (lambda a, b: badd[a, b]), (lambda a, b: bmul[a, b]), bneg.__getitem__
+
+
+def determinants(ops, es, n):
+    """Determinant of each row of `es` (row-major n x n entries over one base ring).
+
+    `ops` is the base ring's elementwise (add, mul, neg) on arrays of
+    entries (`table_ops`).  Cofactor expansion along the first row, run on
+    whole columns; n = 1 reads no `ops`.  Each minor, a set of columns on
+    the bottom rows, is computed once and shared by every expansion path
+    through it.
+    """
+    if n == 1:
+        return es[:, 0]
+    add, mul, neg = ops
+    minors = {}
+
+    def det(cols):  # the minor on the last len(cols) rows and the columns `cols`
+        if len(cols) == 1:
+            return es[:, (n - 1) * n + cols[0]]
+        if cols not in minors:
+            row = (n - len(cols)) * n
+            total = None
+            for t, c in enumerate(cols):
+                term = mul(es[:, row + c], det(cols[:t] + cols[t + 1:]))
+                if t % 2:
+                    term = neg(term)
+                total = term if total is None else add(total, term)
+            minors[cols] = total
+        return minors[cols]
+
+    return det(tuple(range(n)))
 
 
 def invertible_blocks(r):
@@ -57,7 +88,7 @@ def invertible_blocks(r):
     for chunk in chunks:
         view = block[:(chunk.stop - chunk.start) * len(inner)]
         view[:, first] = np.repeat(columns[chunk], len(inner), axis=0)
-        yield view[base_units[analysis._determinants(ops, view, n)]]
+        yield view[base_units[determinants(ops, view, n)]]
 
 
 def stream_units(r):

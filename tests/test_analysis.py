@@ -74,7 +74,7 @@ def matrix_inverse_row_reduce(r, a):
 
 def matrix_determinant(base, entries, n):
     """Determinant by cofactor expansion, one base-ring call at a time: the
-    scalar reference for the vectorized `_determinants`."""
+    scalar reference for the stream oracle's row-batched `determinants`."""
     es = list(entries)
 
     def det(rows, cols):
@@ -291,7 +291,7 @@ def test_unit_census_matches_unit_group():
         assert unit_count(r) == count and unit_sum(r).index == total.index
 
 
-def test_streaming_census_above_table_cap():
+def test_structural_census_above_table_cap():
     # M_2(Z_10) has 10^4 elements; |GL_2(Z_10)| = |GL_2(Z_2)|*|GL_2(Z_5)| = 6*480
     m = make_matrix_ring(2, make_zn(10))
     count, total = unit_census(m)
@@ -623,6 +623,8 @@ def _structural_cases():
 
 
 def _assert_structural_census_is_dense(r):
+    # and booleanness, from the construction, against the table's diagonal
+    assert is_boolean(r) == (np.diagonal(r.tables()[1]) == np.arange(r.order)).all(), r.name
     dense = unit_group(r)
     radical = len(jacobson_radical(r).members)
     radical_size, parts = analysis._signature(r)
@@ -669,6 +671,7 @@ def test_structural_census_over_table_bases(base, n):
     copy = make_table_ring(*b.tables())
     (size, parts), (want_size, want_parts) = analysis._signature(copy), analysis._signature(b)
     assert (size, sorted(parts)) == (want_size, sorted(want_parts))
+    assert is_boolean(copy) == is_boolean(b)
     _assert_structural_census_is_dense(make_matrix_ring(n, copy))
     _assert_structural_census_is_dense(make_triangular_ring(n, copy))
 
@@ -676,6 +679,7 @@ def test_structural_census_over_table_bases(base, n):
 def test_structural_census_over_a_quotient_base():
     z4 = quotient_ring(make_zn(12), [0, 4, 8])
     assert analysis._signature(z4) == (2, [(1, 2)])
+    assert not is_boolean(z4) and is_boolean(quotient_ring(make_zn(12), [0, 2, 4, 6, 8, 10]))
     _assert_structural_census_is_dense(make_matrix_ring(2, z4))
 
 
@@ -706,6 +710,19 @@ def test_booleanness_above_the_scan_cap_follows_the_construction():
     assert not is_boolean(parse_ring("UT(3,GF(16))"))
 
 
+@pytest.mark.parametrize("expr", ["B(16)", "B(20)", "UT(1,B(18))", "GF(2) x B(17)"])
+def test_booleanness_reads_no_element_above_the_table_cap(expr, monkeypatch):
+    # the construction answers: not one product or matrix multiplication
+    calls = []
+    for cls in (rings.ProductRing, rings.MatrixRing):
+        mul = cls.mul
+        monkeypatch.setattr(cls, "mul", lambda s, a, b, mul=mul: calls.append(1) or mul(s, a, b))
+    r = parse_ring(expr)
+    assert r.order > rings.TABLE_CAP
+    assert is_boolean(r)
+    assert calls == []
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("expr", ["M(2,GF(32))", "M(4,GF(2))", "M(2,Z(25))", "UT(1,B(20))"])
 def test_structural_census_matches_the_oracles_up_to_the_stream_bound(expr):
@@ -717,13 +734,11 @@ def test_structural_census_matches_the_oracles_up_to_the_stream_bound(expr):
 
 @pytest.mark.parametrize("expr", ["M(2,Z(4))", "M(2,Z(6))", "M(3,GF(2))"])
 def test_vectorized_determinant_matches_cofactor_expansion(expr):
-    # the one kernel, on table gathers and on the base's scalar operations
+    # the stream oracle's kernel, on table gathers
     r = parse_ring(expr)
     es = np.array([r.entries(x) for x in range(r.order)])
     want = [matrix_determinant(r.base, row, r.n) for row in es.tolist()]
-    assert analysis._determinants(census_oracle.table_ops(r.base), es, r.n).tolist() == want
-    scalar = analysis._determinants(analysis._scalar_ops(r.base), es.astype(object), r.n)
-    assert scalar.tolist() == want
+    assert census_oracle.determinants(census_oracle.table_ops(r.base), es, r.n).tolist() == want
 
 
 def test_multiples_match_sequential_adds():

@@ -124,8 +124,8 @@ def test_unit_sum_json(cli):
     assert "total" in doc["timings"]
 
 
-def test_unit_sum_streams_large_matrix_ring(cli):
-    # order 10^4 exceeds the dense-table cap, so the census streams
+def test_unit_sum_answers_a_large_matrix_ring(cli):
+    # order 10^4 exceeds the dense-table cap, so the census reads the construction
     code, doc, _ = run_json(cli, "unit-sum", "--ring", "M(2,Z(10))")
     assert code == EXIT_OK
     assert doc["order"] == 10 ** 4
@@ -158,6 +158,15 @@ def test_report_above_the_booleanness_scan_cap(cli):
     assert code == EXIT_OK
     assert doc["order"] == 16 ** 6 and doc["unit_count"] == 13_824_000 == 15 ** 3 * 16 ** 3
     assert doc["boolean"] is False and doc["commutative"] is False
+
+
+def test_report_of_the_largest_boolean_ring(cli):
+    # B(20): booleanness and the census from the construction, no radical above the cap
+    code, doc, _ = run_json(cli, "report", "--ring", "B(20)")
+    assert code == EXIT_OK
+    assert doc["order"] == 2 ** 20 and doc["boolean"] is True
+    assert doc["unit_count"] == 1 and doc["unit_sum_index"] == 2 ** 20 - 1
+    assert "radical" not in doc
 
 
 def test_gl_order_text_prints_bare_integer(cli):

@@ -1,0 +1,61 @@
+"""Digest the CLI's output on a fixed command set, for diffing two checkouts.
+
+Each command runs in-process through `finring.cli.main`.  A JSON document
+loses its `timings` and `elapsed_seconds` keys (at any depth) and is
+re-serialized with sorted keys; other output is hashed as printed.  One
+line per command: the exit code, the sha256 of stdout and stderr, and the
+command.  Run it once per checkout and diff the two outputs:
+
+    PYTHONPATH=src python tools/cli_digest.py > digest.txt
+"""
+
+import contextlib
+import hashlib
+import io
+import json
+import shlex
+
+from finring.cli import main
+
+COMMANDS = [
+    # the benchmark's report and unit-sum ops
+    *(["report", "--ring", ring, "--json"]
+      for ring in ("M(3,GF(2))", "M(2,GF(4))", "M(2,Z(4))", "UT(4,Z(2))", "GF(256)", "B(8)",
+                   "GF(16) x GF(16)")),
+    *(["unit-sum", "--ring", ring, "--json"]
+      for ring in ("M(2,GF(16))", "M(3,GF(3))", "UT(4,GF(4))")),
+    ["report", "--ring", "B(16)", "--json"],
+    ["report", "--ring", "B(20)", "--json"],
+    ["report", "--ring", "UT(3,GF(16))", "--skip-radical", "--json"],
+    ["unit-sum", "--ring", "M(2,GF(8192))", "--json"],
+    ["enumerate", "8"],
+    ["verify", "--all", "--max-order", "8", "--json"],
+]
+
+
+def _stable(doc):
+    """`doc` without its volatile keys, at every depth."""
+    if isinstance(doc, dict):
+        return {k: _stable(v) for k, v in doc.items() if k not in ("timings", "elapsed_seconds")}
+    if isinstance(doc, list):
+        return [_stable(v) for v in doc]
+    return doc
+
+
+def digest(argv) -> tuple[int, str]:
+    """(exit code, sha256 of the stable stdout followed by stderr) of one command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(list(argv))
+    text = out.getvalue()
+    try:
+        text = json.dumps(_stable(json.loads(text)), sort_keys=True)
+    except json.JSONDecodeError:
+        pass
+    return code, hashlib.sha256((text + "\0" + err.getvalue()).encode()).hexdigest()
+
+
+if __name__ == "__main__":
+    for argv in COMMANDS:
+        code, sha = digest(argv)
+        print(code, sha, shlex.join(argv), flush=True)

@@ -14,10 +14,11 @@ a in J by the one-sided criterion {a : 1 - x*a is a unit for every x}
 of index t gives a strictly falling chain R > aR > ... > a^t R = 0 of
 additive subgroups (if a^i R = a^(i+1) R, then a^i R = a^t R = 0), each at
 most half the one before, so t <= log2 n in a ring of order n, and a is
-nilpotent iff its 2^k-th power is 0 for 2^k >= floor(log2 n).  So the
-test is k squarings of the table's diagonal and one pass over the table,
-O(n^2), against O(n^3) for the two-sided 1 - x*a*y scan, which the tests
-keep as the reference.
+nilpotent iff its 2^k-th power is 0 for 2^k >= floor(log2 n).  Every
+member a = 1*a is itself nilpotent, so only the columns of the nilpotent
+set N are candidates: k squarings of the table's diagonal and one pass
+over those columns, O(n*|N|), against O(n^3) for the two-sided 1 - x*a*y
+scan, which the tests keep as the reference.
 
 Dense routes (unit group, radical) read the numpy tables of
 `finring.rings`, up to TABLE_CAP (order 4096).  Above it the unit census
@@ -97,11 +98,14 @@ def _as_index(r: Ring, x) -> int:
 
 
 def characteristic(r: Ring) -> int:
-    """The additive order of one: least k >= 1 with k*one = zero."""
-    acc, k = r.one, 1
-    while acc != 0:
-        acc = r.add(acc, r.one)
-        k += 1
+    """The additive order of one: least k >= 1 with k*one = zero.  It divides
+    |R|, so for each p^e exactly dividing |R|, x = (|R| / p^e)*one has order
+    k's p-part, the power of p that multiplying x by p takes to reach zero."""
+    k = 1
+    for p, e in factorize(r.order):
+        x = _multiple(r.add, r.one, r.order // p ** e)
+        while x != r.zero:
+            x, k = _multiple(r.add, x, p), k * p
     return k
 
 
@@ -166,15 +170,14 @@ def is_unit(r: Ring, x) -> Elem | None:
     return None if inv is None else Elem(r, inv)
 
 
-def unit_group(r: Ring) -> UnitGroupSummary:
-    """Every unit of the ring, with count and elementwise sum.
+def _dense_units(r: Ring) -> tuple[np.ndarray, int]:
+    """(sorted unit indices, index of their sum), read from the dense tables.
 
-    Units, their inverses and the group laws are read from the dense
-    multiplication table alone: one-sided and two-sided units agree, one
-    is in the set, the set is closed under multiplication, and each
-    unit's table inverse is two-sided.  The tests compare the inverses
-    with `inverse_index`.  Rings larger than TABLE_CAP raise BudgetError
-    from `tables()`; `unit_census` answers them from their construction.
+    Units, their inverses and the group laws come from the multiplication
+    table alone: one-sided and two-sided units agree, one is in the set,
+    the set is closed under multiplication, and each unit's table inverse
+    is two-sided.  The sum adds the units pairwise through the add table.
+    Rings larger than TABLE_CAP raise BudgetError from `tables()`.
     """
     add, mul = r.tables()
     is_one = mul == r.one
@@ -186,20 +189,29 @@ def unit_group(r: Ring) -> UnitGroupSummary:
     units = np.flatnonzero(umask)
     inverses = np.empty(len(units), dtype=np.intp)
     for block in row_blocks(len(units), r.order):
-        rows = mul[units[block]]
-        open_pairs = np.argwhere(~umask[rows[:, units]])
-        if len(open_pairs):
-            i, j = open_pairs[0]
+        if not umask[mul[units[block]].take(units, axis=1)].all():
+            i, j = np.argwhere(~umask[mul[units[block]].take(units, axis=1)])[0]
             raise ConstructionError(f"{r.name}: units not closed under multiplication at "
                                     f"({units[block][i]},{units[j]})")
-        inverses[block] = np.argmax(rows == r.one, axis=1)
+        inverses[block] = np.argmax(is_one[units[block]], axis=1)
     one_sided = np.flatnonzero(mul[inverses, units] != r.one)
     if len(one_sided):
         raise ConstructionError(
             f"{r.name}: unit {units[one_sided[0]]} lacks a two-sided inverse in the set")
-    total = r.zero
-    for u in units.tolist():
-        total = int(add[total, u])
+    total = units
+    while len(total) > 1:  # + is associative and commutative: add in pairs, odd one last
+        total = np.append(add[total[0:-1:2], total[1::2]], total[len(total) // 2 * 2:])
+    return units, int(total[0])
+
+
+def unit_group(r: Ring) -> UnitGroupSummary:
+    """Every unit of the ring, with count and elementwise sum (`_dense_units`).
+
+    The tests compare the table inverses with `inverse_index`.  Rings
+    larger than TABLE_CAP raise BudgetError from `tables()`;
+    `unit_census` answers them from their construction.
+    """
+    units, total = _dense_units(r)
     return UnitGroupSummary(units=[Elem(r, u) for u in units.tolist()], count=len(units),
                             sum=Elem(r, total), closure_verified=True)
 
@@ -268,8 +280,8 @@ def _signature(r: Ring) -> tuple[int, list[tuple[int, int]]]:
 
 
 def _dense_census(r: Ring) -> tuple[int, int]:
-    summary = unit_group(r)
-    return summary.count, summary.sum.index
+    units, total = _dense_units(r)
+    return len(units), total
 
 
 def _element_sum(r: Ring) -> int:
@@ -338,7 +350,7 @@ def _unit_census(r: Ring) -> tuple[int, int]:
 
 
 def unit_census(r: Ring) -> tuple[int, Elem]:
-    """(unit count, unit sum): `unit_group` at or below TABLE_CAP, and above it
+    """(unit count, unit sum): `_dense_units` at or below TABLE_CAP, and above it
     the structural census, read off the ring's construction with no tables."""
     count, total = _unit_census(r)
     return count, Elem(r, total)
@@ -359,14 +371,13 @@ def unit_first_column_classes(r: MatrixRing) -> dict[tuple[int, ...], int]:
 
     Returns {first-column entries: class size} over all invertible
     matrices, in lexicographic order of the columns, read off the dense
-    `unit_group` (so a ring above TABLE_CAP raises BudgetError).  The
-    classes partition the general linear group, which is how the
-    even-count argument for characteristic-2 fields proceeds.
+    unit indices of `_dense_units` (so a ring above TABLE_CAP raises
+    BudgetError).  The classes partition the general linear group, which
+    is how the even-count argument for characteristic-2 fields proceeds.
     """
     if not isinstance(r, MatrixRing) or r.kind != "matrix":
         raise ConstructionError("first-column classes are defined for full matrix rings")
-    units = [u.index for u in unit_group(r).units]
-    first = digit_array(units, r.radices)[:, ::r.n]  # cell (i, 0) is digit i*n
+    first = digit_array(_dense_units(r)[0], r.radices)[:, ::r.n]  # cell (i, 0) is digit i*n
     cols, sizes = np.unique(first, axis=0, return_counts=True)
     return dict(zip(map(tuple, cols.tolist()), sizes.tolist()))
 
@@ -408,9 +419,9 @@ def jacobson_radical(r: Ring) -> RadicalSummary:
     nilpotent index is at most floor(log2 order) (module docstring), so the
     nilpotent elements are those whose 2^k-th power is zero for the least k
     with 2^k >= floor(log2 order), found by k gathers through the table's
-    diagonal; a is a member iff the column `nil[mul[:, a]]` is all true, and
-    the columns go in blocks.  The ideal property of the result is verified
-    before returning.
+    diagonal; a nilpotent a (no other can be, as a = 1*a) is a member iff
+    the column `nil[mul[:, a]]` is all true, and the columns go in blocks.
+    The ideal property of the result is verified before returning.
     """
     n = r.order
     add, mul = r.tables()
@@ -418,9 +429,9 @@ def jacobson_radical(r: Ring) -> RadicalSummary:
     for _ in range((n.bit_length() - 2).bit_length()):
         power = square[power]
     nil = power == r.zero
-    mmask = np.empty(n, dtype=bool)
-    for cols in row_blocks(n, n):
-        mmask[cols] = nil[mul[:, cols]].all(axis=0)
+    cand, mmask = np.flatnonzero(nil), np.zeros(n, dtype=bool)
+    for cols in row_blocks(len(cand), n):
+        mmask[cand[cols]] = nil[mul.take(cand[cols], axis=1)].all(axis=0)
     _check_ideal(add, mul, mmask, f"{r.name}: radical")
     members = np.flatnonzero(mmask).tolist()
     return RadicalSummary(members=[Elem(r, a) for a in members], is_zero=(members == [0]))

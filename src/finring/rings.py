@@ -779,12 +779,16 @@ class QuotientRing(TableRingStructure):
         # least member, and np.unique labels the names in increasing order.
         reps, coset = np.unique(padd[:, members].min(axis=1), return_inverse=True)
         coset = coset.astype(np.int32)
-        grid = np.ix_(reps, reps)
+        qadd, qmul = (np.empty((len(reps), len(reps)), dtype=np.int32) for _ in range(2))
+        for q, t in ((qadd, padd), (qmul, pmul)):
+            for b in row_blocks(len(reps), n):
+                # reps are in range, so mode="clip" only lets take fill q unbuffered
+                np.take(t[reps[b]], reps, axis=1, out=q[b], mode="clip")
+                q[b] = coset[q[b]]
         self.parent = parent
         self.ideal = tuple(members)
         self.reps = tuple(reps.tolist())
-        super().__init__(coset[padd[grid]], coset[pmul[grid]], int(coset[parent.one]),
-                         name or f"{parent.name}/I")
+        super().__init__(qadd, qmul, int(coset[parent.one]), name or f"{parent.name}/I")
 
     def pretty(self, index):
         return self.parent.pretty(self.reps[index])
@@ -798,15 +802,19 @@ def _check_ideal(add, mul, mask, subject: str) -> None:
     """Check that the elements where `mask` holds are closed under + and absorb
     multiplication on both sides; a ConstructionError names the first failure
     in row-major order: "<subject> not closed under addition at (a,b)", "not
-    absorbing on the left at (r,a)" or "not absorbing on the right at (a,r)"."""
+    absorbing on the left at (r,a)" or "not absorbing on the right at (a,r)".
+    Each check reads its rows in blocks of about _BLOCK_ENTRIES entries."""
     members, everything = np.flatnonzero(mask), np.arange(len(mask))
-    for what, table, xs, ys in (("not closed under addition", add, members, members),
-                                ("not absorbing on the left", mul, everything, members),
-                                ("not absorbing on the right", mul, members, everything)):
-        bad = np.argwhere(~mask[table[np.ix_(xs, ys)]])
-        if bad.size:
-            i, j = bad[0]
-            raise ConstructionError(f"{subject} {what} at ({xs[i]},{ys[j]})")
+    for what, xs, ys, rows in (
+            ("not closed under addition", members, members,
+             lambda b: add[members[b]].take(members, axis=1)),
+            ("not absorbing on the left", everything, members,
+             lambda b: mul[b].take(members, axis=1)),
+            ("not absorbing on the right", members, everything, lambda b: mul[members[b]])):
+        for b in row_blocks(len(xs), len(mask)):
+            if not mask[rows(b)].all():
+                i, j = np.argwhere(~mask[rows(b)])[0]
+                raise ConstructionError(f"{subject} {what} at ({xs[b][i]},{ys[j]})")
 
 
 def _axiom_fail(axiom: str, witness: str):

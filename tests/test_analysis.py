@@ -110,6 +110,32 @@ def test_characteristic(build, want):
     assert characteristic(build()) == want
 
 
+def _characteristic_by_steps(r):
+    """Oracle: add one to itself until the sum is zero."""
+    acc, k = r.one, 1
+    while acc != r.zero:
+        acc, k = r.add(acc, r.one), k + 1
+    return k
+
+
+def test_characteristic_matches_the_stepwise_oracle(enum_raw):
+    # prime by prime against one step at a time: every pinned structural
+    # ring and every raw ring of order <= 8
+    rs = [parse_ring(e) for e in _structural_cases()]
+    rs += [r for n in sorted(enum_raw) for r in enum_raw[n]]
+    for r in rs:
+        assert characteristic(r) == _characteristic_by_steps(r), r.name
+
+
+def test_characteristic_reads_one_prime_at_a_time(monkeypatch):
+    # Z(1000) x Z(999) has characteristic 999000: a few hundred adds, not one per step
+    calls = []
+    add = rings.ProductRing.add
+    monkeypatch.setattr(rings.ProductRing, "add", lambda s, a, b: calls.append(1) or add(s, a, b))
+    assert characteristic(parse_ring("Z(1000) x Z(999)")) == 999000
+    assert len(calls) < 500
+
+
 # ---------------------------------------------------------------------------
 # commutativity and booleanness
 
@@ -531,7 +557,7 @@ def test_unit_count_factors_through_the_radical(enum_raw):
 
 
 @pytest.mark.parametrize("expr, size", [("GF(4096)", 1), ("M(2,GF(8))", 1),
-                                        ("UT(3,GF(4))", 64)])
+                                        ("UT(3,GF(4))", 64), ("Z(4096)", 2048), ("B(12)", 1)])
 def test_radical_at_the_table_cap_matches_the_one_sided_scan(expr, size):
     r = parse_ring(expr)
     assert r.order == rings.TABLE_CAP
@@ -721,6 +747,19 @@ def test_booleanness_reads_no_element_above_the_table_cap(expr, monkeypatch):
     assert r.order > rings.TABLE_CAP
     assert is_boolean(r)
     assert calls == []
+
+
+@pytest.mark.parametrize("census, expr, elems", [(unit_count, "M(3,GF(2))", 0),
+                                                  (unit_census, "GF(256)", 1)])
+def test_dense_census_builds_no_element_per_unit(census, expr, elems, monkeypatch):
+    # the units stay an index array: unit_census wraps only the sum in an Elem
+    calls = []
+    init = rings.Elem.__init__
+    monkeypatch.setattr(rings.Elem, "__init__", lambda s, *a: calls.append(1) or init(s, *a))
+    r = parse_ring(expr)
+    assert r.order <= rings.TABLE_CAP
+    census(r)
+    assert len(calls) == elems
 
 
 @pytest.mark.slow

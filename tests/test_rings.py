@@ -16,6 +16,7 @@ from finring import (
     Elem,
     additive_invariant_factors,
     enumerate_unital_rings,
+    is_commutative,
     jacobson_radical,
     least_irreducible,
     make_boolean,
@@ -817,6 +818,53 @@ def test_check_ideal_names_the_first_witness():
                         "S not absorbing on the left", "S not absorbing on the right"}
 
 
+def _check_ideal_by_grid(add, mul, mask, subject):
+    """Oracle: `rings._check_ideal` as one np.ix_ grid and one argwhere per
+    check, read whole with no row blocks."""
+    members, everything = np.flatnonzero(mask), np.arange(len(mask))
+    for what, table, xs, ys in (("not closed under addition", add, members, members),
+                                ("not absorbing on the left", mul, everything, members),
+                                ("not absorbing on the right", mul, members, everything)):
+        bad = np.argwhere(~mask[table[np.ix_(xs, ys)]])
+        if bad.size:
+            i, j = bad[0]
+            raise ConstructionError(f"{subject} {what} at ({xs[i]},{ys[j]})")
+
+
+def _ideal_message(check, add, mul, mask):
+    try:
+        check(add, mul, mask, "S")
+    except ConstructionError as exc:
+        return str(exc)
+    return None
+
+
+@pytest.mark.parametrize("entries", [1, 100])
+@pytest.mark.parametrize("expr", ["M(2,Z(4))", "UT(3,Z(2))", "raw order 8"])
+def test_blocked_ideal_check_matches_the_grid(expr, entries, enum_raw, monkeypatch):
+    # doctored masks that fail each check: a*R fails left absorption, R*a
+    # right absorption, and R*a less its greatest member (with 3 or more
+    # members) addition.  Row 0 passes every check, so with one-row blocks
+    # (entries = 1) each failure is found in a later block.
+    r = (next(r for r in enum_raw[8] if not is_commutative(r)) if expr == "raw order 8"
+         else parse_ring(expr))
+    add, mul = r.tables()
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", entries)
+    kinds = set()
+    for a in random.Random(3).sample(range(r.order), min(r.order, 24)):
+        for members in (mul[a], mul[:, a], np.unique(mul[:, a])[:-1]):
+            mask = np.zeros(r.order, dtype=bool)
+            mask[members] = True
+            mask[0] = True
+            want = _ideal_message(_check_ideal_by_grid, add, mul, mask)
+            assert _ideal_message(rings._check_ideal, add, mul, mask) == want, (a, members)
+            if want:
+                kinds.add(want.split(" at ")[0])
+                assert not want.split(" at (")[1].startswith("0,")
+    assert kinds == {"S not closed under addition", "S not absorbing on the left",
+                     "S not absorbing on the right"}
+
+
 def test_quotient_rejects_foreign_elements():
     z4, z6 = make_zn(4), make_zn(6)
     with pytest.raises(RingMismatchError):
@@ -847,14 +895,15 @@ def _quotient_oracle(parent, ideal):
     return reps, coset(parent.one), add, mul, neg
 
 
-def test_quotient_tables_match_generic():
+def test_quotient_tables_match_generic(monkeypatch):
     ut2, ut3 = (make_triangular_ring(n, make_zn(2)) for n in (2, 3))
     m24 = make_matrix_ring(2, make_zn(4))
     twice = sorted({m24.add(x, x) for x in range(m24.order)})  # 2 M(2,Z(4))
     cases = [(make_zn(12), [0, 6]), (make_zn(12), [0, 4, 8]), (ut2, [0, 2]),
              (ut3, [e.index for e in jacobson_radical(ut3).members]), (m24, twice),
              (make_gf(4), [0]), (make_gf(4), range(4))]
-    for parent, ideal in cases:
+    for entries, (parent, ideal) in itertools.product((rings._BLOCK_ENTRIES, 40), cases):
+        monkeypatch.setattr(rings, "_BLOCK_ENTRIES", entries)  # 40: tables in row blocks
         q = quotient_ring(parent, ideal)
         reps, one, add, mul, neg = _quotient_oracle(parent, ideal)
         assert list(q.reps) == reps and q.one == one, parent.name

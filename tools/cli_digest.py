@@ -28,6 +28,10 @@ COMMANDS = [
     ["report", "--ring", "B(20)", "--json"],
     ["report", "--ring", "UT(3,GF(16))", "--skip-radical", "--json"],
     ["unit-sum", "--ring", "M(2,GF(8192))", "--json"],
+    # dense kernels at the table cap: the most nilpotent columns (Z(4096)),
+    # a radical of 1 (M(2,GF(8)), B(12)) and a strictly upper one (UT(3,GF(4)))
+    *(["report", "--ring", ring, "--json"]
+      for ring in ("Z(4096)", "M(2,GF(8))", "UT(3,GF(4))", "B(12)")),
     ["enumerate", "8"],
     ["verify", "--all", "--max-order", "8", "--json"],
 ]

@@ -170,16 +170,16 @@ def is_unit(r: Ring, x) -> Elem | None:
     return None if inv is None else Elem(r, inv)
 
 
-def _dense_units(r: Ring) -> tuple[np.ndarray, int]:
-    """(sorted unit indices, index of their sum), read from the dense tables.
+def _dense_units(r: Ring) -> np.ndarray:
+    """The sorted unit indices, read from the dense multiplication table.
 
-    Units, their inverses and the group laws come from the multiplication
-    table alone: one-sided and two-sided units agree, one is in the set,
-    the set is closed under multiplication, and each unit's table inverse
-    is two-sided.  The sum adds the units pairwise through the add table.
-    Rings larger than TABLE_CAP raise BudgetError from `tables()`.
+    Units, their inverses and the group laws come from that table alone:
+    one-sided and two-sided units agree, one is in the set, the set is
+    closed under multiplication, and each unit's table inverse is
+    two-sided.  No sum is taken (`_unit_total` adds the units up).  Rings
+    larger than TABLE_CAP raise BudgetError from `tables()`.
     """
-    add, mul = r.tables()
+    mul = r.tables()[1]
     is_one = mul == r.one
     umask = is_one.any(axis=1)
     if not (umask == is_one.any(axis=0)).all():
@@ -198,22 +198,27 @@ def _dense_units(r: Ring) -> tuple[np.ndarray, int]:
     if len(one_sided):
         raise ConstructionError(
             f"{r.name}: unit {units[one_sided[0]]} lacks a two-sided inverse in the set")
-    total = units
+    return units
+
+
+def _unit_total(r: Ring, units: np.ndarray) -> int:
+    """Index of the sum of `_dense_units`, added through the add table."""
+    add, total = r.tables()[0], units
     while len(total) > 1:  # + is associative and commutative: add in pairs, odd one last
         total = np.append(add[total[0:-1:2], total[1::2]], total[len(total) // 2 * 2:])
-    return units, int(total[0])
+    return int(total[0])
 
 
 def unit_group(r: Ring) -> UnitGroupSummary:
-    """Every unit of the ring, with count and elementwise sum (`_dense_units`).
+    """Every unit of the ring (`_dense_units`), with count and elementwise sum.
 
     The tests compare the table inverses with `inverse_index`.  Rings
     larger than TABLE_CAP raise BudgetError from `tables()`;
     `unit_census` answers them from their construction.
     """
-    units, total = _dense_units(r)
+    units = _dense_units(r)
     return UnitGroupSummary(units=[Elem(r, u) for u in units.tolist()], count=len(units),
-                            sum=Elem(r, total), closure_verified=True)
+                            sum=Elem(r, _unit_total(r, units)), closure_verified=True)
 
 
 def _matrix_inverse(r: MatrixRing, a: int) -> int | None:
@@ -280,8 +285,8 @@ def _signature(r: Ring) -> tuple[int, list[tuple[int, int]]]:
 
 
 def _dense_census(r: Ring) -> tuple[int, int]:
-    units, total = _dense_units(r)
-    return len(units), total
+    units = _dense_units(r)
+    return len(units), _unit_total(r, units)
 
 
 def _element_sum(r: Ring) -> int:
@@ -357,8 +362,8 @@ def unit_census(r: Ring) -> tuple[int, Elem]:
 
 
 def unit_count(r: Ring) -> int:
-    """Number of units: dense at or below TABLE_CAP, structural above it (see `unit_census`)."""
-    return _unit_census(r)[0]
+    """Number of units: `_dense_units`, no sum, at or below TABLE_CAP; structural above it."""
+    return len(_dense_units(r)) if r.order <= TABLE_CAP else _structural_census(r)[0]
 
 
 def unit_sum(r: Ring) -> Elem:
@@ -377,7 +382,7 @@ def unit_first_column_classes(r: MatrixRing) -> dict[tuple[int, ...], int]:
     """
     if not isinstance(r, MatrixRing) or r.kind != "matrix":
         raise ConstructionError("first-column classes are defined for full matrix rings")
-    first = digit_array(_dense_units(r)[0], r.radices)[:, ::r.n]  # cell (i, 0) is digit i*n
+    first = digit_array(_dense_units(r), r.radices)[:, ::r.n]  # cell (i, 0) is digit i*n
     cols, sizes = np.unique(first, axis=0, return_counts=True)
     return dict(zip(map(tuple, cols.tolist()), sizes.tolist()))
 

@@ -15,6 +15,7 @@ is UTF-8; `--json` switches the stable machine-readable schema on.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -208,6 +209,7 @@ def cmd_verify(args) -> int:
 # argument wiring
 
 
+@functools.cache  # one parser per process; parse_args keeps no state between calls
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="finring",

@@ -463,7 +463,7 @@ def _leaf_mul(ctx: _ShapeContext, consts, one: int) -> np.ndarray:
     return mul
 
 
-# Unital leaves of a raw walk are built and screened this many at a time.
+# Raw-walk leaves are built and screened, and expanded tables built, this many at a time.
 # At order 16 a leaf's temporaries (the int16 digit products of `_full_mul`,
 # the screen's gathers and their intp indices) take about 4 KB, so a batch
 # peaks near 0.5 MB, below what the rest of a search holds.
@@ -561,15 +561,19 @@ def _expanded_tables(ctx: _ShapeContext, reverse: bool):
     that keeps the unity g_0, so they share a Stab(g_0)-orbit, and each
     leaf `_new_orbits` yields starts a new Aut(G)-orbit.  The raw tree's
     candidate lists ascend (descend), so its leaves come in the order of
-    their constant tuples, which sorting the expansion restores.
+    their constant tuples, which sorting the expansion restores.  The sorted
+    tables are built _LEAF_BATCH at a time, one `_full_mul` stack each.
     """
     autos, inverses = _shape_automorphisms(ctx)
     images = autos[:, ctx.gens[0]].tolist()
     unity: dict[bytes, int] = {}
     for _, mul, _ in _new_orbits(ctx, _dfs_stream(ctx, pinned=True)):
         unity.update(zip(map(bytes, _relabeled_constants(ctx, mul, autos, inverses)), images))
-    for key in sorted(unity, reverse=reverse):
-        yield _full_mul(ctx, np.frombuffer(key, dtype=np.uint8)), unity[key]
+    keys = sorted(unity, reverse=reverse)
+    for start in range(0, len(keys), _LEAF_BATCH):
+        chunk = keys[start:start + _LEAF_BATCH]
+        consts = np.frombuffer(b"".join(chunk), dtype=np.uint8).reshape(len(chunk), -1)
+        yield from zip(_full_mul(ctx, consts), map(unity.__getitem__, chunk))
 
 
 def _class_tables(ctx: _ShapeContext, assignments, reverse: bool):

@@ -440,7 +440,11 @@ def _t8_direct(r):
 
 
 def _t9_claim(r):
-    members = [e.index for e in jacobson_radical(r).members]
+    """A witness if J(R/J(R)) != 0.  R/0 is R, so a quotient is built only when J(R) != 0."""
+    radical = jacobson_radical(r)
+    if radical.is_zero:
+        return None
+    members = [e.index for e in radical.members]
     rad = jacobson_radical(quotient_ring(r, members, name=f"{r.name}/J"))
     if not rad.is_zero:
         return {"radical": members, "quotient_radical": [e.index for e in rad.members]}

@@ -762,6 +762,44 @@ def test_dense_census_builds_no_element_per_unit(census, expr, elems, monkeypatc
     assert len(calls) == elems
 
 
+def test_unit_count_takes_no_unit_sum(enum_raw, monkeypatch):
+    # the count is the length of the dense unit array: nothing adds the units up
+    def refuse(r, units):
+        raise AssertionError(f"unit_count summed the units of {r.name}")
+    monkeypatch.setattr(analysis, "_unit_total", refuse)
+    rs = [parse_ring(e) for e in ("M(3,GF(2))", "GF(256)", "B(12)")]
+    for r in rs + [r for by_order in enum_raw.values() for r in by_order]:
+        assert r.order <= rings.TABLE_CAP
+        unit_count(r)
+
+
+def test_unit_count_matches_the_census_and_the_group(enum_raw):
+    rs = [parse_ring(e) for e in _structural_cases()]
+    for r in rs + [r for by_order in enum_raw.values() for r in by_order]:
+        assert unit_count(r) == unit_census(r)[0] == unit_group(r).count, r.name
+
+
+def _doctored(n, cells):
+    """Z(n)'s tables as a table ring, with mul[a, b] = c for each (a, b, c)."""
+    add, mul = (t.copy() for t in make_zn(n).tables())
+    for a, b, c in cells:
+        mul[a, b] = c
+    return rings.TableRingStructure(add, mul, 1, "doctored")
+
+
+@pytest.mark.parametrize("n, cells, message", [
+    (4, [(2, 3, 1)], "one-sided and two-sided units disagree"),
+    (4, [(1, 1, 0)], "one is missing from the unit set"),
+    (5, [(2, 2, 0)], r"units not closed under multiplication at \(2,2\)"),
+    (5, [(2, 1, 1)], "unit 2 lacks a two-sided inverse in the set"),
+])
+def test_every_dense_unit_route_checks_the_group_laws(n, cells, message):
+    # unit_count, which takes no sum, fails on a doctored table as unit_group does
+    for census in (unit_count, unit_census, unit_group):
+        with pytest.raises(ConstructionError, match=f"^doctored: {message}$"):
+            census(_doctored(n, cells))
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("expr", ["M(2,GF(32))", "M(4,GF(2))", "M(2,Z(25))", "UT(1,B(20))"])
 def test_structural_census_matches_the_oracles_up_to_the_stream_bound(expr):

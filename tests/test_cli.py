@@ -1,12 +1,14 @@
 """Command-line interface: argument handling, document schemas, exit codes."""
 
+import argparse
 import hashlib
 import json
 
 import pytest
 
 from finring import parse_table_ring, read_ring_file, theorems
-from finring.cli import EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VERIFY_FAIL, main
+from finring.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VERIFY_FAIL, build_parser,
+                         main)
 
 
 @pytest.fixture
@@ -85,6 +87,22 @@ def test_report_construction_error_is_usage(cli):
     code, _, err = cli("report", "--ring", "GF(6)")
     assert code == EXIT_USAGE
     assert "prime power" in err
+
+
+def test_main_builds_the_parser_once(cli, monkeypatch):
+    # every call parses with one parser object, and a usage error made
+    # twice in a row exits 2 with the same stderr both times
+    parsers = []
+    parse_args = argparse.ArgumentParser.parse_args
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_args",
+                        lambda s, *a, **k: parsers.append(s) or parse_args(s, *a, **k))
+    assert cli("gl-order", "2", "2")[0] == EXIT_OK
+    assert cli("gl-order", "2", "3")[0] == EXIT_OK
+    assert len(parsers) == 2 and parsers[0] is parsers[1] is build_parser()
+    for argv in (["report"], ["verify"], ["gl-order", "two", "2"]):
+        (code, out, err), again = cli(*argv), cli(*argv)
+        assert code == EXIT_USAGE and out == "" and err.startswith("usage: finring"), argv
+        assert again == (code, out, err), argv
 
 
 # sha256 of each --json document with "timings" dropped (keys sorted),

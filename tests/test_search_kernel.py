@@ -489,6 +489,22 @@ def test_expanded_tables_match_raw_search(reverse):
         assert expanded == raw, factors
 
 
+@pytest.mark.parametrize("reverse", [False, True], ids=["forward", "reversed"])
+def test_expanded_tables_do_not_depend_on_the_chunk_size(reverse, monkeypatch):
+    # tables built one, three and _LEAF_BATCH at a time: the same stream, byte
+    # for byte, on every shape of orders 2..12 and the four finished order-16 shapes
+    def stream(ctx, chunk):
+        monkeypatch.setattr(enumeration, "_LEAF_BATCH", chunk)
+        return [(mul.dtype.str, mul.shape, bytes(mul), one)
+                for mul, one in _expanded_tables(ctx, reverse)]
+    for factors in _shapes(range(2, 13)) + [(16,), (8, 2), (4, 4), (4, 2, 2)]:
+        ctx = _shape_context(factors)
+        want = stream(ctx, _LEAF_BATCH)
+        assert want and all(dtype == "|u1" and shape == (ctx.order ** 2,)
+                            for dtype, shape, _, _ in want), factors
+        assert stream(ctx, 1) == stream(ctx, 3) == want, factors
+
+
 # ---------------------------------------------------------------------------
 # pinned node counts
 

@@ -49,6 +49,21 @@ def test_population_counts_pinned(reports):
     assert {r.check_id: r.population_count for r in reports} == POPULATION_AT_8
 
 
+def test_t9_builds_a_quotient_only_for_a_nonzero_radical(monkeypatch):
+    # R/0 is R, so a semisimple ring needs no quotient: one QuotientRing per
+    # population ring with J != 0 (24 of the 72), none for the others
+    items, _, _ = theorems.CHECKS["T9"].population(8, None, {})
+    radical = sum(not analysis.jacobson_radical(r).is_zero for _, r in items)
+    built = []
+    init = rings.QuotientRing.__init__
+    monkeypatch.setattr(rings.QuotientRing, "__init__",
+                        lambda s, *a, **k: built.append(1) or init(s, *a, **k))
+    report = run_check("T9", max_order=8)
+    assert report.passed and report.complete
+    assert report.population_count == len(items) == 72
+    assert len(built) == radical == 24
+
+
 @pytest.mark.parametrize("check_id", ["T5", "T6", "T8"])
 def test_formula_checks_never_read_the_structural_census(check_id, monkeypatch):
     # T5, T6 and T8 test closed forms by brute force, so the census they

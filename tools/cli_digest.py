@@ -33,7 +33,12 @@ COMMANDS = [
     *(["report", "--ring", ring, "--json"]
       for ring in ("Z(4096)", "M(2,GF(8))", "UT(3,GF(4))", "B(12)")),
     ["enumerate", "8"],
+    ["enumerate", "8", "--up-to-iso"],
     ["verify", "--all", "--max-order", "8", "--json"],
+    # usage errors, the first one twice: main parses every command with one parser
+    ["report"],
+    ["report"],
+    ["verify"],
 ]
 
 

@@ -21,16 +21,18 @@ over those columns, O(n*|N|), against O(n^3) for the two-sided 1 - x*a*y
 scan, which the tests keep as the reference.
 
 Dense routes (unit group, radical) read the numpy tables of
-`finring.rings`, up to TABLE_CAP (order 4096).  Above it the unit census
-is structural, with no order bound: from the construction it reads
-sigma(R) = (|J(R)|, [(n_i, q_i)]), R/J(R) = prod M(n_i, GF(q_i)), so
-|U(R)| = |J| * prod |GL(n_i, q_i)|, and the unit sum (`_structural_census`).
-T5, T6 and T8 check those formulas by brute force within the cap, where
-the dense route answers.  Everything operates on integer element indices
-and is a pure function of the ring, so results are deterministic and
-safe to compute concurrently.  Exhaustive scans (unit groups and radicals
-up to TABLE_CAP) raise BudgetError past their bounds rather than silently
-truncating.
+`finring.rings`, up to TABLE_CAP (order 4096).  The unit census takes one
+route per ring kind, at every order: a constructed ring (Z, GF, product,
+M, UT) is structural, with no order bound and no table; from the
+construction it reads sigma(R) = (|J(R)|, [(n_i, q_i)]),
+R/J(R) = prod M(n_i, GF(q_i)), so |U(R)| = |J| * prod |GL(n_i, q_i)|, and
+the unit sum (`_structural_census`).  A table or quotient ring reads its
+table (`_dense_units`).  T3, T5, T6 and T8 check those formulas against
+`unit_group`, the brute-force enumeration.  Everything operates on
+integer element indices and is a pure function of the ring, so results
+are deterministic and safe to compute concurrently.  Exhaustive scans
+(unit groups and radicals up to TABLE_CAP) raise BudgetError past their
+bounds rather than silently truncating.
 """
 
 from __future__ import annotations
@@ -49,6 +51,7 @@ from .rings import (
     MatrixRing,
     ProductRing,
     Ring,
+    TableRingStructure,
     ZnRing,
     _check_ideal,
     _multiple,
@@ -214,7 +217,7 @@ def unit_group(r: Ring) -> UnitGroupSummary:
 
     The tests compare the table inverses with `inverse_index`.  Rings
     larger than TABLE_CAP raise BudgetError from `tables()`;
-    `unit_census` answers them from their construction.
+    `unit_census` answers constructed rings from their construction.
     """
     units = _dense_units(r)
     return UnitGroupSummary(units=[Elem(r, u) for u in units.tolist()], count=len(units),
@@ -284,11 +287,6 @@ def _signature(r: Ring) -> tuple[int, list[tuple[int, int]]]:
                           for e in atoms.tolist()]
 
 
-def _dense_census(r: Ring) -> tuple[int, int]:
-    units = _dense_units(r)
-    return len(units), _unit_total(r, units)
-
-
 def _element_sum(r: Ring) -> int:
     """Index of the sum of all elements of r: Z(m) sums to m(m-1)/2, GF(q) to 0
     unless q = 2; a product or matrix ring sums each part |R| / |part| times
@@ -347,28 +345,25 @@ def _structural_census(r: Ring) -> tuple[int, int]:
     if isinstance(r, (ZnRing, GFRing, MatrixRing)):
         j, parts = _signature(r)
         return j * math.prod(gl_order(n, q) for n, q in parts), (r.one if r.order <= 2 else 0)
-    return _dense_census(r)
-
-
-def _unit_census(r: Ring) -> tuple[int, int]:
-    return _dense_census(r) if r.order <= TABLE_CAP else _structural_census(r)
+    units = _dense_units(r)
+    return len(units), _unit_total(r, units)
 
 
 def unit_census(r: Ring) -> tuple[int, Elem]:
-    """(unit count, unit sum): `_dense_units` at or below TABLE_CAP, and above it
-    the structural census, read off the ring's construction with no tables."""
-    count, total = _unit_census(r)
+    """(unit count, unit sum): a constructed ring reads its construction at every
+    order, with no tables; a table or quotient ring reads `_dense_units`."""
+    count, total = _structural_census(r)
     return count, Elem(r, total)
 
 
 def unit_count(r: Ring) -> int:
-    """Number of units: `_dense_units`, no sum, at or below TABLE_CAP; structural above it."""
-    return len(_dense_units(r)) if r.order <= TABLE_CAP else _structural_census(r)[0]
+    """Number of units: `_dense_units`, no sum, for a table ring; structural otherwise."""
+    return len(_dense_units(r)) if isinstance(r, TableRingStructure) else _structural_census(r)[0]
 
 
 def unit_sum(r: Ring) -> Elem:
-    """Sum of all units: dense at or below TABLE_CAP, structural above it (see `unit_census`)."""
-    return Elem(r, _unit_census(r)[1])
+    """Sum of all units, by the route `unit_census` takes for the ring's kind."""
+    return Elem(r, _structural_census(r)[1])
 
 
 def unit_first_column_classes(r: MatrixRing) -> dict[tuple[int, ...], int]:

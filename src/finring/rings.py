@@ -349,11 +349,6 @@ class Ring:
     def element(self, index: int) -> Elem:
         return Elem(self, index)
 
-    def elements(self):
-        """Iterate over every element in index order."""
-        for i in range(self.order):
-            yield Elem(self, i)
-
     def pretty(self, index: int) -> str:
         return str(index)
 

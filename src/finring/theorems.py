@@ -43,7 +43,6 @@ from .analysis import (
     is_commutative,
     jacobson_radical,
     primitive_element,
-    unit_census,
     unit_count,
     unit_first_column_classes,
     unit_group,
@@ -310,7 +309,7 @@ def _t2_direct(r):
 
 
 def _t3_claim(r):
-    c = unit_count(r)
+    c = unit_group(r).count
     if c % 2 != 0:
         return {"unit_count": c}
     return None
@@ -362,7 +361,7 @@ def _t4_direct(f):
 def _t5_claim(r):
     n, q = r.n, r.base.order
     formula = gl_order(n, q)
-    brute = unit_count(r)
+    brute = unit_group(r).count
     if formula != brute:
         return {"n": n, "q": q, "formula": formula, "brute": brute}
     return None
@@ -377,11 +376,11 @@ def _t5_direct(r):
 
 
 def _t6_claim(r):
-    c, s = unit_census(r)
-    if c % 2 != 0:
-        return {"unit_count": c}
-    if s.index != r.zero:
-        return {"unit_sum": s.index}
+    ug = unit_group(r)
+    if ug.count % 2 != 0:
+        return {"unit_count": ug.count}
+    if ug.sum.index != r.zero:
+        return {"unit_sum": ug.sum.index}
     for col, size in unit_first_column_classes(r).items():
         if size % 2 != 0:
             return {"first_column": list(col), "class_size": size}
@@ -422,11 +421,11 @@ def _t8_expected(n):
 
 def _t8_claim(r):
     expected, expected_sum = _t8_expected(r.n)
-    c, s = unit_census(r)
-    if c != expected:
-        return {"unit_count": c, "expected": expected}
-    if s.index != expected_sum:
-        return {"unit_sum": s.index, "expected": expected_sum}
+    ug = unit_group(r)
+    if ug.count != expected:
+        return {"unit_count": ug.count, "expected": expected}
+    if ug.sum.index != expected_sum:
+        return {"unit_sum": ug.sum.index, "expected": expected_sum}
     return None
 
 

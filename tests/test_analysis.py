@@ -1,6 +1,7 @@
 """Structural analysis: characteristic, units, radical, field structure."""
 
 import functools
+import json
 import math
 import random
 
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import census_oracle
-from finring import analysis, rings, theorems
+from finring import analysis, cli, rings, theorems
 from finring import (
     BudgetError,
     ConstructionError,
@@ -749,17 +750,35 @@ def test_booleanness_reads_no_element_above_the_table_cap(expr, monkeypatch):
     assert calls == []
 
 
-@pytest.mark.parametrize("census, expr, elems", [(unit_count, "M(3,GF(2))", 0),
-                                                  (unit_census, "GF(256)", 1)])
+@pytest.mark.parametrize("census, expr, elems", [
+    (unit_count, "M(3,GF(2))", 0), (unit_census, "GF(256)", 1),
+    (unit_count, "table(M(3,GF(2)))", 0), (unit_census, "table(GF(256))", 1)])
 def test_dense_census_builds_no_element_per_unit(census, expr, elems, monkeypatch):
-    # the units stay an index array: unit_census wraps only the sum in an Elem
+    # the units stay an index array: unit_census wraps only the sum in an Elem;
+    # the table(X) copies (`_table_copy`) take the dense kernel, X its census
+    r = _table_copy(expr[len("table("):-1]) if expr.startswith("table(") else parse_ring(expr)
+    assert r.order <= rings.TABLE_CAP
     calls = []
     init = rings.Elem.__init__
     monkeypatch.setattr(rings.Elem, "__init__", lambda s, *a: calls.append(1) or init(s, *a))
-    r = parse_ring(expr)
-    assert r.order <= rings.TABLE_CAP
     census(r)
     assert len(calls) == elems
+
+
+def test_constructed_rings_read_no_table(monkeypatch, capsys):
+    # the census of a constructed ring reads its construction at every order,
+    # so not one of these builds or reads a dense table
+    rs = [parse_ring(e) for e in _structural_cases() + ["GF(4096)", "Z(4096)", "M(2,GF(8))"]]
+
+    def refuse(r):
+        raise AssertionError(f"{r.name} read its tables")
+    monkeypatch.setattr(rings.Ring, "tables", refuse)
+    for r in rs:
+        count, total = unit_census(r)
+        assert unit_count(r) == count and unit_sum(r) == total, r.name
+        assert is_division_ring(r) == (r.order > 1 and count == r.order - 1), r.name
+    assert cli.main(["unit-sum", "--ring", "GF(4096)", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["unit_count"] == 4095
 
 
 def test_unit_count_takes_no_unit_sum(enum_raw, monkeypatch):

@@ -64,10 +64,10 @@ def test_t9_builds_a_quotient_only_for_a_nonzero_radical(monkeypatch):
     assert len(built) == radical == 24
 
 
-@pytest.mark.parametrize("check_id", ["T5", "T6", "T8"])
+@pytest.mark.parametrize("check_id", ["T1", "T2", "T3", "T4", "T5", "T6", "T8"])
 def test_formula_checks_never_read_the_structural_census(check_id, monkeypatch):
-    # T5, T6 and T8 test closed forms by brute force, so the census they
-    # compare must come from the dense tables, never from the same formulas
+    # the unit checks test closed forms by brute force, so the units they
+    # count and sum come from unit_group, never from the same formulas
     def refuse(r):
         raise AssertionError(f"structural census fed {check_id} on {r.name}")
     monkeypatch.setattr(analysis, "_structural_census", refuse)
@@ -75,6 +75,19 @@ def test_formula_checks_never_read_the_structural_census(check_id, monkeypatch):
     report = run_check(check_id)
     assert report.passed and report.complete
     assert report.population_count == POPULATION_AT_8[check_id]
+
+
+def test_census_of_every_constructed_population_ring_matches_its_unit_group():
+    # the constructed rings of T1-T9 at max order 8: the standard families and
+    # the fixed T4, T5, T6 and T8 lists, each ring object once
+    items = theorems._family_population()
+    for cid in ("T4", "T5", "T6", "T8"):
+        items += theorems.CHECKS[cid].population(8, None, {})[0]
+    distinct = {id(r): r for _, r in items}
+    assert len(distinct) == 63
+    for r in distinct.values():
+        ug = analysis.unit_group(r)
+        assert analysis.unit_census(r) == (ug.count, ug.sum), r.name
 
 
 def test_run_all_shallow_scan_passes():

@@ -32,6 +32,11 @@ COMMANDS = [
     # a radical of 1 (M(2,GF(8)), B(12)) and a strictly upper one (UT(3,GF(4)))
     *(["report", "--ring", ring, "--json"]
       for ring in ("Z(4096)", "M(2,GF(8))", "UT(3,GF(4))", "B(12)")),
+    # constructed rings within the table cap, whose units the census reads
+    # off the construction: the zero ring, a composite base, a mixed product
+    *(["report", "--ring", ring, "--json"] for ring in ("Z(1)", "M(2,Z(1))", "UT(2,Z(6))")),
+    ["report", "--ring", "M(2,Z(6))", "--skip-radical", "--json"],
+    *(["unit-sum", "--ring", ring, "--json"] for ring in ("Z(2) x UT(2,Z(4))", "GF(4096)")),
     ["enumerate", "8"],
     ["enumerate", "8", "--up-to-iso"],
     ["verify", "--all", "--max-order", "8", "--json"],

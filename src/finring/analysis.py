@@ -51,7 +51,6 @@ from .rings import (
     MatrixRing,
     ProductRing,
     Ring,
-    TableRingStructure,
     ZnRing,
     _check_ideal,
     _multiple,
@@ -179,7 +178,8 @@ def _dense_units(r: Ring) -> np.ndarray:
     Units, their inverses and the group laws come from that table alone:
     one-sided and two-sided units agree, one is in the set, the set is
     closed under multiplication, and each unit's table inverse is
-    two-sided.  No sum is taken (`_unit_total` adds the units up).  Rings
+    two-sided.  No sum is taken: `_unit_total` adds the units up for
+    `unit_group` and for the census of a table or quotient ring.  Rings
     larger than TABLE_CAP raise BudgetError from `tables()`.
     """
     mul = r.tables()[1]
@@ -205,11 +205,11 @@ def _dense_units(r: Ring) -> np.ndarray:
 
 
 def _unit_total(r: Ring, units: np.ndarray) -> int:
-    """Index of the sum of `_dense_units`, added through the add table."""
-    add, total = r.tables()[0], units
-    while len(total) > 1:  # + is associative and commutative: add in pairs, odd one last
-        total = np.append(add[total[0:-1:2], total[1::2]], total[len(total) // 2 * 2:])
-    return int(total[0])
+    """Index of the sum of `_dense_units`, added one unit at a time through the add table."""
+    add, total = r.tables()[0], r.zero
+    for u in units.tolist():
+        total = int(add[total, u])
+    return total
 
 
 def unit_group(r: Ring) -> UnitGroupSummary:
@@ -357,8 +357,8 @@ def unit_census(r: Ring) -> tuple[int, Elem]:
 
 
 def unit_count(r: Ring) -> int:
-    """Number of units: `_dense_units`, no sum, for a table ring; structural otherwise."""
-    return len(_dense_units(r)) if isinstance(r, TableRingStructure) else _structural_census(r)[0]
+    """Number of units, by the route `unit_census` takes for the ring's kind."""
+    return _structural_census(r)[0]
 
 
 def unit_sum(r: Ring) -> Elem:

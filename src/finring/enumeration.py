@@ -25,12 +25,12 @@ last, by scanning each leaf for an element that fixes all generators on
 both sides, and tables without one are discarded.  Both routes give the
 same stream.
 
-Each table the search builds is validated once, where it is built: each
-new pinned class alone (`_leaf_mul`), and the unital leaves of a raw
-walk in batches, one bilinear extension and one axiom screen per batch
-(`_leaf_batch`).  A relabeling by an additive automorphism is an
-isomorphic ring, and the bilinear extension of its constants is the
-relabeled table, so relabelings are not checked again.
+Each table the search builds is validated once, where it is built, by
+one screen (`_leaf_batch`): one bilinear extension and one axiom check
+per batch, each new pinned class a batch of its own and the unital
+leaves of a raw walk _LEAF_BATCH at a time.  A relabeling by an additive
+automorphism is an isomorphic ring, and the bilinear extension of its
+constants is the relabeled table, so relabelings are not checked again.
 
 Orders up to 8 enumerate without restriction.  Orders 9..16 are
 best-effort: they require an explicit node budget and fail gracefully
@@ -455,18 +455,11 @@ def _full_mul(ctx: _ShapeContext, consts) -> np.ndarray:
     return (prod @ ctx.strides_np).astype(np.uint8).reshape(*lead, n * n)
 
 
-def _leaf_mul(ctx: _ShapeContext, consts, one: int) -> np.ndarray:
-    """`_full_mul` of a search leaf, validated by `verify_tables` as a ring
-    with unity `one`: the one check of each class seed the search builds."""
-    mul = _full_mul(ctx, consts)
-    verify_tables(ctx.add_np, mul.reshape(ctx.order, ctx.order), one)
-    return mul
-
-
-# Raw-walk leaves are built and screened, and expanded tables built, this many at a time.
-# At order 16 a leaf's temporaries (the int16 digit products of `_full_mul`,
-# the screen's gathers and their intp indices) take about 4 KB, so a batch
-# peaks near 0.5 MB, below what the rest of a search holds.
+# Raw-walk leaves are built and screened, and expanded tables built, this
+# many at a time; a class seed is screened alone.  At order 16 a leaf's
+# temporaries (the int16 digit products of `_full_mul`, the screen's
+# gathers and their intp indices) take about 4 KB, so a batch peaks near
+# 0.5 MB, below what the rest of a search holds.
 _LEAF_BATCH = 128
 
 
@@ -532,7 +525,8 @@ def _new_orbits(ctx: _ShapeContext, assignments):
     """Yield (constants, flat mul table, orbit) for each leaf of a pinned
     constant stream whose constants no earlier orbit holds; the orbit is the
     set of constant tuples of the leaf's relabelings by Stab(g_0), the rows
-    of `_shape_automorphisms` with phi(g_0) = g_0.
+    of `_shape_automorphisms` with phi(g_0) = g_0.  Each such leaf is built
+    and screened by `_leaf_batch` as a batch of one.
     """
     autos, inverses = _shape_automorphisms(ctx)
     g0 = ctx.gens[0]
@@ -542,7 +536,7 @@ def _new_orbits(ctx: _ShapeContext, assignments):
     for consts in assignments:
         if bytes(consts) in seen:
             continue
-        mul = _leaf_mul(ctx, consts, g0)
+        [(mul, _)] = _leaf_batch(ctx, [consts], [g0])
         orbit = set(map(bytes, _relabeled_constants(ctx, mul, phi, inv)))
         seen |= orbit
         yield consts, mul, orbit

@@ -128,16 +128,7 @@ def digit_array(indices, radices) -> np.ndarray:
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return prime_power(n) == (n, 1)
 
 
 def factorize(n: int) -> list[tuple[int, int]]:

@@ -781,17 +781,6 @@ def test_constructed_rings_read_no_table(monkeypatch, capsys):
     assert json.loads(capsys.readouterr().out)["unit_count"] == 4095
 
 
-def test_unit_count_takes_no_unit_sum(enum_raw, monkeypatch):
-    # the count is the length of the dense unit array: nothing adds the units up
-    def refuse(r, units):
-        raise AssertionError(f"unit_count summed the units of {r.name}")
-    monkeypatch.setattr(analysis, "_unit_total", refuse)
-    rs = [parse_ring(e) for e in ("M(3,GF(2))", "GF(256)", "B(12)")]
-    for r in rs + [r for by_order in enum_raw.values() for r in by_order]:
-        assert r.order <= rings.TABLE_CAP
-        unit_count(r)
-
-
 def test_unit_count_matches_the_census_and_the_group(enum_raw):
     rs = [parse_ring(e) for e in _structural_cases()]
     for r in rs + [r for by_order in enum_raw.values() for r in by_order]:
@@ -813,7 +802,7 @@ def _doctored(n, cells):
     (5, [(2, 1, 1)], "unit 2 lacks a two-sided inverse in the set"),
 ])
 def test_every_dense_unit_route_checks_the_group_laws(n, cells, message):
-    # unit_count, which takes no sum, fails on a doctored table as unit_group does
+    # unit_count and unit_census fail on a doctored table as unit_group does
     for census in (unit_count, unit_census, unit_group):
         with pytest.raises(ConstructionError, match=f"^doctored: {message}$"):
             census(_doctored(n, cells))

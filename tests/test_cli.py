@@ -1,8 +1,11 @@
 """Command-line interface: argument handling, document schemas, exit codes."""
 
 import argparse
+import dataclasses
 import hashlib
+import importlib.util
 import json
+import pathlib
 
 import pytest
 
@@ -140,6 +143,16 @@ def test_unit_sum_json(cli):
     assert doc["unit_count"] == 6
     assert doc["unit_sum"] == "[[0,0],[0,0]]" and doc["unit_sum_index"] == 0
     assert "total" in doc["timings"]
+
+
+def test_unit_sum_text_is_aligned(cli):
+    code, out, _ = cli("unit-sum", "--ring", "UT(2,Z(2))")
+    assert code == EXIT_OK
+    assert out == ("ring            UT(2,Z(2))\n"
+                   "order           8\n"
+                   "unit_count      2\n"
+                   "unit_sum        [[0,1],[0,0]]\n"
+                   "unit_sum_index  2\n")
 
 
 def test_unit_sum_answers_a_large_matrix_ring(cli):
@@ -358,6 +371,31 @@ def test_verify_incomplete_is_resource_exit(cli):
     assert docs[0]["complete"] is False
 
 
+def test_verify_incomplete_text_status(cli):
+    code, out, _ = cli("verify", "--theorem", "T7", "--max-order", "9", "--budget", "50")
+    assert code == EXIT_RESOURCE
+    lines = out.splitlines()
+    assert lines[0].startswith("T7 PASS (incomplete)  [10 tested, ")
+    assert lines[1] == ("   note: enumeration of order 4 stopped by the node budget; "
+                        "resume token v1:4:f:1:1,1,1,0")
+
+
+def test_verify_failure_text_names_the_counterexample(cli, monkeypatch):
+    # a T4 claim that fails everywhere: the first field, GF(2), is reported
+    spec = theorems.CHECKS["T4"]
+    monkeypatch.setitem(theorems.CHECKS, "T4",
+                        dataclasses.replace(spec, claim=lambda r: {"doctored": True}))
+    code, out, _ = cli("verify", "--theorem", "T4")
+    assert code == EXIT_VERIFY_FAIL
+    status, counterexample = out.splitlines()
+    assert status.startswith("T4 FAIL  [1 tested, ")
+    prefix = "   counterexample: "
+    assert counterexample.startswith(prefix)
+    ce = json.loads(counterexample[len(prefix):])
+    assert ce["ring"] == "GF(2)" and ce["witness"] == {"doctored": True}
+    assert parse_table_ring(ce["serialization"]).order == 2
+
+
 def test_verify_max_order_above_scope_is_usage(cli):
     code, out, err = cli("verify", "--theorem", "T4", "--max-order", "17")
     assert code == EXIT_USAGE and out == ""
@@ -414,3 +452,18 @@ def test_verify_requires_exactly_one_selector(cli):
 
 def test_exit_code_constants():
     assert (EXIT_OK, EXIT_VERIFY_FAIL, EXIT_USAGE, EXIT_RESOURCE) == (0, 1, 2, 3)
+
+
+# ---------------------------------------------------------------------------
+# the pinned digest of tools/cli_digest.py
+
+
+def test_cli_digest_matches_the_pinned_output():
+    # every line of tools/cli_digest.txt, recomputed in-process; a change to
+    # that file is a change to the CLI's output contract
+    tools = pathlib.Path(__file__).resolve().parent.parent / "tools"
+    spec = importlib.util.spec_from_file_location("cli_digest", tools / "cli_digest.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    pinned = (tools / "cli_digest.txt").read_text(encoding="utf-8").splitlines()
+    assert list(tool.lines()) == pinned

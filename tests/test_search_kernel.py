@@ -447,6 +447,37 @@ def test_failing_batch_yields_the_tables_before_the_bad_one(monkeypatch):
     assert str(exc.value) == expected
 
 
+def test_corrupted_class_seed_raises_the_screen_witness(monkeypatch):
+    # one class seed of order 8 is corrupted as it is built; the search up
+    # to isomorphism raises the ConstructionError verify_tables gives it
+    target_ring = list(enumerate_unital_rings(8, up_to_iso=True))[5]
+    add, mul = target_ring.tables()
+    n, one = target_ring.order, target_ring.one
+    target = mul.astype(np.uint8).tobytes()
+    corrupt = mul.astype(np.uint8)
+    corrupt[5, 6] = (corrupt[5, 6] + 1) % n
+    try:
+        verify_tables(add, corrupt, one)
+    except ConstructionError as exc:
+        expected = str(exc)
+    assert expected.startswith("ring axiom violated: ")
+
+    build = enumeration._full_mul
+
+    def corrupting(ctx, consts):
+        # a seed is built alone, or as a stack of one
+        muls = build(ctx, consts)
+        for row in muls.reshape(-1, ctx.order ** 2):
+            if row.tobytes() == target:
+                row[:] = corrupt.ravel()
+        return muls
+
+    monkeypatch.setattr(enumeration, "_full_mul", corrupting)
+    with pytest.raises(ConstructionError) as exc:
+        list(enumerate_unital_rings(8, up_to_iso=True))
+    assert str(exc.value) == expected
+
+
 def test_budget_stop_yields_the_cut_batch_first():
     # a stop after 150 000 nodes of (4, 2, 2) cuts a batch short: its tables
     # come before the BudgetError, whose token is the walk's own

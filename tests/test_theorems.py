@@ -11,6 +11,8 @@ from finring import (
     TABLE_CAP,
     BudgetError,
     ConstructionError,
+    Elem,
+    RadicalSummary,
     TheoremReport,
     make_boolean,
     make_gf,
@@ -255,22 +257,23 @@ def test_verify_all_builds_each_matrix_table_once(monkeypatch):
 
 
 def test_verify_all_validates_each_enumerated_class_once(monkeypatch):
-    # the search validates one leaf per class where it first builds it, 20
+    # the search screens one leaf per class where it first builds it, 20
     # classes of orders 2..8 on each route: the iso seeds and the seeds the
     # raw expansion relabels; relabeled tables are isomorphic rings and are
-    # not validated again (601 calls when every emitted table was)
+    # not screened again (601 tables when every emitted table was)
     calls = []
-    check = rings.verify_tables
+    screen = rings._axioms_hold
 
     def counted(add, mul, one):
-        calls.append(len(add))
-        return check(add, mul, one)
+        n = len(add)
+        calls.append((n, len(mul.reshape(-1, n, n))))
+        return screen(add, mul, one)
 
-    monkeypatch.setattr(rings, "verify_tables", counted)
-    monkeypatch.setattr(enumeration, "verify_tables", counted, raising=False)
+    monkeypatch.setattr(rings, "_axioms_hold", counted)
+    monkeypatch.setattr(enumeration, "_axioms_hold", counted)
     assert all(report.passed for report in run_all(8))
     assert len(calls) == 40
-    assert sorted(calls) == sorted(2 * [2, 3, 4, 4, 4, 4, 5, 6, 7] + 2 * 11 * [8])
+    assert sorted(calls) == sorted((n, 1) for n in 2 * [2, 3, 4, 4, 4, 4, 5, 6, 7] + 2 * 11 * [8])
 
 
 def test_t4_reports_a_failed_geometric_sum(monkeypatch):
@@ -283,6 +286,47 @@ def test_t4_reports_a_failed_geometric_sum(monkeypatch):
     ce = report.counterexample
     assert ce["ring"] == "GF(3)"
     assert ce["witness"] == {"geometric_sum": 2, "expected": 0}
+    assert recheck_counterexample(report) is False
+
+
+def _unit_group_summing_to(index):
+    """`unit_group` with its sum read as the element `index(r)`."""
+    return lambda r: dataclasses.replace(analysis.unit_group(r), sum=Elem(r, index(r)))
+
+
+def _unit_group_with_zero(r):
+    """`unit_group` with 0 counted among the units."""
+    group = analysis.unit_group(r)
+    return dataclasses.replace(group, units=[Elem(r, 0)] + group.units, count=group.count + 1)
+
+
+@pytest.mark.parametrize("cid, name, fake, ring, witness", [
+    ("T1", "is_commutative", lambda r: False, "Z(2)", {"commutative": False}),
+    ("T1", "unit_group", _unit_group_with_zero, "Z(2)", {"unit_count": 2, "units": [0, 1]}),
+    ("T2", "unit_group", _unit_group_summing_to(lambda r: r.one), "Z(3)", {"unit_sum": 1}),
+    ("T4", "unit_group", _unit_group_summing_to(lambda r: r.zero), "GF(2)",
+     {"unit_sum": 0, "expected": 1}),
+    ("T6", "unit_group", _unit_group_summing_to(lambda r: r.one), "M(2,GF(2))",
+     {"unit_sum": 9}),
+    ("T6", "unit_first_column_classes", lambda r: {(1, 0): 3}, "M(2,GF(2))",
+     {"first_column": [1, 0], "class_size": 3}),
+    ("T7", "characteristic", lambda r: 4, "R2#0", {"characteristic": 4}),
+    ("T7", "is_commutative", lambda r: False, "R2#0", {"commutative": False}),
+    ("T7", "jacobson_radical",
+     lambda r: RadicalSummary(members=[Elem(r, 0), Elem(r, r.one)], is_zero=False),
+     "R2#0", {"radical": [0, 1]}),
+    ("T8", "unit_group", _unit_group_summing_to(lambda r: r.zero), "UT(2,Z(2))",
+     {"unit_sum": 0, "expected": 2}),
+], ids=["T1-commutative", "T1-units", "T2-unit_sum", "T4-unit_sum", "T6-unit_sum",
+        "T6-first_column", "T7-characteristic", "T7-commutative", "T7-radical", "T8-unit_sum"])
+def test_each_claim_reports_its_witness(monkeypatch, cid, name, fake, ring, witness):
+    # an analysis function read wrong in the claim gives the first ring its
+    # witness, and the recheck, which scans the ring, refutes the report
+    monkeypatch.setattr(theorems, name, fake)
+    report = run_check(cid, max_order=2)
+    assert not report.passed
+    assert report.counterexample["ring"] == ring
+    assert report.counterexample["witness"] == witness
     assert recheck_counterexample(report) is False
 
 

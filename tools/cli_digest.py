@@ -7,13 +7,18 @@ line per command: the exit code, the sha256 of stdout and stderr, and the
 command.  Run it once per checkout and diff the two outputs:
 
     PYTHONPATH=src python tools/cli_digest.py > digest.txt
+
+`tools/cli_digest.txt` pins the output, and a test recomputes it, so a
+change to the CLI's output is a change to that file.
 """
 
 import contextlib
 import hashlib
 import io
 import json
+import os
 import shlex
+from unittest import mock
 
 from finring.cli import main
 
@@ -59,7 +64,10 @@ def _stable(doc):
 def digest(argv) -> tuple[int, str]:
     """(exit code, sha256 of the stable stdout followed by stderr) of one command."""
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+    # argparse wraps usage text to the terminal's width: fix it at the
+    # width of a run with no terminal
+    with (contextlib.redirect_stdout(out), contextlib.redirect_stderr(err),
+          mock.patch.dict(os.environ, {"COLUMNS": "80"})):
         code = main(list(argv))
     text = out.getvalue()
     try:
@@ -69,7 +77,13 @@ def digest(argv) -> tuple[int, str]:
     return code, hashlib.sha256((text + "\0" + err.getvalue()).encode()).hexdigest()
 
 
-if __name__ == "__main__":
+def lines():
+    """The digest's output: one line per command."""
     for argv in COMMANDS:
         code, sha = digest(argv)
-        print(code, sha, shlex.join(argv), flush=True)
+        yield f"{code} {sha} {shlex.join(argv)}"
+
+
+if __name__ == "__main__":
+    for line in lines():
+        print(line, flush=True)

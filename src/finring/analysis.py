@@ -20,19 +20,21 @@ set N are candidates: k squarings of the table's diagonal and one pass
 over those columns, O(n*|N|), against O(n^3) for the two-sided 1 - x*a*y
 scan, which the tests keep as the reference.
 
-Dense routes (unit group, radical) read the numpy tables of
-`finring.rings`, up to TABLE_CAP (order 4096).  The unit census takes one
-route per ring kind, at every order: a constructed ring (Z, GF, product,
-M, UT) is structural, with no order bound and no table; from the
-construction it reads sigma(R) = (|J(R)|, [(n_i, q_i)]),
-R/J(R) = prod M(n_i, GF(q_i)), so |U(R)| = |J| * prod |GL(n_i, q_i)|, and
-the unit sum (`_structural_census`).  A table or quotient ring reads its
-table (`_dense_units`).  T3, T5, T6 and T8 check those formulas against
-`unit_group`, the brute-force enumeration.  Everything operates on
-integer element indices and is a pure function of the ring, so results
-are deterministic and safe to compute concurrently.  Exhaustive scans
-(unit groups and radicals up to TABLE_CAP) raise BudgetError past their
-bounds rather than silently truncating.
+The unit census and the radical take one route per ring kind: a
+constructed ring (Z, GF, product, M, UT) reads its construction and no
+table; a table or quotient ring reads the numpy tables of `finring.rings`
+(up to TABLE_CAP, order 4096), its radical by the criterion above.  The
+census of a constructed ring has no order bound: it reads
+sigma(R) = (|J(R)|, [(n_i, q_i)]), R/J(R) = prod M(n_i, GF(q_i)), so
+|U(R)| = |J| * prod |GL(n_i, q_i)|, and the unit sum
+(`_structural_census`).  The radical is a member list, so it stops at
+TABLE_CAP for every kind (`jacobson_radical`).  `unit_group` always reads
+the tables: T3, T5, T6 and T8 check the census formulas against it, the
+brute-force enumeration.  Everything operates on integer element indices
+and is a pure function of the ring, so results are deterministic and safe
+to compute concurrently.  Exhaustive scans (unit groups and radicals up
+to TABLE_CAP) raise BudgetError past their bounds rather than silently
+truncating.
 """
 
 from __future__ import annotations
@@ -59,6 +61,7 @@ from .rings import (
     from_digits,
     is_commutative,  # re-exported; it also vets matrix-ring bases there
     is_prime,
+    place_values,
     prime_power,
     row_blocks,
 )
@@ -410,8 +413,9 @@ def gl_order(n: int, q: int) -> int:
 # Jacobson radical
 
 
-def jacobson_radical(r: Ring) -> RadicalSummary:
-    """J(R) = { a : every element of R*a is nilpotent }.
+def _nil_radical(r: Ring) -> np.ndarray:
+    """The sorted member indices of J(R) = { a : every element of R*a is nilpotent },
+    read from the dense tables of a table or quotient ring.
 
     In a finite ring this equals the one-sided { a : 1 - x*a is a unit for
     all x } and the two-sided { a : 1 - x*a*y is a unit for all x, y }
@@ -433,7 +437,42 @@ def jacobson_radical(r: Ring) -> RadicalSummary:
     for cols in row_blocks(len(cand), n):
         mmask[cand[cols]] = nil[mul.take(cand[cols], axis=1)].all(axis=0)
     _check_ideal(add, mul, mmask, f"{r.name}: radical")
-    members = np.flatnonzero(mmask).tolist()
+    return np.flatnonzero(mmask)
+
+
+def _radical_indices(r: Ring) -> np.ndarray:
+    """The sorted member indices of J(R), by recursion on the construction.
+
+    J(Z/m) is rad(m)*Z/m and J(GF(q)) = 0; J(R x S) = J(R) x J(S);
+    J(M_n(B)) = M_n(J(B)), and J(UT_n(B)) holds J(B) on the diagonal and
+    all of B above it (Lam, sections 4 and 5).  Each factor or stored cell
+    is one digit of the index, so the members are one outer sum per digit.
+    A table or quotient ring takes `_nil_radical`.
+    """
+    if isinstance(r, ZnRing):
+        return np.arange(0, r.n, math.prod(p for p, _ in factorize(r.n)))
+    if isinstance(r, GFRing):
+        return np.zeros(1, dtype=np.intp)
+    if isinstance(r, ProductRing):
+        digits = [_radical_indices(f) for f in r.factors]
+    elif isinstance(r, MatrixRing):
+        base, everything = _radical_indices(r.base), np.arange(r.base.order)
+        digits = [base if r.kind == "matrix" or i == j else everything for (i, j) in r.stored]
+    else:
+        return _nil_radical(r)
+    members = np.zeros(1, dtype=np.intp)
+    for digit, place in zip(digits, place_values(r.radices)):
+        members = np.add.outer(digit * place, members).ravel()
+    return np.sort(members)
+
+
+def jacobson_radical(r: Ring) -> RadicalSummary:
+    """J(R) as a sorted member list, by its kind's route: a constructed ring reads
+    its construction (`_radical_indices`), a table or quotient ring its tables
+    (`_nil_radical`).  Every ring above TABLE_CAP raises BudgetError."""
+    if r.order > TABLE_CAP:
+        raise BudgetError(f"{r.name} has order {r.order}, above the dense-table cap {TABLE_CAP}")
+    members = _radical_indices(r).tolist()
     return RadicalSummary(members=[Elem(r, a) for a in members], is_zero=(members == [0]))
 
 

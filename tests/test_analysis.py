@@ -522,6 +522,16 @@ def _two_sided_radical(r):
             if umask[one_minus[a]] and umask[one_minus[mul[mul[:, a]]]].all()]
 
 
+def _radical_of_table_copy(r):
+    """The members of J(r) as the nilpotency kernel reads them off r's tables.
+
+    The copy skips `make_table_ring`'s axiom check, which takes about 2 s at
+    order 4096: the tables of constructed rings are checked in test_rings.
+    """
+    copy = rings.TableRingStructure(*r.tables(), r.one, f"table({r.name})")
+    return [e.index for e in jacobson_radical(copy).members]
+
+
 def _radical_oracle_population(enum_raw):
     """Every ring of the T9 population (families and the rings of order <= 8),
     plus three larger matrix and triangular rings."""
@@ -543,10 +553,14 @@ def test_unit_group_inverses_match_the_independent_routes(enum_raw):
 
 
 def test_nilpotency_radical_matches_two_sided_scan(enum_raw, monkeypatch):
+    # a constructed ring reads its construction, and its table copy takes
+    # the nilpotency kernel at orders up to 1024
     monkeypatch.setattr(rings, "_BLOCK_ENTRIES", 16)  # several column blocks per ring
     for r in _radical_oracle_population(enum_raw):
         got = [e.index for e in jacobson_radical(r).members]
         assert got == _two_sided_radical(r), r.name
+        if not isinstance(r, rings.TableRingStructure):
+            assert _radical_of_table_copy(r) == got, r.name
 
 
 def test_unit_count_factors_through_the_radical(enum_raw):
@@ -563,7 +577,7 @@ def test_radical_at_the_table_cap_matches_the_one_sided_scan(expr, size):
     r = parse_ring(expr)
     assert r.order == rings.TABLE_CAP
     got = [e.index for e in jacobson_radical(r).members]
-    assert got == theorems._radical_by_scan(r)
+    assert got == theorems._radical_by_scan(r) == _radical_of_table_copy(r)
     assert len(got) == size
     if expr.startswith("UT"):  # J(UT(3,GF(4))) is the strictly upper part
         assert got == [x for x in range(r.order) if not any(r.entries(x)[::r.n + 1])]
@@ -658,6 +672,27 @@ def _assert_structural_census_is_dense(r):
     assert analysis._structural_census(r) == (dense.count, dense.sum.index), r.name
     assert radical_size == radical, r.name
     assert radical * math.prod(gl_order(n, q) for n, q in parts) == dense.count, r.name
+
+
+@pytest.mark.parametrize("expr", list(dict.fromkeys(_structural_cases() + [
+    "GF(4096)", "Z(4096)", "M(2,GF(8))", "UT(3,GF(4))", "B(12)",
+    "UT(2,Z(8) x Z(2))", "M(2,Z(2) x Z(3))"])))
+def test_structural_radical_matches_the_nilpotency_kernel(expr):
+    # member for member against the table copy, and |J| against sigma's,
+    # which reads the construction too
+    r = parse_ring(expr)
+    radical = jacobson_radical(r)
+    got = [e.index for e in radical.members]
+    assert got == _radical_of_table_copy(r)
+    assert radical.is_zero == (got == [0])
+    assert analysis._signature(r)[0] == len(got)
+
+
+@pytest.mark.parametrize("expr", ["GF(8192)", "Z(5000)", "UT(4,GF(4))"])
+def test_radical_above_the_table_cap_raises(expr):
+    # the answer is an explicit member list, so the cap holds on every route
+    with pytest.raises(BudgetError, match="dense-table cap"):
+        jacobson_radical(parse_ring(expr))
 
 
 def test_structural_cases_are_pinned():
@@ -766,9 +801,10 @@ def test_dense_census_builds_no_element_per_unit(census, expr, elems, monkeypatc
 
 
 def test_constructed_rings_read_no_table(monkeypatch, capsys):
-    # the census of a constructed ring reads its construction at every order,
+    # the census and the radical of a constructed ring read its construction,
     # so not one of these builds or reads a dense table
-    rs = [parse_ring(e) for e in _structural_cases() + ["GF(4096)", "Z(4096)", "M(2,GF(8))"]]
+    big = ["GF(4096)", "Z(4096)", "M(2,GF(8))", "UT(3,GF(4))"]
+    rs = [parse_ring(e) for e in dict.fromkeys(_structural_cases() + big)]
 
     def refuse(r):
         raise AssertionError(f"{r.name} read its tables")
@@ -777,8 +813,12 @@ def test_constructed_rings_read_no_table(monkeypatch, capsys):
         count, total = unit_census(r)
         assert unit_count(r) == count and unit_sum(r) == total, r.name
         assert is_division_ring(r) == (r.order > 1 and count == r.order - 1), r.name
+        assert len(jacobson_radical(r).members) == analysis._signature(r)[0], r.name
     assert cli.main(["unit-sum", "--ring", "GF(4096)", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["unit_count"] == 4095
+    for expr in big:
+        assert cli.main(["report", "--ring", expr, "--json"]) == 0
+        assert "radical" in json.loads(capsys.readouterr().out), expr
 
 
 def test_unit_count_matches_the_census_and_the_group(enum_raw):

@@ -33,8 +33,8 @@ COMMANDS = [
     ["report", "--ring", "B(20)", "--json"],
     ["report", "--ring", "UT(3,GF(16))", "--skip-radical", "--json"],
     ["unit-sum", "--ring", "M(2,GF(8192))", "--json"],
-    # dense kernels at the table cap: the most nilpotent columns (Z(4096)),
-    # a radical of 1 (M(2,GF(8)), B(12)) and a strictly upper one (UT(3,GF(4)))
+    # radicals at the table cap: the most members (Z(4096)), a radical of 1
+    # (M(2,GF(8)), B(12)) and a strictly upper one (UT(3,GF(4)))
     *(["report", "--ring", ring, "--json"]
       for ring in ("Z(4096)", "M(2,GF(8))", "UT(3,GF(4))", "B(12)")),
     # constructed rings within the table cap, whose units the census reads
@@ -42,6 +42,10 @@ COMMANDS = [
     *(["report", "--ring", ring, "--json"] for ring in ("Z(1)", "M(2,Z(1))", "UT(2,Z(6))")),
     ["report", "--ring", "M(2,Z(6))", "--skip-radical", "--json"],
     *(["unit-sum", "--ring", ring, "--json"] for ring in ("Z(2) x UT(2,Z(4))", "GF(4096)")),
+    # the radical's recursion through composite bases: a product base under
+    # UT and M, a local base under UT, and a modulus with three primes
+    *(["report", "--ring", ring, "--json"]
+      for ring in ("UT(2,Z(8) x Z(2))", "M(2,Z(4) x Z(2))", "UT(3,Z(4))", "Z(360)")),
     ["enumerate", "8"],
     ["enumerate", "8", "--up-to-iso"],
     ["verify", "--all", "--max-order", "8", "--json"],

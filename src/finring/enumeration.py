@@ -747,10 +747,10 @@ def enumerate_unital_rings(order: int, up_to_iso: bool = False, *,
                 pairs = _expanded_tables(ctx, reverse)
             else:
                 pairs = _unital_tables(ctx, leaves)
-            add = ctx.add_np.astype(np.int32)  # one copy for the shape's rings, read-only in each
+            add = ctx.add_np.astype(np.uint16)  # one copy for the shape's rings, read-only in each
             for mul_flat, one in pairs:
                 yield TableRingStructure(add,
-                                         mul_flat.reshape(order, order).astype(np.int32),
+                                         mul_flat.reshape(order, order).astype(np.uint16),
                                          one, f"R{order}#{next(names)}")
 
     return run()

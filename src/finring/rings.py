@@ -8,7 +8,7 @@ interface, so analysis and search code can stay representation-agnostic.
 
 Rings are immutable after construction, and all operations are pure functions
 of (ring, element indices), so instances are safe to share between threads
-and processes; the dense tables are read-only arrays.  `make_table_ring`
+and processes; the dense tables are read-only uint16 arrays.  `make_table_ring`
 copies and validates outside tables; `TableRingStructure` trusts its own.
 Internal caches are filled idempotently and never change observable
 behaviour.  Memoized functions and per-ring values use one idiom,
@@ -69,14 +69,15 @@ def compose_tables(tables) -> np.ndarray:
     radices being the tables' orders.  Each fold puts the next, more
     significant digit on top of the table so far with one broadcast add
     (the table so far is the contiguous inner axis), so the only order x
-    order array made is the result itself (int32).
+    order array made is the result itself (uint16: a digit times its place
+    value, and every partial sum, stays below the order, at most TABLE_CAP).
     """
-    out = np.array(tables[0], dtype=np.int32)  # a copy: never alias a factor's table
+    out = np.array(tables[0], dtype=np.uint16)  # a copy: never alias a factor's table
     for f in tables[1:]:
         m, t = len(f), len(out)
-        wider = np.empty((m * t, m * t), dtype=np.int32)
-        np.add((np.asarray(f, dtype=np.int32) * t)[:, None, :, None], out[None, :, None, :],
-               out=wider.reshape(m, t, m, t))
+        wider = np.empty((m * t, m * t), dtype=np.uint16)
+        np.add((np.asarray(f, dtype=np.uint16) * np.uint16(t))[:, None, :, None],
+               out[None, :, None, :], out=wider.reshape(m, t, m, t))
         out = wider
     return out
 
@@ -352,7 +353,7 @@ class Ring:
     # -- dense tables -------------------------------------------------------
 
     def tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (add, mul) index tables as read-only int32 arrays, cached after first use.
+        """Dense (add, mul) index tables as read-only uint16 arrays, cached after first use.
 
         A ring above TABLE_CAP raises BudgetError here; callers that read
         the tables rely on this check instead of repeating it.
@@ -365,7 +366,12 @@ class Ring:
         return self._tables
 
     def _build_tables(self) -> tuple[np.ndarray, np.ndarray]:
-        """Dense (add, mul) int32 tables; each family builds its own with numpy."""
+        """Dense (add, mul) uint16 tables; each family writes its own with numpy.
+
+        Every index below TABLE_CAP fits uint16, so the builders write the
+        narrow dtype directly; arithmetic that can pass 65 535 is done wide
+        per row block and stored narrow.
+        """
         raise NotImplementedError
 
     def __repr__(self):
@@ -391,11 +397,20 @@ class ZnRing(Ring):
         return (a * b) % self.n
 
     def _build_tables(self):
-        idx = np.arange(self.n, dtype=np.int32)
-        add = np.add.outer(idx, idx)
-        add %= self.n
-        mul = np.multiply.outer(idx, idx)  # < TABLE_CAP**2, inside int32
-        mul %= self.n
+        n = self.n
+        idx = np.arange(n, dtype=np.uint16)
+        # row i of add is idx rotated left by i, a slice of idx twice over
+        twice, add = np.concatenate([idx, idx]), np.empty((n, n), dtype=np.uint16)
+        for i in range(n):
+            add[i] = twice[i:i + n]
+        # i * j reaches TABLE_CAP**2: products go wide, one row block at a
+        # time; numpy's // by a scalar runs faster than its %
+        wide, modulus = idx.astype(np.int32), np.int32(n)
+        mul = np.empty((n, n), dtype=np.uint16)
+        for rows in row_blocks(n, n):
+            block = np.multiply.outer(wide[rows], wide)
+            block -= block // modulus * modulus
+            mul[rows] = block
         return add, mul
 
 
@@ -500,13 +515,13 @@ class GFRing(Ring):
 
     def _build_tables(self):
         p, q = self.p, self.q
-        zp = np.arange(p, dtype=np.int32)
-        add = compose_tables([np.add.outer(zp, zp) % p] * self.s)
+        zp = np.arange(p, dtype=np.uint16)
+        add = compose_tables([np.add.outer(zp, zp) % np.uint16(p)] * self.s)
         if self._log is None:
             self._build_exp_log()
-        exp = np.asarray(self._exp, dtype=np.int32)
+        exp = np.asarray(self._exp, dtype=np.uint16)
         log = np.asarray(self._log, dtype=np.intp)
-        mul = np.empty((q, q), dtype=np.int32)
+        mul = np.empty((q, q), dtype=np.uint16)
         for rows in row_blocks(q, q):
             mul[rows] = exp[log[rows, None] + log[None, :]]
         return add, mul
@@ -616,6 +631,8 @@ class MatrixRing(Ring):
         # gather per output cell from a small table over (row digits of x,
         # column digits of y) times the cell's place value.  Row 0's piece is
         # the table's top; doubling adds the rest, so no N x N temporary.
+        # A cell's digit times its place value, and every partial sum of
+        # them, is an index below N <= TABLE_CAP, so all of it stays uint16.
         badd, bmul = self.base.tables()
         m, N = self.base.order, self.order
         add = compose_tables([badd] * len(self.stored))
@@ -625,16 +642,16 @@ class MatrixRing(Ring):
         while len(sums) < self.n:
             k = len(sums[-1]) * m
             sums.append(badd[sums[-1][None, :, None, :], bmul[:, None, :, None]].reshape(k, k))
-        mul, span = np.zeros((N, N), dtype=np.int32), 1
+        mul, span = np.zeros((N, N), dtype=np.uint16), 1
         for i in range(self.n):
             row = [c for c, (a, _) in enumerate(self.stored) if a == i]
             K, gathers = m ** len(row), []
             for c in row:
                 ps, qs = zip(*self._terms[c])
                 small, key = sums[len(ps) - 1], powers[:len(ps)]
-                gathers.append((small * np.int32(powers[c]) if c else small,  # cell 0's is 1
+                gathers.append((small * np.uint16(powers[c]) if c else small,  # cell 0's is 1
                                 digits[:K, np.subtract(ps, row[0])] @ key, digits[:, qs] @ key))
-            piece = mul[:K] if i == 0 else np.zeros((K, N), dtype=np.int32)
+            piece = mul[:K] if i == 0 else np.zeros((K, N), dtype=np.uint16)
             for rows in row_blocks(K, N):
                 for small, row_key, col_key in gathers:
                     piece[rows] += np.take(small[row_key[rows]], col_key, axis=1)
@@ -700,8 +717,8 @@ class ProductRing(Ring):
 class TableRingStructure(Ring):
     """A ring held as its dense tables: add/neg/mul are direct array reads.
 
-    The constructor marks its int32 tables read-only in place and validates
-    nothing: `make_table_ring` is the entry point that does.
+    The constructor marks its uint16 tables read-only in place and
+    validates nothing: `make_table_ring` is the entry point that does.
     """
 
     kind = "table"
@@ -713,7 +730,7 @@ class TableRingStructure(Ring):
     @functools.cached_property
     def _neg(self) -> np.ndarray:
         """The negation row, read off the add table (each row holds one 0) at first `neg`."""
-        return np.argmax(self._tables[0] == 0, axis=1).astype(np.int32)
+        return np.argmax(self._tables[0] == 0, axis=1).astype(np.uint16)
 
     def add(self, a, b):
         return int(self._tables[0][a, b])
@@ -764,8 +781,8 @@ class QuotientRing(TableRingStructure):
         # x's coset is x + ideal, the row padd[x, members]; it is named by its
         # least member, and np.unique labels the names in increasing order.
         reps, coset = np.unique(padd[:, members].min(axis=1), return_inverse=True)
-        coset = coset.astype(np.int32)
-        qadd, qmul = (np.empty((len(reps), len(reps)), dtype=np.int32) for _ in range(2))
+        coset = coset.astype(np.uint16)
+        qadd, qmul = (np.empty((len(reps), len(reps)), dtype=np.uint16) for _ in range(2))
         for q, t in ((qadd, padd), (qmul, pmul)):
             for b in row_blocks(len(reps), n):
                 # reps are in range, so mode="clip" only lets take fill q unbuffered
@@ -1111,17 +1128,19 @@ def make_table_ring(add_table, mul_table, one: int | None = None, *,
                     additive_type=None, name: str | None = None) -> TableRingStructure:
     """A ring from explicit tables, validated before acceptance.
 
-    The tables are copied to int32, then validated by `verify_tables`:
-    index 0 must be the additive zero, the unity (found by scan unless
-    supplied, then an integer in range(order)) a two-sided identity, and
-    every ring axiom must hold.  A declared `additive_type` must hold
-    integers equal to the add table's invariant factors.
+    The tables must be integer arrays (or nested lists) whose entries are
+    indices in range(order), checked in the caller's own dtype so no value
+    can wrap; they are then copied to uint16 and validated by
+    `verify_tables`: index 0 must be the additive zero, the unity (found
+    by scan unless supplied, then an integer in range(order)) a two-sided
+    identity, and every ring axiom must hold.  A declared `additive_type`
+    must hold integers equal to the add table's invariant factors.
     """
-    add = np.array(add_table, dtype=np.int32, order="C")
-    mul = np.array(mul_table, dtype=np.int32, order="C")
+    add, mul = np.asarray(add_table), np.asarray(mul_table)
+    _check_table_shapes(add, mul)  # before narrowing could wrap an entry into range
+    add, mul = (np.array(t, dtype=np.uint16, order="C") for t in (add, mul))
     if one is None:
-        _check_table_shapes(add, mul)  # before the scan reads rows and columns
-        arange = np.arange(add.shape[0], dtype=np.int32)
+        arange = np.arange(add.shape[0])
         one = next((e for e in range(add.shape[0])
                     if (mul[e] == arange).all() and (mul[:, e] == arange).all()), None)
         if one is None:

@@ -467,3 +467,18 @@ def test_cli_digest_matches_the_pinned_output():
     spec.loader.exec_module(tool)
     pinned = (tools / "cli_digest.txt").read_text(encoding="utf-8").splitlines()
     assert list(tool.lines()) == pinned
+
+
+def test_table_memory_probe_reports_every_field():
+    # tools/table_memory.py on a small ring: every field is a number, and the
+    # two fresh processes report a positive peak RSS
+    tools = pathlib.Path(__file__).resolve().parent.parent / "tools"
+    spec = importlib.util.spec_from_file_location("table_memory", tools / "table_memory.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    line = tool.probe("Z(6)")
+    assert line["ring"] == "Z(6)"
+    assert set(line) == {"ring", "build_ms", "traced_peak_mib", "unit_group_rss_mb",
+                         "unit_group_s", "radical_rss_mb", "radical_s"}
+    assert all(line[k] >= 0 for k in line if k != "ring")
+    assert line["unit_group_rss_mb"] > 0 and line["radical_rss_mb"] > 0

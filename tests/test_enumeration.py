@@ -237,7 +237,7 @@ def test_emitted_rings_do_not_share_the_shape_add_table():
 @pytest.mark.parametrize("up_to_iso, budget", [(False, None), (False, 10 ** 6), (True, None)],
                          ids=["raw", "raw-budgeted", "iso"])
 def test_rings_of_one_shape_share_one_read_only_add_table(enum_raw, enum_iso, up_to_iso, budget):
-    # each shape's rings of one stream are emitted on one int32 copy of the
+    # each shape's rings of one stream are emitted on one uint16 copy of the
     # shape's add table, read-only, with the tables of the fixtures' streams
     rings = list(enumerate_unital_rings(8, up_to_iso, budget=budget))
     fixture = (enum_iso if up_to_iso else enum_raw)[8]
@@ -247,7 +247,7 @@ def test_rings_of_one_shape_share_one_read_only_add_table(enum_raw, enum_iso, up
     for shape in abelian_group_shapes(8):
         adds = [r.tables()[0] for r in rings if r.additive_type == shape.invariant_factors]
         assert all(add is adds[0] for add in adds), shape
-        assert adds[0].dtype == np.int32 and not adds[0].flags.writeable
+        assert adds[0].dtype == np.uint16 and not adds[0].flags.writeable
         assert (adds[0] == _shape_context(shape.invariant_factors).add_np).all()
         shared += len(adds) > 1
     assert shared

@@ -28,6 +28,8 @@ from finring import (
     make_zn,
     parse_table_ring,
     quotient_ring,
+    serialize_table_ring,
+    unit_group,
     verify_tables,
 )
 from finring import is_unit, parse_ring, primitive_element, rings
@@ -44,8 +46,8 @@ def per_pair_tables(r):
     """Dense tables through `add` and `mul` one pair at a time: the oracle
     every family's vectorized `_build_tables` is compared against."""
     n = r.order
-    add = np.empty((n, n), dtype=np.int32)
-    mul = np.empty((n, n), dtype=np.int32)
+    add = np.empty((n, n), dtype=np.uint16)
+    mul = np.empty((n, n), dtype=np.uint16)
     for a in range(n):
         for b in range(n):
             add[a, b] = r.add(a, b)
@@ -398,6 +400,28 @@ def test_table_ring_keeps_its_values_after_the_input_is_edited():
         assert t.mul(2, 2) == 0 and t.add(1, 1) == 2
         assert t.tables()[1][2, 2] == 0 and t.tables()[0][1, 1] == 2
     assert not np.shares_memory(make_table_ring(*z.tables(), one=1).tables()[1], z.tables()[1])
+
+
+@pytest.mark.parametrize("bad", [2 ** 32 + 1, 65536 + 2, -65535])
+def test_table_entries_are_range_checked_before_narrowing(bad):
+    # each wraps to a valid index of Z(3) in uint16 storage, 2**32 + 1 in int32 too
+    add, mul = (t.astype(np.int64) for t in make_zn(3).tables())
+    mul[2, 2] = bad
+    with pytest.raises(ConstructionError, match=r"mul table entries must be indices in range\(0, 3\)"):
+        make_table_ring(add, mul)
+    text = serialize_table_ring(make_zn(3)).splitlines()
+    text[-1] = f"0 2 {bad}"
+    with pytest.raises(ConstructionError, match=r"mul table entries must be indices"):
+        parse_table_ring("\n".join(text))
+
+
+@pytest.mark.parametrize("entry", ["9" * 30, "9" * 5000])
+def test_huge_text_table_entries_are_construction_errors(entry):
+    # past int64 numpy holds the entries as objects, past 4300 digits int() refuses
+    text = serialize_table_ring(make_zn(3)).splitlines()
+    text[-1] = f"0 2 {entry}"
+    with pytest.raises(ConstructionError):
+        parse_table_ring("\n".join(text))
 
 
 @pytest.mark.parametrize("expr", ["Z(6)", "GF(8)", "M(2,Z(2))", "UT(3,Z(2))", "Z(2) x GF(4)",
@@ -1005,9 +1029,14 @@ def test_vectorized_tables_match_generic(expr, monkeypatch):
 
 
 LARGE_MATRIX_RINGS = ["UT(4,Z(2))", "M(3,GF(2))", "M(2,GF(8))", "UT(3,GF(4))", "UT(2,GF(16))"]
+# orders at TABLE_CAP, where uint16 tables are fullest and the wide
+# arithmetic (Z's i * j, GF's exp/log gather, mixed-radix composition) is
+# largest; Z(4095)'s products, unlike Z(4096)'s, would not survive a wrap
+# at 2**16
+CAP_RINGS = ["Z(4096)", "Z(4095)", "GF(4096)", "B(12)", "GF(64) x GF(64)"]
 
 
-@pytest.mark.parametrize("expr", LARGE_MATRIX_RINGS)
+@pytest.mark.parametrize("expr", LARGE_MATRIX_RINGS + CAP_RINGS)
 def test_matrix_tables_match_scalar_arithmetic_on_sampled_pairs(expr):
     # too large for the per-pair oracle above: seeded pairs against add and mul
     r = parse_ring(expr)
@@ -1033,6 +1062,42 @@ def test_matrix_table_build_peaks_near_its_outputs(expr):
     assert peak <= 1.05 * (add.nbytes + mul.nbytes), peak
 
 
+@pytest.mark.parametrize("n", [TABLE_CAP, TABLE_CAP - 1])
+def test_zn_tables_at_the_cap_equal_wide_arithmetic(n):
+    # i * j reaches 4095**2, far past uint16: the product is taken wide
+    i = np.arange(n, dtype=np.int64)
+    add, mul = make_zn(n).tables()
+    assert np.array_equal(add, np.add.outer(i, i) % n)
+    assert np.array_equal(mul, np.multiply.outer(i, i) % n)
+
+
+@pytest.mark.parametrize("expr", ["Z(4096)", "GF(4096)", "GF(64) x GF(64)"])
+def test_cap_table_build_peaks_near_its_outputs(expr):
+    # with any factor tables built, the wide products and exp/log gathers go
+    # in row blocks: the peak is the two uint16 outputs plus at most 20%
+    r = parse_ring(expr)
+    for f in getattr(r, "factors", ()):
+        f.tables()
+    tracemalloc.start()
+    try:
+        add, mul = r._build_tables()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.2 * (add.nbytes + mul.nbytes), peak
+
+
+def test_unit_group_at_the_cap_traces_under_96_mib():
+    # two uint16 tables of GF(4096) are 64 MiB; int32 tables traced 152 MiB
+    tracemalloc.start()
+    try:
+        assert unit_group(make_gf(TABLE_CAP)).count == TABLE_CAP - 1
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 96 * 2 ** 20, peak
+
+
 def test_every_family_builds_tables_without_the_per_pair_route():
     # Ring._build_tables raises NotImplementedError, so each family here
     # builds its own tables (the per-pair route is only the oracle above)
@@ -1043,7 +1108,7 @@ def test_every_family_builds_tables_without_the_per_pair_route():
     for r in rings:
         add, mul = r.tables()
         assert add.shape == mul.shape == (r.order, r.order), r.name
-        assert add.dtype == mul.dtype == np.int32, r.name
+        assert add.dtype == mul.dtype == np.uint16, r.name
 
 
 # Each entry point that takes element indices: the call, the exception it

@@ -56,6 +56,7 @@ from .rings import (
     ZnRing,
     _check_ideal,
     _multiple,
+    _read_only,
     digit_array,
     factorize,
     from_digits,
@@ -175,36 +176,56 @@ def is_unit(r: Ring, x) -> Elem | None:
     return None if inv is None else Elem(r, inv)
 
 
-def _dense_units(r: Ring) -> np.ndarray:
-    """The sorted unit indices, read from the dense multiplication table.
+def _find_units(rs: list[Ring]) -> None:
+    """Find the sorted unit indices of rings of one order in one stacked pass
+    over their multiplication tables, and keep each on its ring, read-only.
 
-    Units, their inverses and the group laws come from that table alone:
-    one-sided and two-sided units agree, one is in the set, the set is
-    closed under multiplication, and each unit's table inverse is
-    two-sided.  No sum is taken: `_unit_total` adds the units up for
-    `unit_group` and for the census of a table or quotient ring.  Rings
-    larger than TABLE_CAP raise BudgetError from `tables()`.
-    """
-    mul = r.tables()[1]
-    is_one = mul == r.one
-    umask = is_one.any(axis=1)
-    if not (umask == is_one.any(axis=0)).all():
-        raise ConstructionError(f"{r.name}: one-sided and two-sided units disagree")
-    if not umask[r.one]:
-        raise ConstructionError(f"{r.name}: one is missing from the unit set")
-    units = np.flatnonzero(umask)
-    inverses = np.empty(len(units), dtype=np.intp)
-    for block in row_blocks(len(units), r.order):
-        if not umask[mul[units[block]].take(units, axis=1)].all():
-            i, j = np.argwhere(~umask[mul[units[block]].take(units, axis=1)])[0]
-            raise ConstructionError(f"{r.name}: units not closed under multiplication at "
-                                    f"({units[block][i]},{units[j]})")
-        inverses[block] = np.argmax(is_one[units[block]], axis=1)
-    one_sided = np.flatnonzero(mul[inverses, units] != r.one)
-    if len(one_sided):
-        raise ConstructionError(
-            f"{r.name}: unit {units[one_sided[0]]} lacks a two-sided inverse in the set")
-    return units
+    Each table alone must show that one-sided and two-sided units agree, one
+    is a unit, the units are closed under multiplication, and each unit's
+    table inverse is two-sided.  Stacks go in chunks of about _BLOCK_ENTRIES
+    entries (a ring at the cap alone, as a view of its table); closure reads
+    unit rows at the chunk's unit columns.  An error names its ring, and no
+    ring of its chunk keeps a result."""
+    def fail(k: int, message: str):
+        raise ConstructionError(f"{group[k].name}: {message}")
+
+    for chunk in row_blocks(len(rs), rs[0].order ** 2 if rs else 1):
+        group = rs[chunk]
+        mul = (np.stack([r.tables()[1] for r in group]) if len(group) > 1
+               else group[0].tables()[1][None])
+        ones = np.array([r.one for r in group], dtype=mul.dtype)
+        is_one = mul == ones[:, None, None]
+        umask = is_one.any(axis=2)
+        n, flat = mul.shape[1], umask.ravel()
+        for bad, text in ((umask != is_one.any(axis=1), "one-sided and two-sided units disagree"),
+                          (~umask[range(len(group)), ones], "one is missing from the unit set")):
+            if bad.any():
+                fail(np.argwhere(bad)[0][0], text)
+        owner, units = np.nonzero(umask)  # by ring, then by unit
+        cols = np.flatnonzero(umask.any(axis=0))
+        inverses, colmask = np.empty(len(units), dtype=np.intp), umask[:, cols]
+        for block in row_blocks(len(units), 8 * n):  # intp lookups: _BLOCK_ENTRIES bytes
+            at, rows = owner[block], units[block]
+            products = mul[at, rows].take(cols, axis=1) + at[:, None] * n  # indices into flat
+            unclosed = np.take(flat, products) < colmask[at]  # a unit column, a product no unit
+            if unclosed.any():
+                i, j = np.argwhere(unclosed)[0]
+                fail(at[i], f"units not closed under multiplication at ({rows[i]},{cols[j]})")
+            inverses[block] = np.argmax(is_one[at, rows], axis=1)
+        for k in np.flatnonzero(mul[owner, inverses, units] != ones[owner])[:1]:
+            fail(owner[k], f"unit {units[k]} lacks a two-sided inverse in the set")
+        ends = np.cumsum(umask.sum(axis=1)).tolist()
+        for r, start, end in zip(group, [0] + ends, ends):
+            r._units = _read_only(units[start:end])[0]
+
+
+def _dense_units(r: Ring) -> np.ndarray:
+    """The sorted unit indices: `_find_units` on a stack of one the first time,
+    then the stored array.  No sum is taken (`_unit_total` adds the units).
+    Rings larger than TABLE_CAP raise BudgetError from `tables()`."""
+    if r._units is None:
+        _find_units([r])
+    return r._units
 
 
 def _unit_total(r: Ring, units: np.ndarray) -> int:
@@ -216,12 +237,10 @@ def _unit_total(r: Ring, units: np.ndarray) -> int:
 
 
 def unit_group(r: Ring) -> UnitGroupSummary:
-    """Every unit of the ring (`_dense_units`), with count and elementwise sum.
-
-    The tests compare the table inverses with `inverse_index`.  Rings
-    larger than TABLE_CAP raise BudgetError from `tables()`;
-    `unit_census` answers constructed rings from their construction.
-    """
+    """Every unit of the ring (`_dense_units`, found once per ring), with count
+    and elementwise sum; the sum is added up at each call.  The tests compare
+    the table inverses with `inverse_index`.  Rings larger than TABLE_CAP
+    raise BudgetError; `unit_census` reads constructed rings' construction."""
     units = _dense_units(r)
     return UnitGroupSummary(units=[Elem(r, u) for u in units.tolist()], count=len(units),
                             sum=Elem(r, _unit_total(r, units)), closure_verified=True)

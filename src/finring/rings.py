@@ -13,8 +13,8 @@ copies and validates outside tables; `TableRingStructure` trusts its own.
 Internal caches are filled idempotently and never change observable
 behaviour.  Memoized functions and per-ring values use one idiom,
 `functools.cache` and `functools.cached_property`; the dense tables
-(`Ring._tables`, which the benchmark's tracer reads) and the field exp/log
-lists (read by every scalar `mul`) stay plain attributes.
+(`Ring._tables`, which the benchmark's tracer reads), the unit indices
+(`Ring._units`) and the field exp/log lists stay plain attributes.
 
 Every family builds its dense tables from small pieces with numpy: Z_n
 and GF(q) from outer sums and exp/log lists, products and the additive
@@ -321,6 +321,7 @@ class Ring:
         self.one = one
         self.name = name
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
+        self._units: np.ndarray | None = None  # kept by analysis._find_units
 
     # -- index arithmetic ---------------------------------------------------
 

@@ -37,6 +37,7 @@ from .rings import (
     row_blocks,
 )
 from .analysis import (
+    _find_units,
     characteristic,
     gl_order,
     is_boolean,
@@ -161,6 +162,8 @@ def _enumerated_rings(cache: dict, max_order: int, up_to_iso: bool, budget: int 
                 note = (f"enumeration of order {order} stopped by the node budget; "
                         f"resume token {exc.resume_token}")
                 break
+        for order in range(2, max_order + 1):  # one stacked unit pass per order
+            _find_units([r for r in rings if r.order == order])
         cache[key] = (rings, complete, note)
     return cache[key]
 

@@ -16,6 +16,7 @@ from finring import (
     BudgetError,
     ConstructionError,
     characteristic,
+    enumerate_unital_rings,
     gl_order,
     inverse_by_scan,
     inverse_index,
@@ -835,17 +836,79 @@ def _doctored(n, cells):
     return rings.TableRingStructure(add, mul, 1, "doctored")
 
 
-@pytest.mark.parametrize("n, cells, message", [
+DOCTORED = [
     (4, [(2, 3, 1)], "one-sided and two-sided units disagree"),
     (4, [(1, 1, 0)], "one is missing from the unit set"),
     (5, [(2, 2, 0)], r"units not closed under multiplication at \(2,2\)"),
     (5, [(2, 1, 1)], "unit 2 lacks a two-sided inverse in the set"),
-])
+]
+
+
+@pytest.mark.parametrize("n, cells, message", DOCTORED)
 def test_every_dense_unit_route_checks_the_group_laws(n, cells, message):
     # unit_count and unit_census fail on a doctored table as unit_group does
     for census in (unit_count, unit_census, unit_group):
         with pytest.raises(ConstructionError, match=f"^doctored: {message}$"):
             census(_doctored(n, cells))
+
+
+@pytest.mark.parametrize("n, cells, message", DOCTORED)
+def test_a_doctored_ring_fails_a_stack_as_it_fails_alone(n, cells, message):
+    # first, in the middle and last among the raw rings of its order: the
+    # error is the one it raises alone, and the doctored ring keeps no units
+    with pytest.raises(ConstructionError, match=f"^doctored: {message}$") as alone:
+        analysis._find_units([_doctored(n, cells)])
+    good = list(enumerate_unital_rings(n))
+    for k in (0, len(good) // 2, len(good)):
+        bad = _doctored(n, cells)
+        with pytest.raises(ConstructionError) as stacked:
+            analysis._find_units(good[:k] + [bad] + good[k:])
+        assert str(stacked.value) == str(alone.value), k
+        assert bad._units is None, k
+
+
+def _fresh(r):
+    """A table ring on r's tables, with no units found yet."""
+    return rings.TableRingStructure(*r.tables(), r.one, r.name)
+
+
+@pytest.fixture(scope="module")
+def classes_to_16(enum_iso, order_16_classes):
+    """One ring per isomorphism class, by order, for orders 2..16."""
+    return {**enum_iso, **{n: list(enumerate_unital_rings(n, up_to_iso=True, budget=10 ** 6))
+                           for n in range(9, 16)}, 16: order_16_classes}
+
+
+@pytest.mark.parametrize("entries", [40, 1000])
+def test_stacked_units_match_one_ring_at_a_time(entries, enum_raw, classes_to_16, monkeypatch):
+    # each order's raw rings (2..8) and classes (2..16) as one stack, against
+    # each ring alone and the scan: 40 entries give every ring its own chunk
+    # and its unit rows several blocks; 1000 put up to 15 rings in a chunk
+    monkeypatch.setattr(rings, "_BLOCK_ENTRIES", entries)
+    for population in (enum_raw, classes_to_16):
+        for order, rs in population.items():
+            alone = [_fresh(r) for r in rs]
+            for r in alone:
+                analysis._find_units([r])
+            stack = [_fresh(r) for r in rs]
+            analysis._find_units(stack)
+            for r, one, stacked in zip(rs, alone, stack):
+                assert np.array_equal(stacked._units, one._units), r.name
+                assert stacked._units.dtype == one._units.dtype, r.name
+                assert stacked._units.tolist() == theorems._units_by_scan(r), r.name
+                assert not stacked._units.flags.writeable, r.name
+
+
+def test_units_are_found_once_per_ring(monkeypatch):
+    # the stored array is returned as it is, so no call after the first
+    # examines the ring; a stack of one reads its table as a view
+    r = parse_ring("M(2,GF(3))")
+    r.tables()
+    monkeypatch.setattr(np, "stack", lambda *a, **k: pytest.fail("a stack of one was copied"))
+    units = analysis._dense_units(r)
+    assert analysis._dense_units(r) is units and not units.flags.writeable
+    assert unit_group(r).count == unit_count(r) == len(units) == gl_order(2, 3)
+    assert [u.index for u in unit_group(r).units] == units.tolist()
 
 
 @pytest.mark.slow

@@ -623,13 +623,9 @@ def test_order_16_partial_stream_and_resume():
 # ---------------------------------------------------------------------------
 # order 16 up to isomorphism, and orbit-stabilizer against the raw search
 
-# ample for the pinned order-16 tree (3.83 M nodes, nearly all on (2,2,2,2))
+# ample for the pinned order-16 tree (3.83 M nodes, nearly all on (2,2,2,2)),
+# as for the session's `order_16_classes`
 ORDER_16_BUDGET = 10 ** 7
-
-
-@pytest.fixture(scope="module")
-def order_16_classes():
-    return list(enumerate_unital_rings(16, up_to_iso=True, budget=ORDER_16_BUDGET))
 
 
 def test_order_16_classification(order_16_classes):

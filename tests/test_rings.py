@@ -1088,14 +1088,16 @@ def test_cap_table_build_peaks_near_its_outputs(expr):
 
 
 def test_unit_group_at_the_cap_traces_under_96_mib():
-    # two uint16 tables of GF(4096) are 64 MiB; int32 tables traced 152 MiB
-    tracemalloc.start()
-    try:
-        assert unit_group(make_gf(TABLE_CAP)).count == TABLE_CAP - 1
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 96 * 2 ** 20, peak
+    # two uint16 tables at the cap are 64 MiB; int32 tables of GF(4096)
+    # traced 152 MiB.  |GL_2(8)| = 63 * 56, |U(UT_3(GF(4)))| = 3^3 * 4^3
+    for expr, count in (("GF(4096)", TABLE_CAP - 1), ("M(2,GF(8))", 3528), ("UT(3,GF(4))", 1728)):
+        tracemalloc.start()
+        try:
+            assert unit_group(parse_ring(expr)).count == count, expr
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 96 * 2 ** 20, (expr, peak)
 
 
 def test_every_family_builds_tables_without_the_per_pair_route():

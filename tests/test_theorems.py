@@ -1,5 +1,6 @@
 """Check runner: reports, populations, budgets, counterexample rechecking."""
 
+import collections
 import dataclasses
 
 import pytest
@@ -274,6 +275,30 @@ def test_verify_all_validates_each_enumerated_class_once(monkeypatch):
     assert all(report.passed for report in run_all(8))
     assert len(calls) == 40
     assert sorted(calls) == sorted((n, 1) for n in 2 * [2, 3, 4, 4, 4, 4, 5, 6, 7] + 2 * 11 * [8])
+
+
+def test_verify_all_finds_each_rings_units_once(monkeypatch):
+    # every ring's units come from one kernel pass, which every later check
+    # reads: each enumerated order is one stacked pass, and the shared
+    # M(3,GF(2)), M(2,GF(4)) and M(2,GF(3)) are no longer examined three times
+    examined, passes = [], []
+    kernel = analysis._find_units
+
+    def counted(rs):
+        examined.extend(rs)  # the rings stay referenced, so their ids stay distinct
+        passes.append(len(rs))
+        return kernel(rs)
+
+    monkeypatch.setattr(analysis, "_find_units", counted)
+    monkeypatch.setattr(theorems, "_find_units", counted)
+    theorems._matrix_ring.cache_clear()
+    theorems._triangular_ring.cache_clear()
+    assert all(report.passed for report in run_all(8))
+    times = collections.Counter(map(id, examined))
+    assert max(times.values()) == 1
+    for n, q in ((3, 2), (2, 4), (2, 3)):
+        assert times[id(theorems._matrix_ring(n, q))] == 1, (n, q)
+    assert max(passes) == 552  # the raw rings of order 8, in one pass
 
 
 def test_t4_reports_a_failed_geometric_sum(monkeypatch):

@@ -106,13 +106,16 @@ def _as_index(r: Ring, x) -> int:
 def characteristic(r: Ring) -> int:
     """The additive order of one: least k >= 1 with k*one = zero.  It divides
     |R|, so for each p^e exactly dividing |R|, x = (|R| / p^e)*one has order
-    k's p-part, the power of p that multiplying x by p takes to reach zero."""
-    k = 1
-    for p, e in factorize(r.order):
-        x = _multiple(r.add, r.one, r.order // p ** e)
-        while x != r.zero:
-            x, k = _multiple(r.add, x, p), k * p
-    return k
+    k's p-part, the power of p that multiplying x by p takes to reach zero.
+    Found once per ring and kept on it, as `Ring._characteristic`."""
+    if r._characteristic is None:
+        k = 1
+        for p, e in factorize(r.order):
+            x = _multiple(r.add, r.one, r.order // p ** e)
+            while x != r.zero:
+                x, k = _multiple(r.add, x, p), k * p
+        r._characteristic = k
+    return r._characteristic
 
 
 def is_boolean(r: Ring) -> bool:

@@ -14,7 +14,8 @@ Internal caches are filled idempotently and never change observable
 behaviour.  Memoized functions and per-ring values use one idiom,
 `functools.cache` and `functools.cached_property`; the dense tables
 (`Ring._tables`, which the benchmark's tracer reads), the unit indices
-(`Ring._units`) and the field exp/log lists stay plain attributes.
+(`Ring._units`), the characteristic (`Ring._characteristic`) and the field
+exp/log lists stay plain attributes.
 
 Every family builds its dense tables from small pieces with numpy: Z_n
 and GF(q) from outer sums and exp/log lists, products and the additive
@@ -322,6 +323,7 @@ class Ring:
         self.name = name
         self._tables: tuple[np.ndarray, np.ndarray] | None = None
         self._units: np.ndarray | None = None  # kept by analysis._find_units
+        self._characteristic: int | None = None  # kept by analysis.characteristic
 
     # -- index arithmetic ---------------------------------------------------
 
@@ -926,29 +928,33 @@ def _cubic_screen_holds(add, mul) -> bool:
     The quadratic axioms are taken as checked.  By Light's test (Clifford &
     Preston, *The Algebraic Theory of Semigroups* I, section 1.2) + is
     associative if (x+s)+y = x+(s+y) for all s in S, as the s passing it
-    are closed under + and generate.  Then a(s+b) = as+ab and (s+b)a =
-    sa+ba on S give both distributivities (b = 0 gives a0 = 0a = 0, and
-    the s passing are closed under +), after which both sides of (xy)z =
-    x(yz) are additive in x, y and z, so (st)u = s(tu) on S^3 is enough.
-    Each check is an instance of an axiom.  `mul` holds one table or a
-    stack of them on its last two axes, all screened at once.  All of S
-    goes at once, in blocks of rows of the free element (x, a or b) of
-    about _BLOCK_ENTRIES entries over the stack; `np.take` gathers columns
-    several times faster than a fancy index at order 4096.
+    are closed under + and generate.  Then a(s+b) = as+ab for every a and
+    s in S gives left distributivity (b = 0 gives a0 = 0, and the s passing
+    are closed under +), so every row of mul is additive.  Once every row
+    is additive, both sides of (s+b)a = sa+ba are additive in a, so it need
+    only hold for a in S, and it gives right distributivity the same way.
+    Then both sides of (xy)z = x(yz) are additive in x, y and z, so (st)u =
+    s(tu) on S^3 is enough.  Each check is an instance of an axiom.  `mul`
+    holds one table or a stack of them on its last two axes, all screened
+    at once.  All of S goes at once, the first two checks in blocks of rows
+    of the free element (x or a) of about _BLOCK_ENTRIES entries over the
+    stack; `np.take` gathers columns several times faster than a fancy
+    index at order 4096.
     """
     n = add.shape[0]
     mul = mul.reshape(-1, n, n)
     s = np.array(_additive_generators(add), dtype=np.intp)
-    sx, s_mul, mul_s = add[s], mul[:, s], mul[:, :, s]  # [s, x] -> s+x, [., s, x] -> sx, xs
+    sx, mul_s = add[s], mul[:, :, s]  # [s, x] -> s+x, [., x, s] -> xs
     for rows in row_blocks(n, len(mul) * n * s.size):
         if not ((add[sx[:, rows].T] == np.take(add[rows], sx, axis=1)).all()   # (x+s)+y = x+(s+y)
                 and (np.take(mul[:, rows], sx, axis=2)
-                     == add[mul_s[:, rows, :, None], mul[:, rows, None, :]]).all()  # a(s+b) = as+ab
-                and (np.take(mul, sx[:, rows], axis=1)
-                     == add[s_mul[:, :, None, :], mul[:, None, rows]]).all()):      # (s+b)a = sa+ba
+                     == add[mul_s[:, rows, :, None], mul[:, rows, None, :]]).all()):  # a(s+b) = as+ab
             return False
+    st = mul_s[:, s]  # [., s, t] -> st
+    if not (np.take(mul_s, sx, axis=1)                                        # (s+b)t = st+bt
+            == add[st[:, :, None], mul_s[:, None]]).all():
+        return False
     leaf = np.arange(len(mul))[:, None, None, None]
-    st = s_mul[:, :, s]  # [., s, t] -> st
     return bool((mul[leaf, st[..., None], s]                                  # (st)u = s(tu)
                  == mul[leaf, s[:, None, None], st[:, None]]).all())
 

@@ -11,12 +11,14 @@ with 1 = 0 the unit-group conventions degenerate.
 The populations mix constructed families (Z_n, fields, boolean products,
 matrix and triangular rings) with the exhaustively enumerated rings of
 small order, so every hypothesis branch — characteristic 2 and odd,
-prime and prime-power fields, n = 1 edge cases — is exercised.
+prime and prime-power fields, n = 1 edge cases — is exercised.  A run
+keeps one population in the `cache` its checks share: each ring is built
+once, and the units of the families and enumerated rings are found in one
+stacked pass per order.
 """
 
 from __future__ import annotations
 
-import functools
 import time
 from collections.abc import Callable
 from dataclasses import dataclass
@@ -108,86 +110,88 @@ def normalize_check_id(check_id: str) -> str:
 
 
 # ---------------------------------------------------------------------------
-# populations
+# populations, kept in the run's `cache`: no ring, nor what is kept on it,
+# outlives its run
 
 
-@functools.cache
-def _matrix_ring(n: int, q: int) -> Ring:
-    """M(n, GF(q)), one ring per (n, q) for every population that holds it:
-    the standard families, T5 and T6 share M(2,GF(2)), M(3,GF(2)) and
-    M(2,GF(4)), so each dense table is built once per process."""
-    return make_matrix_ring(n, make_gf(q))
-
-
-@functools.cache
-def _triangular_ring(n: int) -> Ring:
-    """UT(n, Z(2)), one ring per n: the standard families, T7's non-example
-    and T8 share UT(2,Z(2)), and the families and T8 share UT(3,Z(2)) and
-    UT(4,Z(2)), so each dense table is built once per process."""
-    return make_triangular_ring(n, make_zn(2))
-
-
-def _family_population() -> list[tuple[str, Ring]]:
-    """The constructed standard families, zero ring excluded."""
-    pop: list[tuple[str, Ring]] = []
-    for n in range(2, 31):
-        pop.append((f"Z({n})", make_zn(n)))
-    for q in FIELD_SIZES:
-        pop.append((f"GF({q})", make_gf(q)))
-    for k in BOOLEAN_EXPONENTS:
-        pop.append((f"B({k})", make_boolean(k)))
-    for n, q in ((2, 2), (2, 3), (2, 4), (3, 2)):
-        pop.append((f"M({n},GF({q}))", _matrix_ring(n, q)))
-    for n in TRIANGULAR_SIZES:
-        pop.append((f"UT({n},Z(2))", _triangular_ring(n)))
-    return pop
-
-
-def _enumerated_rings(cache: dict, max_order: int, up_to_iso: bool, budget: int | None):
-    """Enumerated rings of order 2..max_order, shared across checks.
-
-    Returns (rings, complete, note); a budget stop marks the scan
-    incomplete and records the resume token.  The budget applies to each
-    order's search separately.
-    """
-    key = ("enum", max_order, up_to_iso)
+def _ring(cache: dict, build: Callable[..., Ring], *args) -> Ring:
+    """The run's one ring `build(*args)`, built at its first use."""
+    key = ("ring", build, *args)
     if key not in cache:
-        rings: list[TableRingStructure] = []
-        complete, note = True, None
-        for order in range(2, max_order + 1):
-            try:
-                rings.extend(enumerate_unital_rings(order, up_to_iso=up_to_iso, budget=budget))
-            except BudgetError as exc:
-                complete = False
-                note = (f"enumeration of order {order} stopped by the node budget; "
-                        f"resume token {exc.resume_token}")
-                break
-        for order in range(2, max_order + 1):  # one stacked unit pass per order
+        cache[key] = build(*args)
+    return cache[key]
+
+
+def _matrix_ring(cache: dict, n: int, q: int) -> Ring:
+    """M(n, GF(q)) over the run's GF(q): the families, T5 and T6 share it."""
+    return _ring(cache, make_matrix_ring, n, _ring(cache, make_gf, q))
+
+
+def _triangular_ring(cache: dict, n: int) -> Ring:
+    """UT(n, Z(2)) over the run's Z(2): the families, T7's non-example and T8 share it."""
+    return _ring(cache, make_triangular_ring, n, _ring(cache, make_zn, 2))
+
+
+def _family_population(cache: dict) -> list[tuple[str, Ring]]:
+    """The constructed standard families, zero ring excluded."""
+    return ([(f"Z({n})", _ring(cache, make_zn, n)) for n in range(2, 31)]
+            + [(f"GF({q})", _ring(cache, make_gf, q)) for q in FIELD_SIZES]
+            + [(f"B({k})", _ring(cache, make_boolean, k)) for k in BOOLEAN_EXPONENTS]
+            + [(f"M({n},GF({q}))", _matrix_ring(cache, n, q))
+               for n, q in ((2, 2), (2, 3), (2, 4), (3, 2))]
+            + [(f"UT({n},Z(2))", _triangular_ring(cache, n)) for n in TRIANGULAR_SIZES])
+
+
+def _enumerated_rings(max_order: int, up_to_iso: bool, budget: int | None):
+    """Enumerated rings of order 2..max_order, as (rings, complete, note); a budget
+    stop, which applies to each order's search, marks the scan incomplete and
+    notes the resume token."""
+    rings: list[TableRingStructure] = []
+    for order in range(2, max_order + 1):
+        try:
+            rings.extend(enumerate_unital_rings(order, up_to_iso=up_to_iso, budget=budget))
+        except BudgetError as exc:
+            return rings, False, (f"enumeration of order {order} stopped by the node budget; "
+                                  f"resume token {exc.resume_token}")
+    return rings, True, None
+
+
+def _population(cache: dict, max_order: int, budget: int | None):
+    """The run's population: the families, and the enumerated rings raw and one
+    per class, each as (rings, complete, note).  Built once per run, with the
+    units of each order found in one stacked pass over all of it."""
+    key = ("population", max_order)
+    if key not in cache:
+        raw, iso = (_enumerated_rings(max_order, up_to_iso, budget) for up_to_iso in (False, True))
+        families = _family_population(cache)
+        rings = [r for _, r in families] + raw[0] + iso[0]
+        for order in sorted({r.order for r in rings}):
             _find_units([r for r in rings if r.order == order])
-        cache[key] = (rings, complete, note)
+        cache[key] = families, raw, iso
     return cache[key]
 
 
 def _families_and_enumerated(up_to_iso: bool):
     """Population builder: the standard families, then every raw ring or one per class."""
     def build(max_order, budget, cache):
-        rings, complete, note = _enumerated_rings(cache, max_order, up_to_iso, budget)
-        return _family_population() + [(r.name, r) for r in rings], complete, note
+        families, raw, iso = _population(cache, max_order, budget)
+        rings, complete, note = iso if up_to_iso else raw
+        return families + [(r.name, r) for r in rings], complete, note
     return build
 
 
 def _fixed(build):
-    """Population builder for a list that does not depend on the scan depth."""
-    return lambda max_order, budget, cache: (build(), True, None)
+    """Population builder for a list of the run's rings that does not depend on the scan depth."""
+    return lambda max_order, budget, cache: (build(cache), True, None)
 
 
 def _t7_population(max_order, budget, cache):
     """Raw rings, one ring per isomorphism class, and the boolean products."""
-    raw, complete_r, note_r = _enumerated_rings(cache, max_order, False, budget)
-    iso, complete_i, note_i = _enumerated_rings(cache, max_order, True, budget)
+    _, (raw, complete_r, note_r), (iso, complete_i, note_i) = _population(
+        cache, max_order, budget)
     items = [(r.name, r) for r in raw] + [(f"{r.name}/iso", r) for r in iso]
     if max_order >= 2:
-        items += [(f"B({k})", make_boolean(k)) for k in BOOLEAN_EXPONENTS]
+        items += [(f"B({k})", _ring(cache, make_boolean, k)) for k in BOOLEAN_EXPONENTS]
     return items, complete_r and complete_i, note_r or note_i
 
 
@@ -266,7 +270,7 @@ class CheckSpec:
     premise: Callable | None
     claim: Callable
     direct: Callable
-    non_example: tuple[str, Callable[[], Ring], str] | None = None
+    non_example: tuple[str, Callable[[dict], Ring], str] | None = None
 
 
 def _t1_claim(r):
@@ -417,9 +421,9 @@ def _t7_direct(r):
 
 
 def _t8_expected(n):
-    """(unit count, unit sum index) that the claim gives UT_n(Z_2)."""
-    e12 = _triangular_ring(2).from_entries([0, 1, 0, 0])
-    return 2 ** ((n - 1) * n // 2), (e12 if n == 2 else 0)
+    """(unit count, unit sum index) that the claim gives UT_n(Z_2).  E_12 of
+    UT_2(Z_2) has index 2: a 1 in the second stored cell, (0, 1)."""
+    return 2 ** ((n - 1) * n // 2), (2 if n == 2 else 0)
 
 
 def _t8_claim(r):
@@ -483,23 +487,24 @@ CHECKS = {spec.check_id: spec for spec in (
         "A field with q elements has q-1 units; they sum to 1 when q = 2 and to 0 "
         "otherwise, and the geometric sum of a primitive element agrees.",
         f"fields GF(q) for q in {list(FIELD_SIZES)}",
-        _fixed(lambda: [(f"GF({q})", make_gf(q)) for q in FIELD_SIZES]), None,
+        _fixed(lambda cache: [(f"GF({q})", _ring(cache, make_gf, q)) for q in FIELD_SIZES]),
+        None,
         _t4_claim, _t4_direct),
     CheckSpec(
         "T5",
         "The closed product formula for the number of invertible n-by-n matrices "
         "over GF(q) matches a brute-force count.",
         f"(n, q) instances {list(GL_INSTANCES)}",
-        _fixed(lambda: [(f"GL({n},{q})", _matrix_ring(n, q))
-                        for n, q in GL_INSTANCES]), None,
+        _fixed(lambda cache: [(f"GL({n},{q})", _matrix_ring(cache, n, q))
+                              for n, q in GL_INSTANCES]), None,
         _t5_claim, _t5_direct),
     CheckSpec(
         "T6",
         "Over a characteristic-2 field, the invertible n-by-n matrices (n >= 2) are "
         "even in number and sum to 0; each first-column class has even size.",
         f"matrix rings M(n, GF(q)) for (n, q) in {list(MATRIX_CHAR2_INSTANCES)}",
-        _fixed(lambda: [(f"M({n},GF({q}))", _matrix_ring(n, q))
-                        for n, q in MATRIX_CHAR2_INSTANCES]),
+        _fixed(lambda cache: [(f"M({n},GF({q}))", _matrix_ring(cache, n, q))
+                              for n, q in MATRIX_CHAR2_INSTANCES]),
         None, _t6_claim, _t6_direct),
     CheckSpec(
         "T7",
@@ -509,14 +514,14 @@ CHECKS = {spec.check_id: spec for spec in (
         f"class) plus the boolean products B(k), k <= {max(BOOLEAN_EXPONENTS)}, "
         "restricted to trivial unit group ({scanned} rings scanned)",
         _t7_population, lambda r: unit_count(r) == 1, _t7_claim, _t7_direct,
-        non_example=("UT(2,Z(2))", lambda: _triangular_ring(2), "trivial-unit")),
+        non_example=("UT(2,Z(2))", lambda cache: _triangular_ring(cache, 2), "trivial-unit")),
     CheckSpec(
         "T8",
         "UT_n(Z_2) has exactly 2^((n-1)n/2) units; they sum to the single "
         "off-diagonal matrix E_12 when n = 2 and to 0 for n >= 3.",
         f"triangular rings UT(n, Z(2)) for n in {list(TRIANGULAR_SIZES)}",
-        _fixed(lambda: [(f"UT({n},Z(2))", _triangular_ring(n))
-                        for n in TRIANGULAR_SIZES]), None,
+        _fixed(lambda cache: [(f"UT({n},Z(2))", _triangular_ring(cache, n))
+                              for n in TRIANGULAR_SIZES]), None,
         _t8_claim, _t8_direct),
     CheckSpec(
         "T9",
@@ -535,7 +540,7 @@ CHECK_IDS = tuple(CHECKS)
 
 def run_check(check_id: str, *, max_order: int = DEFAULT_MAX_ORDER,
               budget: int | None = None, cache: dict | None = None) -> TheoremReport:
-    """Run one check; `cache` shares enumerated populations across checks."""
+    """Run one check; `cache` is the run's store of the rings and populations its checks share."""
     spec = CHECKS[normalize_check_id(check_id)]
     if type(max_order) is not int or max_order < 1:
         raise ConstructionError(f"max_order must be a positive integer, got {max_order}")
@@ -557,7 +562,7 @@ def run_check(check_id: str, *, max_order: int = DEFAULT_MAX_ORDER,
 
     if spec.non_example is not None and items:
         name, build, wording = spec.non_example
-        ring = build()
+        ring = build(cache)
         if spec.premise(ring):
             return finish("premise sanity", 1, name, ring,
                           {"error": f"{name} must not satisfy the {wording} premise"})
@@ -577,7 +582,7 @@ def run_check(check_id: str, *, max_order: int = DEFAULT_MAX_ORDER,
 
 def run_all(max_order: int = DEFAULT_MAX_ORDER, *,
             budget: int | None = None) -> list[TheoremReport]:
-    """All nine checks with a shared enumeration cache, in T1..T9 order."""
+    """All nine checks over one run's store of rings, in T1..T9 order."""
     cache: dict = {}
     return [run_check(cid, max_order=max_order, budget=budget, cache=cache)
             for cid in CHECK_IDS]

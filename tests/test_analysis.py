@@ -138,6 +138,19 @@ def test_characteristic_reads_one_prime_at_a_time(monkeypatch):
     assert len(calls) < 500
 
 
+def test_kept_characteristic_matches_a_new_copy(enum_raw):
+    # every standard family and raw ring of order <= 8 keeps the value that a
+    # new copy of it, with nothing kept yet, gives
+    pairs = list(zip(theorems._family_population({}), theorems._family_population({})))
+    pairs = [(r, copy) for (_, r), (_, copy) in pairs]
+    pairs += [(r, rings.TableRingStructure(*r.tables(), r.one, r.name))
+              for n in sorted(enum_raw) for r in enum_raw[n]]
+    for r, copy in pairs:
+        assert copy._characteristic is None and r is not copy
+        assert characteristic(r) == r._characteristic == characteristic(copy), r.name
+        assert characteristic(r) == copy._characteristic, r.name
+
+
 # ---------------------------------------------------------------------------
 # commutativity and booleanness
 
@@ -536,7 +549,7 @@ def _radical_of_table_copy(r):
 def _radical_oracle_population(enum_raw):
     """Every ring of the T9 population (families and the rings of order <= 8),
     plus three larger matrix and triangular rings."""
-    population = [r for _, r in theorems._family_population()]
+    population = [r for _, r in theorems._family_population({})]
     population += [r for n in sorted(enum_raw) for r in enum_raw[n]]
     return population + [parse_ring(e) for e in ("UT(4,Z(2))", "M(2,Z(4))", "M(3,GF(2))")]
 

@@ -1,5 +1,6 @@
 """Ring constructions: carriers, encodings, axioms, and their error cases."""
 
+import collections
 import itertools
 import random
 import tracemalloc
@@ -706,6 +707,55 @@ def test_verify_tables_rejects_products_failing_one_screen_check():
         got = _verdict(verify_tables, add, mul, 1)
         assert got == _verdict(oracle_verify_tables, add, mul, 1)
         assert got.startswith(f"ring axiom violated: {axiom} at ")
+
+
+def _is_ring_by_brute_force(add, mul, one):
+    """All eight unital-ring axioms over every pair and every triple."""
+    e = np.arange(len(add))
+    x, y, z = e[:, None, None], e[None, :, None], e[None, None, :]
+    return bool((add == add.T).all() and (add[0] == e).all() and (add == 0).any(axis=1).all()
+                and (len(add) == 1 or one != 0)
+                and (mul[one] == e).all() and (mul[:, one] == e).all()
+                and (add[add[x, y], z] == add[x, add[y, z]]).all()
+                and (mul[mul[x, y], z] == mul[x, mul[y, z]]).all()
+                and (mul[x, add[y, z]] == add[mul[x, y], mul[x, z]]).all()
+                and (mul[add[x, y], z] == add[mul[x, z], mul[y, z]]).all())
+
+
+def _perturbed(table, rng):
+    """A copy of the table with one entry changed, two rows swapped or one column shuffled."""
+    out, n = table.copy(), len(table)
+    x, y = rng.sample(range(n), 2)
+    kind = rng.randrange(3)
+    if kind == 0:
+        out[x, y] = rng.choice([v for v in range(n) if v != out[x, y]])
+    elif kind == 1:
+        out[[x, y]] = out[[y, x]]
+    else:
+        column = out[:, y].tolist()
+        rng.shuffle(column)
+        out[:, y] = column
+    return out
+
+
+def test_verify_tables_agrees_with_brute_force_on_perturbed_tables(enum_raw):
+    # the screen checks right distributivity only at generators a, so it is
+    # held to a check of every triple on seeded perturbations of either table
+    rng = random.Random(1512)
+    population = [(r, 6) for n in range(2, 9) for r in enum_raw[n]]
+    population += [(parse_ring(e), 60) for e in ("Z(12)", "GF(9)", "UT(2,Z(2))", "M(2,Z(2))",
+                                                 "Z(4) x Z(3)", "UT(2,Z(3))")]
+    named = collections.Counter()
+    for ring, count in population:
+        add, mul = (np.array(t) for t in ring.tables())
+        for _ in range(count):
+            bad = _perturbed(mul, rng) if rng.random() < 0.75 else None
+            tables = (add, bad) if bad is not None else (_perturbed(add, rng), mul)
+            got = _verdict(verify_tables, *tables, ring.one)
+            assert (got is None) == _is_ring_by_brute_force(*tables, ring.one), ring.name
+            named[got and got.split(" at ")[0].removeprefix("ring axiom violated: ")] += 1
+    # the sample reaches the cubic screen, right distributivity included
+    assert named["right distributivity"] > 50 and named["multiplicative associativity"] > 50
 
 
 def test_verify_tables_names_each_quadratic_failure():

@@ -82,12 +82,14 @@ def test_formula_checks_never_read_the_structural_census(check_id, monkeypatch):
 
 def test_census_of_every_constructed_population_ring_matches_its_unit_group():
     # the constructed rings of T1-T9 at max order 8: the standard families and
-    # the fixed T4, T5, T6 and T8 lists, each ring object once
-    items = theorems._family_population()
+    # the fixed T4, T5, T6 and T8 lists of one run, each ring object once; the
+    # run's families hold all of them but GL(1,5)
+    cache = {}
+    items = theorems._family_population(cache)
     for cid in ("T4", "T5", "T6", "T8"):
-        items += theorems.CHECKS[cid].population(8, None, {})[0]
+        items += theorems.CHECKS[cid].population(8, None, cache)[0]
     distinct = {id(r): r for _, r in items}
-    assert len(distinct) == 63
+    assert len(distinct) == 53
     for r in distinct.values():
         ug = analysis.unit_group(r)
         assert analysis.unit_census(r) == (ug.count, ug.sum), r.name
@@ -247,8 +249,6 @@ def test_verify_all_builds_each_matrix_table_once(monkeypatch):
         return build(self)
 
     monkeypatch.setattr(rings.MatrixRing, "_build_tables", counted)
-    theorems._matrix_ring.cache_clear()
-    theorems._triangular_ring.cache_clear()
     assert all(report.passed for report in run_all(4))
     full = [name for name in built if name.startswith("M(")]
     assert len(full) == len(set(full))
@@ -277,28 +277,94 @@ def test_verify_all_validates_each_enumerated_class_once(monkeypatch):
     assert sorted(calls) == sorted((n, 1) for n in 2 * [2, 3, 4, 4, 4, 4, 5, 6, 7] + 2 * 11 * [8])
 
 
-def test_verify_all_finds_each_rings_units_once(monkeypatch):
-    # every ring's units come from one kernel pass, which every later check
-    # reads: each enumerated order is one stacked pass, and the shared
-    # M(3,GF(2)), M(2,GF(4)) and M(2,GF(3)) are no longer examined three times
-    examined, passes = [], []
+def _counted_unit_passes(monkeypatch):
+    """The rings of each `_find_units` pass, in order; the rings stay
+    referenced, so their ids stay distinct."""
+    passes = []
     kernel = analysis._find_units
 
     def counted(rs):
-        examined.extend(rs)  # the rings stay referenced, so their ids stay distinct
-        passes.append(len(rs))
+        passes.append(list(rs))
         return kernel(rs)
 
     monkeypatch.setattr(analysis, "_find_units", counted)
     monkeypatch.setattr(theorems, "_find_units", counted)
-    theorems._matrix_ring.cache_clear()
-    theorems._triangular_ring.cache_clear()
+    return passes
+
+
+def test_verify_all_finds_each_rings_units_once(monkeypatch):
+    # one run builds each ring once, in the run's store, and finds the units
+    # of its population (the families and the enumerated rings, raw and one
+    # per class) in one stacked pass per order: Z(16), GF(16), B(4) and
+    # M(2,GF(2)) share a pass.  GL(1,5) of T5 is the one ring outside it.
+    families = [name for name, _ in theorems._family_population({})]
+    built = []
+    for name in ("make_zn", "make_gf", "make_boolean", "make_matrix_ring",
+                 "make_triangular_ring"):
+        make = getattr(theorems, name)
+        monkeypatch.setattr(theorems, name,
+                            lambda *args, make=make: built.append(make(*args)) or built[-1])
+    passes = _counted_unit_passes(monkeypatch)
     assert all(report.passed for report in run_all(8))
-    times = collections.Counter(map(id, examined))
-    assert max(times.values()) == 1
-    for n, q in ((3, 2), (2, 4), (2, 3)):
-        assert times[id(theorems._matrix_ring(n, q))] == 1, (n, q)
-    assert max(passes) == 552  # the raw rings of order 8, in one pass
+    assert sorted(r.name for r in built) == sorted(families + ["M(1,GF(5))"])
+    examined = [r for rs in passes for r in rs]
+    assert len(examined) == len({id(r) for r in examined}) == 52 + 581 + 20 + 1
+    assert {id(r) for r in built} <= {id(r) for r in examined}
+    *stacked, alone = passes
+    assert [r.name for r in alone] == ["M(1,GF(5))"]
+    assert all(len({r.order for r in rs}) == 1 for rs in passes)
+    orders = sorted({r.order for r in built} | set(range(2, 9)))
+    assert [rs[0].order for rs in stacked] == orders and len(orders) == 35
+    # order 8: the 552 raw rings, 11 classes, Z(8), GF(8), B(3) and UT(2,Z(2))
+    assert max(map(len, passes)) == 567
+
+
+def test_each_run_builds_and_examines_its_own_rings(monkeypatch):
+    # two runs in one process share no ring, so the second finds every unit
+    # again: no ring, nor the units kept on it, outlives its run
+    runs = []
+    for _ in range(2):
+        passes = _counted_unit_passes(monkeypatch)
+        assert all(report.passed for report in run_all(8))
+        runs.append({id(r): r for rs in passes for r in rs})
+    first, second = runs
+    assert len(first) == len(second) == 654
+    assert not first.keys() & second.keys()
+
+
+def test_t4_alone_builds_no_matrix_table(monkeypatch):
+    # T4 takes the run's fields and nothing else of the population
+    built = []
+    build = rings.MatrixRing._build_tables
+    monkeypatch.setattr(rings.MatrixRing, "_build_tables",
+                        lambda self: built.append(self.name) or build(self))
+    report = run_check("T4")
+    assert report.passed and report.population_count == POPULATION_AT_8["T4"]
+    assert built == []
+
+
+def test_verify_all_finds_each_rings_characteristic_once(monkeypatch):
+    # each ring keeps its characteristic: the checks ask for it far more often
+    # than there are rings, and each ring's value is found and kept once
+    asked, kept = [], []
+
+    class Kept:
+        """`Ring._characteristic`, recording every ring a value is kept on."""
+
+        def __get__(self, ring, owner):
+            return vars(ring).get("kept")
+
+        def __set__(self, ring, value):
+            if value is not None:
+                kept.append(ring)
+            vars(ring)["kept"] = value
+
+    monkeypatch.setattr(rings.Ring, "_characteristic", Kept(), raising=False)
+    ask = theorems.characteristic
+    monkeypatch.setattr(theorems, "characteristic", lambda r: asked.append(r) or ask(r))
+    assert all(report.passed for report in run_all(8))
+    assert len(kept) == len({id(r) for r in kept}) == len({id(r) for r in asked})
+    assert len(asked) > 2 * len(kept)
 
 
 def test_t4_reports_a_failed_geometric_sum(monkeypatch):

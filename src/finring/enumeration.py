@@ -184,16 +184,22 @@ def abelian_group_shapes(order: int) -> list[AdditiveGroupShape]:
 
 
 class _ShapeContext:
-    """Precomputed additive data for one invariant-factor chain.
+    """Precomputed additive data for one invariant-factor chain, and the
+    search's plans for it, built at their first read.
 
     Elements are mixed-radix digit vectors over the factors, first factor
     least significant, as in the product Z(d_1) x ... x Z(d_r), whose add
     table is `add_np` (read-only uint8).  `add` and `smul` are dense
     lookup lists, `digit_array` the digits of each element (one int16 row
-    per element) and `digits` their nonzero support, and `K[i][j]` the
-    candidate values for the structure constant g_i * g_j (the elements
-    gcd(d_i, d_j) kills, since that scalar kills both generators; the
-    exponent d_1 kills every element, as smul[0] does).
+    per element) and `digits` their nonzero support.  Every caller reads
+    these; `canonical_form`, `are_isomorphic` and `_shape_automorphisms`
+    read nothing else.
+
+    The search fields below are built together by `_build_search` at the
+    first read of any of them.  `K[i][j]` holds the candidate values for
+    the structure constant g_i * g_j (the elements gcd(d_i, d_j) kills,
+    since that scalar kills both generators; the exponent d_1 kills every
+    element, as smul[0] does).
 
     Position d of the wavefront order `positions` holds g_i g_j for
     (i, j) = positions[d], and P[i][j] = d.  The read plans say which
@@ -212,13 +218,13 @@ class _ShapeContext:
     `triples[d]` lists the generator triples (i, j, k) whose first two
     reads, g_i g_j and g_j g_k, end at position d, each as (P[i][j],
     P[j][k], right[k], right_last[k], right_scale[k], left[i],
-    left_last[i], left_scale[i]).
+    left_last[i], left_scale[i]).  `P_np`, `factors_np` and `strides_np`
+    are `_full_mul`'s operands besides the digits.
     """
 
     def __init__(self, factors: tuple[int, ...]):
         self.factors = factors
-        r = len(factors)
-        self.r = r
+        self.r = len(factors)
         self.strides = place_values(factors).tolist()
         n = self.order = prod(factors)
         self.exponent = factors[0]
@@ -231,6 +237,16 @@ class _ShapeContext:
         self.digits = [tuple((i, a) for i, a in enumerate(row) if a)
                        for row in self.digit_array.tolist()]
         self.gens = [s % n for s in self.strides]
+
+    def __getattr__(self, name: str):
+        # called only for a name the instance lacks: a search field not yet built
+        if name.startswith("_") or "positions" in self.__dict__:
+            raise AttributeError(f"{type(self).__name__!r} object has no attribute {name!r}")
+        self._build_search()
+        return getattr(self, name)
+
+    def _build_search(self) -> None:
+        factors, r, n = self.factors, self.r, self.order
         self.K = [[[x for x, v in enumerate(self.smul[gcd(d, e) % self.exponent]) if not v]
                    for e in factors] for d in factors]
 
@@ -242,10 +258,8 @@ class _ShapeContext:
                 positions.append((i, t))
                 positions.append((t, i))
             positions.append((t, t))
-        self.positions = positions
         posidx = {p: k for k, p in enumerate(positions)}
         P = self.P = [[posidx[(i, j)] for j in range(r)] for i in range(r)]
-        # `_full_mul`'s operands besides the digits, built once
         self.P_np = np.array(P, dtype=np.intp)
         self.factors_np = np.array(factors, dtype=np.int16)
         self.strides_np = np.array(self.strides, dtype=np.int16)
@@ -273,6 +287,8 @@ class _ShapeContext:
             self.triples[max(P[i][j], P[j][k])].append(
                 (P[i][j], P[j][k], self.right[k], self.right_last[k], self.right_scale[k],
                  self.left[i], self.left_last[i], self.left_scale[i]))
+        # set last: its presence marks the search fields built
+        self.positions = positions
 
     def candidate_lists(self, reverse: bool, pinned: bool = False) -> list[list[int]]:
         """Candidate values per position; `pinned` makes g_0 the unity, so
@@ -591,9 +607,11 @@ def _class_tables(ctx: _ShapeContext, assignments, reverse: bool):
 
 
 # Additive maps are built, and their inverses scattered, in blocks of about
-# this many rows, so no intermediate (a uint8 array, a mask, or the index
-# arrays numpy makes for fancy indexing) grows with the 20160 automorphisms
-# of shape (2, 2, 2, 2).
+# this many rows, so no intermediate (a uint8 array, a mask, or the int32
+# flat indices of a block's gather or scatter) grows with the 20160
+# automorphisms of shape (2, 2, 2, 2).  A larger block makes fewer numpy
+# calls, but it grows the first block `canonical_form` builds and the peak
+# of the automorphism build, which a test bounds.
 _AUTO_BLOCK = 1024
 
 
@@ -606,15 +624,18 @@ def _additive_maps(ctx: _ShapeContext, add):
     image c of g_t that d_t kills, ascending.  The row's image is a
     subgroup, so the extension stays injective iff a c lies outside it for
     0 < a < d_t: one lookup in a mask of the image, and only the survivors
-    are built.  So the rows come out in the order of the image tuples
-    (phi g_0, ..., phi g_{r-1}); an image fits a byte at order <= 16.
+    are built, by one gather from the flat add table.  So the rows come out
+    in the order of the image tuples (phi g_0, ..., phi g_{r-1}); an image
+    fits a byte at order <= 16.
     """
-    if len(add) != ctx.order:
+    n = ctx.order
+    if len(add) != n:
         return
     add = np.asarray(add, dtype=np.uint8)
-    multiples = [np.zeros(ctx.order, dtype=np.uint8)]  # row a holds a x
+    flat = add.ravel()
+    multiples = [np.zeros(n, dtype=np.uint8)]  # row a holds a x
     for _ in range(ctx.exponent):
-        multiples.append(add[multiples[-1], np.arange(ctx.order)])
+        multiples.append(add[multiples[-1], np.arange(n)])
     multiples = np.array(multiples)
     images = [np.flatnonzero(multiples[d] == 0).astype(np.uint8) for d in ctx.factors]
 
@@ -627,11 +648,13 @@ def _additive_maps(ctx: _ShapeContext, add):
         step = max(1, _AUTO_BLOCK // len(cands))
         for start in range(0, len(partial), step):
             base = partial[start:start + step]
-            image = np.zeros((len(base), ctx.order), dtype=bool)
-            np.put_along_axis(image, base, True, axis=1)
+            image = np.zeros((len(base), n), dtype=bool)
+            image[np.arange(len(base))[:, None], base] = True
             p, c = np.nonzero(~image[:, multiples[1:d, cands]].any(axis=1))
-            # row p, c: phi_p(x) + a cands[c] at label a stride + x
-            rows = add[base[p][:, None, :], multiples[:d, cands[c]].T[:, :, None]]
+            # row p, c: phi_p(x) + a cands[c] at label a stride + x, read from
+            # the flat add table at phi_p(x) n + a cands[c]
+            at = (base[p].astype(np.int32) * n)[:, None, :]
+            rows = flat.take(at + multiples[:d, cands[c]].T[:, :, None])
             yield from extend(t + 1, rows.reshape(-1, d * stride))
 
     yield from extend(0, np.zeros((1, 1), dtype=np.uint8))
@@ -640,17 +663,22 @@ def _additive_maps(ctx: _ShapeContext, add):
 @functools.cache
 def _shape_automorphisms(ctx: _ShapeContext) -> tuple[np.ndarray, np.ndarray]:
     """The shape's automorphisms as uint8 rows, in image-tuple order, with
-    each row's inverse, scattered a block at a time; both cached read-only.
+    each row's inverse, scattered a block at a time through one flat index;
+    both cached read-only.  It reads no search field of the context.
     `canonical_form` narrows them one generator constant at a time,
     `_new_orbits` reads Stab(g_0) off them, and `_expanded_tables`
     relabels by every row.  The tests check the row count against
     `abelian_automorphism_count`."""
+    n = ctx.order
     autos = np.concatenate(list(_additive_maps(ctx, ctx.add_np)))
     inverse = np.empty_like(autos)
+    flat = inverse.ravel()
     for start in range(0, len(autos), _AUTO_BLOCK):
         block = autos[start:start + _AUTO_BLOCK]
-        rows = np.arange(start, start + len(block))[:, None]
-        inverse[rows, block] = np.arange(ctx.order, dtype=np.uint8)
+        # inverse[row, block[row, x]] = x, at row n + block[row, x] of the flat view
+        at = block.astype(np.int32)
+        at += np.arange(start * n, (start + len(block)) * n, n, dtype=np.int32)[:, None]
+        flat[at] = np.arange(n, dtype=np.uint8)
     autos.setflags(write=False)
     inverse.setflags(write=False)
     return autos, inverse

@@ -12,15 +12,15 @@ The populations mix constructed families (Z_n, fields, boolean products,
 matrix and triangular rings) with the exhaustively enumerated rings of
 small order, so every hypothesis branch — characteristic 2 and odd,
 prime and prime-power fields, n = 1 edge cases — is exercised.  A run
-keeps one population in the `cache` its checks share: each ring is built
-once, and the units of the families and enumerated rings are found in one
-stacked pass per order.
+keeps one population in the `cache` its checks share, holding only the
+parts they scan: each ring is built once, and the units of the families
+and enumerated rings are found in one stacked pass per order.
 """
 
 from __future__ import annotations
 
 import time
-from collections.abc import Callable
+from collections.abc import Callable, Set
 from dataclasses import dataclass
 
 import numpy as np
@@ -156,26 +156,46 @@ def _enumerated_rings(max_order: int, up_to_iso: bool, budget: int | None):
     return rings, True, None
 
 
-def _population(cache: dict, max_order: int, budget: int | None):
-    """The run's population: the families, and the enumerated rings raw and one
-    per class, each as (rings, complete, note).  Built once per run, with the
-    units of each order found in one stacked pass over all of it."""
-    key = ("population", max_order)
+# The parts of the shared population a check can read: the enumerated rings
+# raw and one per class, and the units of every population ring built.  Of
+# the nine checks of `run_all`, T7 alone reads all three.
+_PARTS = frozenset({"raw", "iso", "units"})
+
+
+def _population(cache: dict, max_order: int, budget: int | None, reads: Set[str]):
+    """The run's population: the families, and a dict holding the enumerated
+    rings "raw" and "iso" (one per class), each as (rings, complete, note).
+
+    It builds the parts in `reads`, widened by the run's `cache["scope"]`
+    when `run_all` set one, each once per run.  With "units", the units of
+    each order are found in one stacked pass over the rings built that have
+    none yet."""
+    scope = cache.get("scope", frozenset()) | reads
+    key = ("population", max_order, scope)
     if key not in cache:
-        raw, iso = (_enumerated_rings(max_order, up_to_iso, budget) for up_to_iso in (False, True))
         families = _family_population(cache)
-        rings = [r for _, r in families] + raw[0] + iso[0]
-        for order in sorted({r.order for r in rings}):
-            _find_units([r for r in rings if r.order == order])
-        cache[key] = families, raw, iso
+        enumerated = {}
+        for part, up_to_iso in (("raw", False), ("iso", True)):
+            if part in scope and (part, max_order) not in cache:
+                cache[part, max_order] = _enumerated_rings(max_order, up_to_iso, budget)
+            if (part, max_order) in cache:
+                enumerated[part] = cache[part, max_order]
+        if "units" in scope:
+            rings = [r for _, r in families] + [r for e in enumerated.values() for r in e[0]]
+            rings = [r for r in rings if r._units is None]
+            for order in sorted({r.order for r in rings}):
+                _find_units([r for r in rings if r.order == order])
+        cache[key] = families, enumerated
     return cache[key]
 
 
-def _families_and_enumerated(up_to_iso: bool):
-    """Population builder: the standard families, then every raw ring or one per class."""
+def _families_and_enumerated(part: str, units: bool = False):
+    """Population builder: the standard families, then every raw ring ("raw")
+    or one per class ("iso"); `units` when the check reads units."""
     def build(max_order, budget, cache):
-        families, raw, iso = _population(cache, max_order, budget)
-        rings, complete, note = iso if up_to_iso else raw
+        families, enumerated = _population(cache, max_order, budget,
+                                           {part, "units"} if units else {part})
+        rings, complete, note = enumerated[part]
         return families + [(r.name, r) for r in rings], complete, note
     return build
 
@@ -187,8 +207,8 @@ def _fixed(build):
 
 def _t7_population(max_order, budget, cache):
     """Raw rings, one ring per isomorphism class, and the boolean products."""
-    _, (raw, complete_r, note_r), (iso, complete_i, note_i) = _population(
-        cache, max_order, budget)
+    _, enumerated = _population(cache, max_order, budget, _PARTS)
+    (raw, complete_r, note_r), (iso, complete_i, note_i) = enumerated["raw"], enumerated["iso"]
     items = [(r.name, r) for r in raw] + [(f"{r.name}/iso", r) for r in iso]
     if max_order >= 2:
         items += [(f"B({k})", _ring(cache, make_boolean, k)) for k in BOOLEAN_EXPONENTS]
@@ -470,18 +490,19 @@ CHECKS = {spec.check_id: spec for spec in (
         "Every boolean ring has characteristic 2, is commutative, and its only unit is 1.",
         "boolean rings among the standard families and all enumerated rings of order "
         "<= {max_order} ({scanned} rings scanned)",
-        _families_and_enumerated(False), lambda r: is_boolean(r), _t1_claim, _t1_direct),
+        _families_and_enumerated("raw", units=True), lambda r: is_boolean(r),
+        _t1_claim, _t1_direct),
     CheckSpec(
         "T2",
         "In a ring of characteristic other than 2, negation pairs the units without "
         "fixed points, so the units sum to 0.",
-        _ENUMERATED, _families_and_enumerated(False), lambda r: characteristic(r) != 2,
-        _t2_claim, _t2_direct),
+        _ENUMERATED, _families_and_enumerated("raw", units=True),
+        lambda r: characteristic(r) != 2, _t2_claim, _t2_direct),
     CheckSpec(
         "T3",
         "A ring of characteristic other than 2 has an even number of units.",
-        _ENUMERATED, _families_and_enumerated(False), lambda r: characteristic(r) != 2,
-        _t3_claim, _t3_direct),
+        _ENUMERATED, _families_and_enumerated("raw", units=True),
+        lambda r: characteristic(r) != 2, _t3_claim, _t3_direct),
     CheckSpec(
         "T4",
         "A field with q elements has q-1 units; they sum to 1 when q = 2 and to 0 "
@@ -529,7 +550,7 @@ CHECKS = {spec.check_id: spec for spec in (
         "radical (the quotient is semisimple).",
         "standard families and one ring per isomorphism class of order <= {max_order} "
         "({scanned} rings scanned)",
-        _families_and_enumerated(True), None, _t9_claim, _t9_direct),
+        _families_and_enumerated("iso"), None, _t9_claim, _t9_direct),
 )}
 CHECK_IDS = tuple(CHECKS)
 
@@ -582,8 +603,9 @@ def run_check(check_id: str, *, max_order: int = DEFAULT_MAX_ORDER,
 
 def run_all(max_order: int = DEFAULT_MAX_ORDER, *,
             budget: int | None = None) -> list[TheoremReport]:
-    """All nine checks over one run's store of rings, in T1..T9 order."""
-    cache: dict = {}
+    """All nine checks over one run's store of rings, in T1..T9 order; the first
+    check to scan the shared population builds every part of it."""
+    cache: dict = {"scope": _PARTS}
     return [run_check(cid, max_order=max_order, budget=budget, cache=cache)
             for cid in CHECK_IDS]
 

@@ -9,7 +9,7 @@ import pathlib
 
 import pytest
 
-from finring import parse_table_ring, read_ring_file, theorems
+from finring import abelian_automorphism_count, parse_table_ring, read_ring_file, theorems
 from finring.cli import (EXIT_OK, EXIT_RESOURCE, EXIT_USAGE, EXIT_VERIFY_FAIL, build_parser,
                          main)
 
@@ -482,3 +482,19 @@ def test_table_memory_probe_reports_every_field():
                          "unit_group_s", "radical_rss_mb", "radical_s"}
     assert all(line[k] >= 0 for k in line if k != "ring")
     assert line["unit_group_rss_mb"] > 0 and line["radical_rss_mb"] > 0
+
+
+def test_shape_costs_probe_reports_every_field():
+    # tools/shape_costs.py on the shapes of order <= 4: |Aut| as the closed
+    # formula counts it, and every timing and peak a non-negative number
+    tools = pathlib.Path(__file__).resolve().parent.parent / "tools"
+    spec = importlib.util.spec_from_file_location("shape_costs", tools / "shape_costs.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    for factors in [(2,), (3,), (4,), (2, 2)]:
+        line = tool.probe(factors)
+        assert set(line) == {"shape", "aut", "aut_ms", "aut_traced_peak_kib", "plans_ms"}
+        assert line["shape"] == list(factors)
+        assert line["aut"] == abelian_automorphism_count(factors)
+        assert all(line[k] >= 0 for k in ("aut_ms", "aut_traced_peak_kib", "plans_ms"))
+        assert line["aut_traced_peak_kib"] > 0

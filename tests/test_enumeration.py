@@ -5,6 +5,7 @@ import io
 import itertools
 import json
 import random
+import tracemalloc
 from math import gcd, lcm, prod
 
 import numpy as np
@@ -22,6 +23,7 @@ from finring import (
     canonical_form,
     characteristic,
     enumerate_unital_rings,
+    enumeration,
     is_boolean,
     is_commutative,
     jacobson_radical,
@@ -48,6 +50,7 @@ from finring.enumeration import (
     _new_orbits,
     _shape_automorphisms,
     _shape_context,
+    _ShapeContext,
     _unital_tables,
 )
 
@@ -178,6 +181,81 @@ def test_automorphism_array_matches_isomorphism_oracle(order):
         assert [tuple(map(int, row)) for row in autos] == oracle, shape
         identity = np.arange(order)
         assert all((phi[inv] == identity).all() for phi, inv in zip(autos, inverses)), shape
+
+
+def _top_order_count(ctx):
+    """The number of elements of order d_1, the exponent: Aut(G) moves g_0
+    onto exactly these (each spans a cyclic direct summand)."""
+    return sum(1 for row in ctx.digit_array.tolist()
+               if lcm(*(d // gcd(d, a) for a, d in zip(row, ctx.factors))) == ctx.exponent)
+
+
+@pytest.mark.parametrize("factors, count", [((3, 3, 3), 11_232), ((4, 2, 2, 2), 21_504)],
+                         ids=["3,3,3", "4,2,2,2"])
+def test_automorphisms_beyond_order_16(factors, count):
+    # the flat index arithmetic on orders 27 and 32, whose labels times the
+    # order pass a byte: as many distinct rows as the closed formula counts,
+    # each inverse row inverting its row on both sides, and |Stab(g_0)| times
+    # the elements of order d_1 equal to |Aut|; built past the cache, so the
+    # test process keeps no order-32 arrays
+    ctx = _ShapeContext(factors)
+    autos, inverses = _shape_automorphisms.__wrapped__(ctx)
+    assert autos.dtype == inverses.dtype == np.uint8
+    assert len(autos) == abelian_automorphism_count(factors) == count
+    assert len(np.unique(autos, axis=0)) == count
+    identity = np.arange(ctx.order)
+    assert (np.take_along_axis(autos, inverses, axis=1) == identity).all()
+    assert (np.take_along_axis(inverses, autos, axis=1) == identity).all()
+    g0 = ctx.gens[0]
+    assert int((autos[:, g0] == g0).sum()) * _top_order_count(ctx) == count
+
+
+def test_automorphism_build_peak_stays_small():
+    # the (2,2,2,2) build's tracemalloc peak: its two 20160 x 16 uint8 arrays
+    # (0.62 MiB) and the temporaries of one block.  Built by 2-D fancy
+    # indexing, the build peaked at 802 093 bytes; by flat gathers and
+    # scatters through int32 indices, at 790 285 (numpy 2.4).  The bound is
+    # 5% above the former, which blocks of 2048 rows (910 269) would break,
+    # so a larger block cannot grow the isomorphism peak unseen
+    ctx = _ShapeContext((2, 2, 2, 2))
+    tracemalloc.start()
+    try:
+        _shape_automorphisms.__wrapped__(ctx)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.05 * 802_093
+
+
+# the fields `_ShapeContext._build_search` builds on their first read
+SEARCH_FIELDS = {"positions", "P", "K", "P_np", "factors_np", "strides_np", "right",
+                 "right_last", "right_scale", "left", "left_last", "left_scale", "solve",
+                 "triples"}
+
+
+def test_canonical_forms_build_no_search_plan(monkeypatch):
+    # canonical_form and are_isomorphic read the additive data and Aut(G)
+    # alone, so the fresh contexts they make hold no search field; the first
+    # read of one builds them all
+    made = {}
+
+    def fresh(factors):
+        if factors not in made:
+            made[factors] = _ShapeContext(factors)
+        return made[factors]
+
+    monkeypatch.setattr(enumeration, "_shape_context", fresh)
+    canonical_form(_relabeled_table_copy(make_matrix_ring(2, make_gf(2)), random.Random(1)))
+    canonical_form(make_gf(16))
+    assert are_isomorphic(parse_ring("Z(6)"), parse_ring("Z(2) x Z(3)"))
+    assert not are_isomorphic(make_gf(9), parse_ring("Z(3) x Z(3)"))
+    assert set(made) == {(2, 2, 2, 2), (6,), (3, 3)}
+    for ctx in made.values():
+        assert not SEARCH_FIELDS & vars(ctx).keys(), ctx.factors
+    made[(6,)].triples
+    assert SEARCH_FIELDS <= vars(made[(6,)]).keys()
+    with pytest.raises(AttributeError):
+        made[(6,)].no_such_field
 
 
 @pytest.mark.parametrize("order", range(1, 17))
@@ -382,9 +460,7 @@ def test_stabilizer_rows_fix_the_first_generator():
             assert not autos.flags.writeable and not inverses.flags.writeable
             g0 = ctx.gens[0]
             stab = int((autos[:, g0] == g0).sum())
-            top = sum(1 for row in ctx.digit_array.tolist()
-                      if lcm(*(d // gcd(d, a) for a, d in zip(row, ctx.factors))) == ctx.exponent)
-            assert stab * top == len(autos), shape
+            assert stab * _top_order_count(ctx) == len(autos), shape
     autos, _ = _shape_automorphisms(_shape_context((2, 2, 2, 2)))
     assert int((autos[:, 1] == 1).sum()) == 1344
 

@@ -187,10 +187,12 @@ def test_last_read_scales_and_solve_masks_match_brute_force(factors):
 
 def test_shape_contexts_stay_small():
     # the per-parent solve needs r x n scales per side and exponent x n masks;
-    # eager merged plans for every (i, k, x, y) would take about 4.5 MB here
+    # eager merged plans for every (i, k, x, y) would take about 4.5 MB here.
+    # The plans are built at their first read, so each context reads one
     tracemalloc.start()
     try:
         contexts = [_ShapeContext(s.invariant_factors) for s in abelian_group_shapes(16)]
+        assert all(ctx.triples for ctx in contexts)
         allocated, _ = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

@@ -332,6 +332,29 @@ def test_each_run_builds_and_examines_its_own_rings(monkeypatch):
     assert not first.keys() & second.keys()
 
 
+def test_a_single_check_builds_only_the_population_it_scans(monkeypatch):
+    # T9 scans one ring per class and reads no units, so it enumerates no raw
+    # ring and makes no stacked unit pass; T1 scans the families and the raw
+    # rings, one stacked pass per order over those, and enumerates no class
+    searched = []
+    search = theorems.enumerate_unital_rings
+    monkeypatch.setattr(theorems, "enumerate_unital_rings",
+                        lambda order, up_to_iso, **kw: searched.append(up_to_iso)
+                        or search(order, up_to_iso=up_to_iso, **kw))
+    passes = _counted_unit_passes(monkeypatch)
+    report = run_check("T9", max_order=8)
+    assert report.passed and report.population_count == 72
+    assert searched == [True] * 7 and passes == []
+    searched.clear()
+    passes.clear()
+    report = run_check("T1", max_order=8)
+    assert report.passed and report.population_count == POPULATION_AT_8["T1"]
+    assert searched == [False] * 7
+    examined = [r for rs in passes for r in rs]
+    assert len(examined) == len({id(r) for r in examined}) == 52 + 581
+    assert all(len({r.order for r in rs}) == 1 for rs in passes)
+
+
 def test_t4_alone_builds_no_matrix_table(monkeypatch):
     # T4 takes the run's fields and nothing else of the population
     built = []
